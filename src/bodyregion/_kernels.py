@@ -4,7 +4,7 @@ Each kernel has a numba @njit build and a pure-numpy fallback. Selection is
 controlled by the BODYREGION_NUMBA environment variable ("0" forces the
 numpy path); when numba is missing the fallback is used silently. The two
 paths are interchangeable bit-for-bit for PackBits and within float
-round-off for the warps; benchmarks/bench_kernels.py compares them.
+round-off for the warps; tests/test_kernels.py checks that they agree.
 """
 
 from __future__ import annotations

@@ -16,11 +16,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dicomio
-from .dicomio import TAG_TABLE, encode_element, iter_elements, parse_dicom
+from .dicomio import (TAG_TABLE, ParsedFile, encode_element, iter_elements,
+                      parse_dicom)
 from .errors import BodyRegionError
-from .stats import (CIResult, ConfusionMatrix, EvalStudy, FactorReport,
-                    bootstrap_ci, full_confusion, weighted_sensitivity,
-                    weighted_specificity)
+from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
+                    bootstrap_counts, ci_from_counts, full_confusion,
+                    ratio_or_nan, weighted_sensitivity, weighted_specificity)
+# Kept importable from this module: callers resolve it through here.
+from .stats import bootstrap_ci  # noqa: F401
 from .taxonomy import CANONICAL_TAG_STRINGS, BodyRegion
 
 MIN_REGION_COUNT = 5
@@ -36,44 +39,45 @@ class RegionRow:
     specificity_ci: Optional[CIResult]
 
 
-def class_recall(idx: int):
-    def metric(cm: ConfusionMatrix) -> float:
-        support = int(cm.counts[idx].sum())
-        if support == 0:
-            return float("nan")
-        return float(cm.counts[idx, idx]) / support
-    return metric
+def class_recall(idx: int) -> CountMetric:
+    """Recall of class idx: its hits over its support, NaN without support."""
+    @CountMetric
+    def recall(counts: np.ndarray) -> np.ndarray:
+        return ratio_or_nan(counts[..., idx, idx],
+                            counts[..., idx, :].sum(axis=-1))
+    return recall
 
 
-def class_specificity(idx: int):
-    def metric(cm: ConfusionMatrix) -> float:
-        total = cm.total
-        support = int(cm.counts[idx].sum())
-        fp = int(cm.counts[:, idx].sum()) - int(cm.counts[idx, idx])
-        tn = total - support - fp
-        if tn + fp == 0:
-            return float("nan")
-        return tn / (tn + fp)
-    return metric
+def class_specificity(idx: int) -> CountMetric:
+    """One-vs-rest TNR of class idx: tn / (tn + fp), NaN when tn + fp == 0."""
+    @CountMetric
+    def specificity(counts: np.ndarray) -> np.ndarray:
+        negatives = (counts.sum(axis=(-2, -1))
+                     - counts[..., idx, :].sum(axis=-1))
+        fp = counts[..., :, idx].sum(axis=-1) - counts[..., idx, idx]
+        return ratio_or_nan(negatives - fp, negatives)
+    return specificity
 
 
 def region_rows(evals: Sequence[EvalStudy], class_names: Sequence[str],
                 resamples: int = 1000, level: float = 0.95, seed: int = 0,
                 step_mm: float = 10.0,
                 min_count: int = MIN_REGION_COUNT) -> List[RegionRow]:
-    """Overall row plus one row per region with bootstrap CIs."""
+    """Overall row plus one row per region with bootstrap CIs.
+
+    Every CI is read from one resample pass over `evals`, so each equals
+    `bootstrap_ci(evals, metric, ...)` with the same arguments.
+    """
     k = len(class_names)
     cm = full_confusion(evals, k, class_names)
-    rows = [RegionRow(
-        "Overall", cm.total,
-        weighted_sensitivity(cm),
-        bootstrap_ci(evals, weighted_sensitivity, k, class_names,
-                     resamples=resamples, level=level, seed=seed,
-                     step_mm=step_mm),
-        weighted_specificity(cm),
-        bootstrap_ci(evals, weighted_specificity, k, class_names,
-                     resamples=resamples, level=level, seed=seed,
-                     step_mm=step_mm))]
+    counts = bootstrap_counts(evals, k, resamples, seed, step_mm)
+
+    def ci(metric) -> CIResult:
+        return ci_from_counts(counts, metric, class_names, level, seed)
+
+    rows = [RegionRow("Overall", cm.total,
+                      weighted_sensitivity(cm), ci(weighted_sensitivity),
+                      weighted_specificity(cm), ci(weighted_specificity))]
     for idx, name in enumerate(class_names):
         support = int(cm.counts[idx].sum())
         if support == 0:
@@ -81,16 +85,9 @@ def region_rows(evals: Sequence[EvalStudy], class_names: Sequence[str],
         if support < min_count:
             rows.append(RegionRow(name, support, None, None, None, None))
             continue
-        rows.append(RegionRow(
-            name, support,
-            class_recall(idx)(cm),
-            bootstrap_ci(evals, class_recall(idx), k, class_names,
-                         resamples=resamples, level=level, seed=seed,
-                         step_mm=step_mm),
-            class_specificity(idx)(cm),
-            bootstrap_ci(evals, class_specificity(idx), k, class_names,
-                         resamples=resamples, level=level, seed=seed,
-                         step_mm=step_mm)))
+        recall, tnr = class_recall(idx), class_specificity(idx)
+        rows.append(RegionRow(name, support, recall(cm), ci(recall),
+                              tnr(cm), ci(tnr)))
     return rows
 
 
@@ -161,9 +158,12 @@ class TagChange:
     detail: str = ""
 
 
-def _splice_body_part(data: bytes, region: BodyRegion) -> Tuple[bytes, str]:
-    """Replace or insert (0018,0015), preserving every other byte."""
-    parsed = parse_dicom(data)
+def _splice_body_part(data: bytes, parsed: ParsedFile,
+                      region: BodyRegion) -> Tuple[bytes, str]:
+    """Replace or insert (0018,0015), preserving every other byte.
+
+    `parsed` is `parse_dicom(data)`.
+    """
     new_value = CANONICAL_TAG_STRINGS[region]
     element = encode_element(_BODY_PART_TAG, "CS", new_value,
                              explicit=parsed.explicit)
@@ -209,7 +209,7 @@ def write_body_part_tags(files: Sequence[str],
             changes.append(TagChange(path, "skipped",
                                      detail="series rejected as uncertain"))
             continue
-        new_data, old = _splice_body_part(data, region)
+        new_data, old = _splice_body_part(data, parsed, region)
         changes.append(TagChange(path, "rewritten", old_value=old,
                                  new_value=CANONICAL_TAG_STRINGS[region]))
         if not dry_run:

@@ -6,10 +6,20 @@ The bootstrap draws studies with replacement; each drawn study contributes
 one uniformly chosen series, subsampled at the configured physical step
 with an iteration-derived seed, so resamples are independent of execution
 order and bit-reproducible for a fixed seed.
+
+Each unit set is resampled once: `bootstrap_counts` returns the pooled
+(R, K, K) count tensor, and every CI of that unit set is read from it by
+`ci_from_counts`. Each metric is a `CountMetric`, implemented once over
+(..., K, K) counts, so a point estimate is the one-matrix case of the same
+code. The floats are exact: a ratio of int64 counts below 2^53 divides with
+correct rounding, and weighted specificity sums its per-class rationals on
+one common denominator in Python ints before a single int / int division,
+which CPython rounds correctly; each equals float() of its Fraction.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -59,13 +69,49 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def weighted_sensitivity(cm: ConfusionMatrix) -> float:
+class CountMetric:
+    """A confusion-matrix metric implemented once, over stacked counts.
+
+    `over(counts)` maps a (..., K, K) int64 count array to the metric of
+    every matrix in it, NaN where the metric is undefined. Calling the
+    metric on a ConfusionMatrix evaluates the one-matrix case.
+    """
+
+    def __init__(self, over: Callable[[np.ndarray], np.ndarray]):
+        self.over = over
+        functools.update_wrapper(self, over)
+
+    def __call__(self, cm: ConfusionMatrix) -> float:
+        return float(self.over(cm.counts))
+
+
+def ratio_or_nan(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den as float64, NaN where den == 0.
+
+    Integer operands below 2^53 convert to float64 exactly, so each quotient
+    is the correctly rounded value of the exact ratio.
+    """
+    return np.divide(num, den, out=np.full(np.shape(den), np.nan),
+                     where=den != 0)
+
+
+def _require_counts(total: np.ndarray) -> None:
+    if np.any(total == 0):
+        raise EmptyMatrix("confusion matrix has no counts")
+
+
+@CountMetric
+def weighted_sensitivity(counts: np.ndarray) -> np.ndarray:
     """Support-weighted mean of per-class recall.
 
-    Computed in exact rational arithmetic; algebraically this equals
-    trace/total whenever zero-support classes are skipped.
+    Zero-support classes add nothing, so it is trace/total
+    (`weighted_sensitivity_exact` is the rational oracle); int64 counts
+    below 2^53 divide with correct rounding, so the float equals
+    float(Fraction). Raises EmptyMatrix on an empty matrix.
     """
-    return float(weighted_sensitivity_exact(cm))
+    total = counts.sum(axis=(-2, -1))
+    _require_counts(total)
+    return np.trace(counts, axis1=-2, axis2=-1) / total
 
 
 def weighted_sensitivity_exact(cm: ConfusionMatrix) -> Fraction:
@@ -83,33 +129,61 @@ def weighted_sensitivity_exact(cm: ConfusionMatrix) -> Fraction:
     return acc / total_support
 
 
-def weighted_specificity(cm: ConfusionMatrix) -> float:
+def _support_and_negatives(counts: np.ndarray):
+    """Per class: support (row sum) and negatives tn + fp = total - support."""
+    support = counts.sum(axis=-1)
+    return support, support.sum(axis=-1, keepdims=True) - support
+
+
+def _exact_weighted_ratio(w: List[int], t: List[int], g: List[int]) -> float:
+    """sum_k w_k t_k / g_k over sum_k w_k (NaN if all w_k are 0), exactly.
+
+    The terms go on one common denominator in Python ints, which cannot
+    overflow, and one int / int division ends it; CPython rounds that
+    correctly, so the result equals float() of the Fraction-valued sum.
+    """
+    total_weight = sum(w)
+    if total_weight == 0:
+        return math.nan
+    common = math.prod(g)
+    num = sum(wk * tk * (common // gk) for wk, tk, gk in zip(w, t, g))
+    return num / (total_weight * common)
+
+
+@CountMetric
+def weighted_specificity(counts: np.ndarray) -> np.ndarray:
     """Support-weighted one-vs-rest true-negative rate.
 
-    Classes with zero support or an undefined TNR (no true negatives and
-    no false positives) are skipped with a warning; if nothing remains the
-    result is NaN.
+    Classes with zero support or an undefined TNR (no true negatives and no
+    false positives) are skipped; if nothing remains the result is NaN.
+    Exact: the float equals float() of the Fraction-valued weighted sum.
+    Raises EmptyMatrix on an empty matrix.
     """
-    total = cm.total
-    if total == 0:
-        raise EmptyMatrix("confusion matrix has no counts")
-    acc = Fraction(0)
-    total_support = 0
-    for k in range(len(cm.class_names)):
-        support = int(cm.counts[k].sum())
-        if support == 0:
-            continue
-        col = int(cm.counts[:, k].sum())
-        fp = col - int(cm.counts[k, k])
-        tn = total - support - fp
-        if tn + fp == 0:
-            log.warning("class %s: TNR undefined, skipped", cm.class_names[k])
-            continue
-        acc += support * Fraction(tn, tn + fp)
-        total_support += support
-    if total_support == 0:
-        return float("nan")
-    return float(acc / total_support)
+    k = counts.shape[-1]
+    stack = counts.reshape(-1, k, k)
+    support, negatives = _support_and_negatives(stack)
+    _require_counts(support.sum(axis=-1))
+    fp = stack.sum(axis=-2) - np.diagonal(stack, axis1=-2, axis2=-1)
+    tn = negatives - fp
+    keep = (support > 0) & (negatives > 0)
+    weight = np.where(keep, support, 0)
+    negatives = np.where(keep, negatives, 1)
+    # Row by row, so only K Python ints per row are alive at a time.
+    out = np.array([_exact_weighted_ratio(w.tolist(), t.tolist(), g.tolist())
+                    for w, t, g in zip(weight, tn, negatives)],
+                   dtype=np.float64)
+    return out.reshape(counts.shape[:-2])
+
+
+def _log_undefined_tnr(counts: np.ndarray, class_names: Sequence[str]) -> None:
+    """One warning line naming each class whose TNR was undefined, with
+    the number of resamples in which it was (and so was skipped)."""
+    support, negatives = _support_and_negatives(counts)
+    undefined = ((support > 0) & (negatives == 0)).sum(axis=0)
+    parts = [f"class {name} in {int(n)}/{len(counts)} resamples"
+             for name, n in zip(class_names, undefined) if n]
+    if parts:
+        log.warning("TNR undefined, skipped: %s", ", ".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +382,99 @@ def full_confusion(studies: Sequence[EvalStudy], k: int,
     return ConfusionMatrix(flat.reshape(k, k), tuple(class_names))
 
 
+_GATHER_ELEMENTS = 1 << 15
+
+
+def bootstrap_counts(studies: Sequence[EvalStudy], k: int,
+                     resamples: int = 1000, seed: int = 0,
+                     step_mm: float = 10.0) -> np.ndarray:
+    """Pooled confusion counts of every bootstrap resample, shape (R, K, K).
+
+    Resample i uses its own stream `default_rng([seed, i])`: it draws n
+    studies with replacement, then one uniform series per drawn study, then
+    one uniform sampling start in that series' first step_mm window, and
+    pools the counts of the images the greedy subsample keeps.
+    """
+    studies = list(studies)
+    if not studies:
+        raise EmptyCohort("no studies to bootstrap")
+
+    # One combo row per (study, series, start); each series' rows are
+    # contiguous, and each study's series are numbered contiguously.
+    blocks = []
+    first_combo = []   # per series: id of its start-0 combo
+    windows = []       # per series: number of starts
+    first_series = []  # per study: index of its first series
+    n_series = []      # per study
+    n_combos = 0
+    for study in studies:
+        if not study.series:
+            raise EmptyCohort(f"study {study.study_uid} has no series")
+        first_series.append(len(windows))
+        n_series.append(len(study.series))
+        for s in study.series:
+            block = _series_start_counts(s, k, step_mm)
+            first_combo.append(n_combos)
+            windows.append(len(block))
+            n_combos += len(block)
+            blocks.append(block)
+    combos = np.concatenate(blocks)
+    first_combo, windows, first_series, n_series = (
+        np.asarray(a, dtype=np.int64)
+        for a in (first_combo, windows, first_series, n_series))
+
+    n = len(studies)
+    out = np.empty((resamples, k * k), dtype=np.int64)
+    # Resamples run in chunks so the (chunk, n, K*K) gather stays bounded.
+    chunk = max(1, _GATHER_ELEMENTS // (n * k * k))
+    for lo in range(0, resamples, chunk):
+        hi = min(lo + chunk, resamples)
+        drawn = np.empty((hi - lo, n), dtype=np.int64)
+        u_series = np.empty((hi - lo, n))
+        u_start = np.empty((hi - lo, n))
+        for row, i in enumerate(range(lo, hi)):
+            rng = np.random.default_rng([seed, i])
+            drawn[row] = rng.integers(0, n, size=n)
+            rng.random(out=u_series[row])
+            rng.random(out=u_start[row])
+        series = first_series[drawn] + \
+            (u_series * n_series[drawn]).astype(np.int64)
+        starts = (u_start * windows[series]).astype(np.int64)
+        out[lo:hi] = combos[first_combo[series] + starts].sum(axis=1)
+    return out.reshape(resamples, k, k)
+
+
+def ci_from_counts(counts: np.ndarray,
+                   metric: Callable[[ConfusionMatrix], float],
+                   class_names: Sequence[str],
+                   level: float = 0.95, seed: int = 0) -> CIResult:
+    """Percentile CI of `metric` over a `bootstrap_counts` tensor.
+
+    A CountMetric is evaluated on the whole tensor at once; any other
+    callable once per resample. The point estimate is the bootstrap
+    median, so lo <= point <= hi by construction.
+    """
+    if metric is weighted_specificity:
+        _log_undefined_tnr(counts, class_names)
+    if isinstance(metric, CountMetric):
+        values = metric.over(counts)
+    else:
+        values = np.array([metric(ConfusionMatrix(c, tuple(class_names)))
+                           for c in counts], dtype=np.float64)
+    resamples = len(counts)
+    alpha = (1.0 - level) / 2.0
+    # A resample can miss a class entirely, making a per-class metric
+    # undefined there; compute the percentiles over the defined resamples.
+    defined = values[np.isfinite(values)]
+    if defined.size == 0:
+        nan = float("nan")
+        return CIResult(point=nan, lo=nan, hi=nan, level=level,
+                        resamples=resamples, seed=seed)
+    lo, point, hi = np.percentile(defined, [100 * alpha, 50, 100 * (1 - alpha)])
+    return CIResult(point=float(point), lo=float(lo), hi=float(hi),
+                    level=level, resamples=resamples, seed=seed)
+
+
 def bootstrap_ci(studies: Sequence[EvalStudy],
                  metric: Callable[[ConfusionMatrix], float],
                  k: int,
@@ -320,64 +487,14 @@ def bootstrap_ci(studies: Sequence[EvalStudy],
 
     Each resample draws studies with replacement, keeps one random series
     per drawn study, subsamples it at step_mm, and evaluates the metric on
-    the pooled confusion matrix. The point estimate is the bootstrap
-    median, so lo <= point <= hi by construction.
+    the pooled confusion matrix (see `bootstrap_counts`). Callers needing
+    several metrics of one unit set run `bootstrap_counts` once and call
+    `ci_from_counts` per metric; the results are identical.
     """
-    studies = list(studies)
-    if not studies:
-        raise EmptyCohort("no studies to bootstrap")
     if class_names is None:
         class_names = [str(i) for i in range(k)]
-
-    # Precompute every (study, series, start) count vector once.
-    combo_counts = []        # rows of the combo matrix
-    study_series_offsets = []  # per study: array of first-combo ids per series
-    study_windows = []         # per study: window size per series
-    for study in studies:
-        if not study.series:
-            raise EmptyCohort(f"study {study.study_uid} has no series")
-        offsets = []
-        windows = []
-        for s in study.series:
-            offsets.append(len(combo_counts))
-            counts = _series_start_counts(s, k, step_mm)
-            windows.append(counts.shape[0])
-            combo_counts.extend(counts)
-        study_series_offsets.append(np.asarray(offsets, dtype=np.int64))
-        study_windows.append(np.asarray(windows, dtype=np.int64))
-    combo_matrix = np.asarray(combo_counts, dtype=np.int64)
-    n = len(studies)
-    n_series = np.array([len(s.series) for s in studies], dtype=np.int64)
-    offsets_arr = [study_series_offsets[j] for j in range(n)]
-    windows_arr = [study_windows[j] for j in range(n)]
-
-    values = np.empty(resamples, dtype=np.float64)
-    for i in range(resamples):
-        rng = np.random.default_rng([seed, i])
-        drawn = rng.integers(0, n, size=n)
-        series_pick = (rng.random(n) * n_series[drawn]).astype(np.int64)
-        combo_ids = np.empty(n, dtype=np.int64)
-        starts = rng.random(n)
-        for j in range(n):
-            sj = drawn[j]
-            pick = series_pick[j]
-            window = windows_arr[sj][pick]
-            combo_ids[j] = offsets_arr[sj][pick] + int(starts[j] * window)
-        flat = combo_matrix[combo_ids].sum(axis=0)
-        values[i] = metric(ConfusionMatrix(flat.reshape(k, k),
-                                           tuple(class_names)))
-
-    alpha = (1.0 - level) / 2.0
-    # A resample can miss a class entirely, making a per-class metric
-    # undefined there; compute the percentiles over the defined resamples.
-    defined = values[np.isfinite(values)]
-    if defined.size == 0:
-        nan = float("nan")
-        return CIResult(point=nan, lo=nan, hi=nan, level=level,
-                        resamples=resamples, seed=seed)
-    lo, point, hi = np.percentile(defined, [100 * alpha, 50, 100 * (1 - alpha)])
-    return CIResult(point=float(point), lo=float(lo), hi=float(hi),
-                    level=level, resamples=resamples, seed=seed)
+    counts = bootstrap_counts(studies, k, resamples, seed, step_mm)
+    return ci_from_counts(counts, metric, class_names, level, seed)
 
 
 def jackknife_variance(studies: Sequence[EvalStudy],
@@ -570,15 +687,15 @@ def factor_report(studies: Sequence[StudyRecord],
             rows.append(FactorRow(cat, len(cat_units), n_images,
                                   None, None, None, None))
             continue
-        sens_ci = bootstrap_ci(cat_units, weighted_sensitivity, k, class_names,
-                               resamples=resamples, level=level, seed=seed,
-                               step_mm=step_mm)
-        spec_ci = bootstrap_ci(cat_units, weighted_specificity, k, class_names,
-                               resamples=resamples, level=level, seed=seed,
-                               step_mm=step_mm)
-        rows.append(FactorRow(cat, len(cat_units), n_images,
-                              weighted_sensitivity(cm), sens_ci,
-                              weighted_specificity(cm), spec_ci))
+        counts = bootstrap_counts(cat_units, k, resamples, seed, step_mm)
+        rows.append(FactorRow(
+            cat, len(cat_units), n_images,
+            weighted_sensitivity(cm),
+            ci_from_counts(counts, weighted_sensitivity, class_names, level,
+                           seed),
+            weighted_specificity(cm),
+            ci_from_counts(counts, weighted_specificity, class_names, level,
+                           seed)))
 
     table = FactorTable(factor, categories,
                         np.asarray(correct, dtype=np.int64),

@@ -130,6 +130,23 @@ class TestTagWriteBack:
         expected = original.replace(b"CHEST ", b"PELVIS")
         assert rewritten == expected
 
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
+        import bodyregion.report as report_mod
+        calls = []
+
+        def counting_parse(data):
+            calls.append(len(data))
+            return parse_dicom(data)
+
+        monkeypatch.setattr(report_mod, "parse_dicom", counting_parse)
+        paths = [tmp_path / "a.dcm", tmp_path / "b.dcm"]
+        self._write_file(paths[0], BodyPartExamined="CHEST")
+        self._write_file(paths[1], BodyPartExamined=None)
+        changes = write_body_part_tags([str(p) for p in paths],
+                                       {"1.2.3.2": BodyRegion.HEAD})
+        assert [c.action for c in changes] == ["rewritten", "rewritten"]
+        assert len(calls) == 2
+
     def test_dry_run_leaves_file(self, tmp_path):
         path = tmp_path / "a.dcm"
         original = self._write_file(path)

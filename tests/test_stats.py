@@ -10,13 +10,16 @@ import pytest
 
 from bodyregion.errors import (DegenerateTable, EmptyCohort, EmptyMatrix,
                                InvalidParams, UnknownFactor)
+from bodyregion import stats
+from bodyregion.geometry import first_window_size
+from bodyregion.report import class_recall, class_specificity, region_rows
 from bodyregion.stats import (CIResult, ConfusionMatrix, EvalSeries,
                               EvalStudy, FactorTable, association_bucket,
-                              bootstrap_ci, chi2_sf, chi_square, cramers_v,
-                              factor_report, full_confusion,
-                              jackknife_variance, normalize_tag_value,
-                              sample_size, tag_agreement,
-                              weighted_sensitivity,
+                              bootstrap_ci, bootstrap_counts, chi2_sf,
+                              chi_square, cramers_v, factor_report,
+                              full_confusion, jackknife_variance,
+                              normalize_tag_value, sample_size,
+                              tag_agreement, weighted_sensitivity,
                               weighted_sensitivity_exact,
                               weighted_specificity)
 from bodyregion.taxonomy import BodyRegion
@@ -72,6 +75,99 @@ class TestWeightedSpecificity:
         # Single populated class: tn + fp == 0 -> NaN overall.
         cm = ConfusionMatrix([[4, 0], [0, 0]], ("a", "b"))
         assert math.isnan(weighted_specificity(cm))
+
+
+def _negatives(counts, idx):
+    """(tn, tn + fp) of class idx as Python ints."""
+    total = int(counts.sum())
+    support = int(counts[idx].sum())
+    fp = int(counts[:, idx].sum()) - int(counts[idx, idx])
+    return total - support - fp, total - support
+
+
+def oracle_weighted_specificity(counts):
+    acc, total_support = Fraction(0), 0
+    for idx in range(len(counts)):
+        support = int(counts[idx].sum())
+        tn, negatives = _negatives(counts, idx)
+        if support == 0 or negatives == 0:
+            continue
+        acc += support * Fraction(tn, negatives)
+        total_support += support
+    return acc / total_support if total_support else None
+
+
+def oracle_class_recall(idx):
+    def oracle(counts):
+        support = int(counts[idx].sum())
+        return Fraction(int(counts[idx, idx]), support) if support else None
+    return oracle
+
+
+def oracle_class_specificity(idx):
+    def oracle(counts):
+        tn, negatives = _negatives(counts, idx)
+        return Fraction(tn, negatives) if negatives else None
+    return oracle
+
+
+def edge_case_tensor(rng, k, r=300):
+    """(r, k, k) counts at mixed scales, with zero-support classes,
+    classes without negatives (single-class rows) and near-2^40 counts."""
+    scale = rng.choice([3, 50, 10 ** 6, 2 ** 40], size=(r, 1, 1))
+    counts = rng.integers(0, scale, size=(r, k, k))
+    counts[rng.random((r, k)) < 0.25] = 0             # zero-support classes
+    single = np.flatnonzero(rng.random(r) < 0.15)     # one populated row
+    keep = rng.integers(0, k, size=len(single))
+    for i, cls in zip(single, keep):
+        counts[i, np.arange(k) != cls] = 0
+    empty = counts.sum(axis=(1, 2)) == 0
+    counts[empty, 0, 0] = 1
+    return counts
+
+
+class TestCountMetricsAgainstFractionOracles:
+    """Every array metric equals float() of its Fraction oracle with ==,
+    and is NaN exactly where the oracle is undefined."""
+
+    @staticmethod
+    def _check(metric, oracle, counts):
+        values = metric.over(counts)
+        assert values.shape == counts.shape[:1]
+        for value, matrix in zip(values, counts):
+            expected = oracle(matrix)
+            if expected is None:
+                assert math.isnan(value)
+            else:
+                assert value == float(expected)
+        # The one-matrix case is the same implementation.
+        cm = ConfusionMatrix(counts[0], tuple(map(str, range(len(counts[0])))))
+        assert metric(cm) == values[0] or math.isnan(values[0])
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_all_four_metrics(self, k):
+        rng = np.random.default_rng(k)
+        counts = edge_case_tensor(rng, k)
+        names = tuple(map(str, range(k)))
+        # The tensor really holds the edge cases the oracles single out.
+        support = counts.sum(axis=2)
+        assert (support == 0).any()
+        assert (support == support.sum(axis=1, keepdims=True)).any()
+        self._check(weighted_sensitivity,
+                    lambda c: weighted_sensitivity_exact(
+                        ConfusionMatrix(c, names)), counts)
+        self._check(weighted_specificity, oracle_weighted_specificity, counts)
+        for idx in range(k):
+            self._check(class_recall(idx), oracle_class_recall(idx), counts)
+            self._check(class_specificity(idx),
+                        oracle_class_specificity(idx), counts)
+
+    def test_weighted_metrics_reject_empty_matrix(self):
+        counts = np.zeros((3, 2, 2), dtype=np.int64)
+        counts[:2, 0, 0] = 1
+        for metric in (weighted_sensitivity, weighted_specificity):
+            with pytest.raises(EmptyMatrix):
+                metric.over(counts)
 
 
 class TestChiSquared:
@@ -241,6 +337,111 @@ class TestBootstrap:
         # though full-series accuracy is a constant 0.8.
         assert ci.hi - ci.lo >= 0.3
         assert ci.hi == 1.0
+
+
+def reference_bootstrap_counts(studies, k, resamples, seed, step_mm):
+    """Study-by-study loop over the same per-resample streams."""
+    out = []
+    for i in range(resamples):
+        rng = np.random.default_rng([seed, i])
+        n = len(studies)
+        drawn = rng.integers(0, n, size=n)
+        n_series = np.array([len(studies[j].series) for j in drawn])
+        picks = (rng.random(n) * n_series).astype(np.int64)
+        starts = rng.random(n)
+        flat = np.zeros(k * k, dtype=np.int64)
+        for j, pick, u in zip(drawn, picks, starts):
+            s = studies[j].series[pick]
+            start = int(u * first_window_size(s.positions, step_mm))
+            flat += stats._series_start_counts(s, k, step_mm)[start]
+        out.append(flat.reshape(k, k))
+    return np.array(out)
+
+
+def uneven_cohort(n=14, k=3, seed=0):
+    """Studies with one to three series whose spacings (so first-window
+    sizes) and lengths differ; every series holds every class."""
+    rng = np.random.default_rng(seed)
+    studies = []
+    for i in range(n):
+        series = []
+        for j in range(1 + i % 3):
+            spacing = rng.choice([1.5, 2.5, 4.0, 10.0, 12.0])
+            m = int(rng.integers(3 * k, 40))
+            truth = np.arange(m) % k
+            pred = np.where(rng.random(m) < 0.8, truth, rng.integers(0, k, m))
+            series.append(EvalSeries(np.cumsum(np.full(m, spacing)), truth,
+                                     pred, series_uid=f"S{i}.{j}"))
+        studies.append(EvalStudy(f"S{i}", series))
+    return studies
+
+
+class TestSharedResamplePass:
+    def test_counts_match_reference_loop(self, monkeypatch):
+        studies = uneven_cohort()
+        windows = {first_window_size(s.positions, 10.0)
+                   for st in studies for s in st.series}
+        assert len(windows) >= 3
+        # Small gather chunks, so chunk boundaries fall inside the run.
+        monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 500)
+        got = bootstrap_counts(studies, 3, 57, 11, 10.0)
+        assert got.dtype == np.int64
+        assert np.array_equal(
+            got, reference_bootstrap_counts(studies, 3, 57, 11, 10.0))
+
+    def test_region_rows_cis_equal_bootstrap_ci(self):
+        studies = uneven_cohort()
+        names = ["a", "b", "c"]
+        rows = region_rows(studies, names, resamples=150, seed=5)
+        metrics = [(weighted_sensitivity, weighted_specificity)] + [
+            (class_recall(i), class_specificity(i)) for i in range(3)]
+        assert len(rows) == len(metrics)
+        for row, (sens, spec) in zip(rows, metrics):
+            for ci, metric in ((row.sensitivity_ci, sens),
+                               (row.specificity_ci, spec)):
+                assert ci == bootstrap_ci(studies, metric, 3, names,
+                                          resamples=150, seed=5)
+
+    def test_factor_report_cis_equal_bootstrap_ci(self):
+        studies = uneven_cohort(n=16)
+        names = ["a", "b", "c"]
+        records = [make_study(study_uid=st.study_uid, patient_id=f"P{i}",
+                              institution="AB"[i % 2])
+                   for i, st in enumerate(studies)]
+        evals = {st.study_uid: st for st in studies}
+        report = factor_report(records, evals, "institution", 3, names,
+                               resamples=150, seed=5, step_mm=8.0)
+        for inst, row in zip("AB", report.rows):
+            units = studies[inst == "B"::2]
+            for ci, metric in ((row.sensitivity_ci, weighted_sensitivity),
+                               (row.specificity_ci, weighted_specificity)):
+                assert ci == bootstrap_ci(units, metric, 3, names,
+                                          resamples=150, seed=5,
+                                          step_mm=8.0)
+
+    def test_plain_callable_metric_matches_count_metric(self):
+        studies = uneven_cohort(n=6)
+        plain = bootstrap_ci(studies, lambda cm: weighted_specificity(cm), 3,
+                             resamples=40, seed=2)
+        assert plain == bootstrap_ci(studies, weighted_specificity, 3,
+                                     resamples=40, seed=2)
+
+    def test_undefined_tnr_logged_once_per_ci(self, caplog):
+        # Ten studies hold only class a; in every resample that draws
+        # neither of the two mixed studies, class a has no negatives.
+        studies = [eval_study(f"A{i}", [0, 0], [0, 0]) for i in range(10)]
+        studies += [eval_study(f"M{i}", [0, 1], [0, 1]) for i in range(2)]
+        counts = bootstrap_counts(studies, 2, 400, 0, 10.0)
+        lone = int((counts[:, 1].sum(axis=1) == 0).sum())
+        assert 20 < lone < 400
+        with caplog.at_level("WARNING", logger="bodyregion.stats"):
+            ci = bootstrap_ci(studies, weighted_specificity, 2, ["a", "b"],
+                              resamples=400)
+        lines = [r.getMessage() for r in caplog.records
+                 if "TNR undefined" in r.getMessage()]
+        assert lines == [f"TNR undefined, skipped: class a in {lone}/400 "
+                         f"resamples"]
+        assert ci.resamples == 400
 
 
 class TestJackknife:
