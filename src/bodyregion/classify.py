@@ -70,20 +70,12 @@ class Backend:
     """Classifier backend interface: prepare once, then classify batches."""
 
     classes: Tuple[BodyRegion, ...] = ()
-    thread_safe: bool = True
 
     def prepare(self) -> None:
         pass
 
     def classify_batch(self, images: Sequence[NormalizedImage]) -> List[Prediction]:
         raise NotImplementedError
-
-
-def classify_image(image: NormalizedImage, backend: Backend) -> Prediction:
-    preds = backend.classify_batch([image])
-    if len(preds) != 1:
-        raise BackendFailure("backend returned wrong batch size")
-    return preds[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +163,17 @@ class ScoreFileBackend(Backend):
 _THUMB = 16
 
 
-def _thumbnail(values: np.ndarray, size: int = _THUMB) -> np.ndarray:
-    """Block-mean downsample to size x size (cropping any remainder)."""
+def centroid_feature(values: np.ndarray) -> np.ndarray:
+    """The centroid baseline's feature of one preprocessed image.
+
+    A 16 x 16 block-mean thumbnail (cropping any remainder), flattened.
+    Training and scoring both use it, so a caller can keep these 256 values
+    and drop the image.
+    """
     h, w = values.shape
-    bh, bw = max(1, h // size), max(1, w // size)
-    cropped = values[:bh * size, :bw * size]
-    return cropped.reshape(size, bh, size, bw).mean(axis=(1, 3))
+    bh, bw = max(1, h // _THUMB), max(1, w // _THUMB)
+    cropped = values[:bh * _THUMB, :bw * _THUMB]
+    return cropped.reshape(_THUMB, bh, _THUMB, bw).mean(axis=(1, 3)).ravel()
 
 
 class CentroidBackend(Backend):
@@ -190,31 +187,31 @@ class CentroidBackend(Backend):
         self.classes = classes
         self._centroids = centroids  # (K, size*size)
 
+    def predict(self, sop_uid: str, feature: np.ndarray) -> Prediction:
+        """Score one `centroid_feature` vector."""
+        dists = np.linalg.norm(self._centroids - feature, axis=1)
+        logits = -dists
+        logits -= logits.max()
+        p = np.exp(logits)
+        p /= p.sum()
+        return Prediction(sop_uid, self.classes, p)
+
     def classify_batch(self, images):
-        preds = []
-        for image in images:
-            feat = _thumbnail(image.values).ravel()
-            dists = np.linalg.norm(self._centroids - feat, axis=1)
-            logits = -dists
-            logits -= logits.max()
-            p = np.exp(logits)
-            p /= p.sum()
-            preds.append(Prediction(image.source_sop_uid, self.classes, p))
-        return preds
+        return [self.predict(image.source_sop_uid, centroid_feature(image.values))
+                for image in images]
 
 
-def train_centroid_baseline(
-        labeled: Iterable[Tuple[NormalizedImage, BodyRegion]],
+def fit_centroids(
+        examples: Iterable[Tuple[np.ndarray, BodyRegion]],
         classes: Optional[Sequence[BodyRegion]] = None) -> CentroidBackend:
-    """Fit per-class mean thumbnails.
+    """Fit per-class means of `centroid_feature` vectors, summed in order.
 
     `classes` defaults to the regions observed in the training set, in
     canonical order. Any advertised class without an example is an error.
     """
     sums: Dict[BodyRegion, np.ndarray] = {}
     counts: Dict[BodyRegion, int] = {}
-    for image, region in labeled:
-        feat = _thumbnail(image.values).ravel()
+    for feat, region in examples:
         if region in sums:
             sums[region] += feat
             counts[region] += 1
@@ -232,3 +229,12 @@ def train_centroid_baseline(
             raise EmptyClass(f"no training examples for {missing}")
     centroids = np.stack([sums[c] / counts[c] for c in classes])
     return CentroidBackend(classes, centroids)
+
+
+def train_centroid_baseline(
+        labeled: Iterable[Tuple[NormalizedImage, BodyRegion]],
+        classes: Optional[Sequence[BodyRegion]] = None) -> CentroidBackend:
+    """Fit per-class mean thumbnails of preprocessed images (see
+    `fit_centroids`)."""
+    return fit_centroids(((centroid_feature(image.values), region)
+                          for image, region in labeled), classes)

@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -23,12 +24,17 @@ from . import phantom as phantom_mod
 from . import postprocess as post_mod
 from . import report as report_mod
 from . import stats as stats_mod
-from .classify import (Prediction, load_scores, save_scores,
-                       train_centroid_baseline)
+from .classify import (Prediction, centroid_feature, fit_centroids,
+                       load_scores, save_scores)
+# Unused here, but perfbench/tracing.py wraps `cli.train_centroid_baseline`
+# and fails if the name is missing.
+from .classify import train_centroid_baseline  # noqa: F401
 from .config import load_config, load_synonym_map
-from .errors import BodyRegionError, SchemaError
+from .errors import (BodyRegionError, LengthMismatch, Malformed, SchemaError,
+                     UnsupportedCodec)
 from .geometry import load_boxes, project_box_labels, series_geometry
-from .ingest import ingest_tree, read_metadata_ndjson, write_metadata_ndjson
+from .ingest import (SkipReport, ingest_tree, read_metadata_ndjson,
+                     write_metadata_ndjson)
 from .pixels import decode_pixels_from_file
 from .preprocess import preprocess_image
 from .stats import EvalSeries, EvalStudy, sample_size
@@ -57,15 +63,18 @@ def _read_uid_list(path) -> set:
         return {line.strip() for line in fh if line.strip()}
 
 
+def _write_skip_report(skipped: SkipReport, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path", "error"])
+        writer.writerows(skipped.entries)
+
+
 def cmd_ingest(args):
     studies, skipped = ingest_tree(args.dicom)
     os.makedirs(args.out, exist_ok=True)
     write_metadata_ndjson(studies, os.path.join(args.out, "metadata.ndjson"))
-    with open(os.path.join(args.out, "skip_report.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "error"])
-        writer.writerows(skipped.entries)
+    _write_skip_report(skipped, os.path.join(args.out, "skip_report.csv"))
     print(f"ingested {sum(s.image_count() for s in studies)} images in "
           f"{len(studies)} studies; skipped {len(skipped)} files")
     return 0
@@ -103,32 +112,52 @@ def cmd_labels_project(args):
 
 
 def cmd_classify(args):
-    studies, skipped = ingest_tree(args.dicom)
+    """Decode, preprocess and reduce each image to its centroid feature once,
+    fit the centroids on the training features, then score every feature.
+
+    An image that fails to decode becomes a row of `<out stem>.skip_report.csv`
+    (written even when empty); the stage fails only if nothing was scored.
+    """
+    studies, _ = ingest_tree(args.dicom)
     truth = _read_truth(args.truth)
     train_uids = _read_uid_list(args.train_uids) if args.train_uids else None
 
-    labeled = []
+    features = []  # (sop_uid, feature) in walk order: the scores.csv order
+    training = []  # (feature, region), a subsequence of `features`
+    skipped = SkipReport()
+    reasons = Counter()
     for study in studies:
-        if train_uids is not None and study.study_uid not in train_uids:
-            continue
+        trains = train_uids is None or study.study_uid in train_uids
         for series in study.series:
             for image in series.images:
-                region = truth.get(image.sop_uid)
-                if region is None or not image.has_pixel_data:
+                if not image.has_pixel_data:
                     continue
-                pixels = decode_pixels_from_file(image)
-                labeled.append((preprocess_image(pixels, image.sop_uid), region))
-    backend = train_centroid_baseline(labeled)
+                try:
+                    pixels = decode_pixels_from_file(image)
+                except (UnsupportedCodec, LengthMismatch, Malformed) as exc:
+                    skipped.add(image.source_path, exc)
+                    reasons[type(exc).__name__] += 1
+                    continue
+                feat = centroid_feature(
+                    preprocess_image(pixels, image.sop_uid).values)
+                features.append((image.sop_uid, feat))
+                region = truth.get(image.sop_uid)
+                if trains and region is not None:
+                    training.append((feat, region))
+    skip_path = os.path.splitext(args.out)[0] + ".skip_report.csv"
+    _write_skip_report(skipped, skip_path)
+    if skipped:
+        print(f"skipped {len(skipped)} undecodable images ("
+              + ", ".join(f"{n} {r}" for r, n in sorted(reasons.items()))
+              + f") -> {skip_path}")
+    if not features:
+        raise BodyRegionError("no image with pixel data could be decoded")
+    backend = fit_centroids(training)
 
-    scores = {}
-    for study in studies:
-        for series in study.series:
-            images = [preprocess_image(decode_pixels_from_file(im), im.sop_uid)
-                      for im in series.images if im.has_pixel_data]
-            for pred in backend.classify_batch(images):
-                scores[pred.sop_uid] = pred.probabilities
+    scores = {uid: backend.predict(uid, feat).probabilities
+              for uid, feat in features}
     save_scores(scores, backend.classes, args.out)
-    print(f"trained on {len(labeled)} images, scored {len(scores)} -> {args.out}")
+    print(f"trained on {len(training)} images, scored {len(scores)} -> {args.out}")
     return 0
 
 

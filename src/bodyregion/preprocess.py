@@ -43,35 +43,57 @@ def clip_normalize(pixels: np.ndarray) -> np.ndarray:
         raise EmptyImage("cannot normalize an empty matrix")
     values = pixels.astype(np.float64)
     mean = float(values.mean())
-    std = float(values.std())
+    std = float(values.std(mean=mean))
     if std == 0.0:
         return np.zeros_like(values)
-    clipped = np.clip(values, mean - 4.0 * std, mean + 4.0 * std)
-    out = (clipped - mean) / (2.0 * std)
+    np.clip(values, mean - 4.0 * std, mean + 4.0 * std, out=values)
+    values -= mean
+    values /= 2.0 * std
     # Round-off at the clip boundary can poke a few ulp past the bound.
-    return np.clip(out, -2.0, 2.0)
+    return np.clip(values, -2.0, 2.0, out=values)
 
 
-def _axis_coords(n_src: int, n_dst: int) -> np.ndarray:
-    """Pixel-area aligned sample coordinates, clamped to the source grid."""
+def _axis_taps(n_src: int, n_dst: int):
+    """Per output index along one axis: the two source taps and the weight
+    of the second. Sample coordinates are pixel-area aligned and clamped to
+    the source grid."""
     coords = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
-    return np.clip(coords, 0.0, n_src - 1)
+    coords = np.clip(coords, 0.0, n_src - 1)
+    lo = np.floor(coords).astype(np.int64)
+    return lo, np.minimum(lo + 1, n_src - 1), coords - lo
 
 
 def _bilinear_resize(values: np.ndarray, ch: int, cw: int) -> np.ndarray:
-    """Separable bilinear resample with edge clamping (constant-preserving)."""
+    """Separable bilinear resample with edge clamping (constant-preserving).
+
+    Every output element is (v[y0, x0] (1 - fx) + v[y0, x1] fx) (1 - fy)
+    + (v[y1, x0] (1 - fx) + v[y1, x1] fx) fy, evaluated in that order. The
+    horizontal pass runs on whichever row set is smaller: all source rows
+    when upsampling, only the gathered rows when downsampling.
+    """
     h, w = values.shape
-    ys = _axis_coords(h, ch)
-    xs = _axis_coords(w, cw)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    top = values[np.ix_(y0, x0)] * (1 - fx) + values[np.ix_(y0, x1)] * fx
-    bot = values[np.ix_(y1, x0)] * (1 - fx) + values[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bot * fy
+    y0, y1, fy = _axis_taps(h, ch)
+    x0, x1, fx = _axis_taps(w, cw)
+    gx = 1 - fx
+
+    def across(rows):
+        out = rows[:, x0]
+        out *= gx
+        right = rows[:, x1]
+        right *= fx
+        out += right
+        return out
+
+    if ch >= h:
+        rows = across(values)
+        top, bot = rows[y0], rows[y1]
+    else:
+        top, bot = across(values[y0]), across(values[y1])
+    fy = fy[:, None]
+    top *= 1 - fy
+    bot *= fy
+    top += bot
+    return top
 
 
 def resize_pad(values: np.ndarray, target: int = TARGET_SIZE) -> np.ndarray:

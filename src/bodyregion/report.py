@@ -15,9 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dicomio
-from .dicomio import (TAG_TABLE, ParsedFile, encode_element, iter_elements,
-                      parse_dicom)
+from .dicomio import ParsedFile, encode_element, iter_elements, parse_dicom
 from .errors import BodyRegionError
 from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
                     bootstrap_counts, ci_from_counts, full_confusion,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bodyregion.classify import (CentroidBackend, Prediction,
-                                 ScoreFileBackend, load_scores, save_scores,
+                                 ScoreFileBackend, centroid_feature,
+                                 fit_centroids, load_scores, save_scores,
                                  train_centroid_baseline)
 from bodyregion.errors import (BackendFailure, EmptyClass, NotNormalized,
                                SchemaError)
@@ -141,3 +142,27 @@ class TestCentroidBaseline:
         pa = a.classify_batch([img])[0]
         pb = b.classify_batch([img])[0]
         assert np.array_equal(pa.probabilities, pb.probabilities)
+
+    def test_feature_path_equals_image_path(self):
+        labeled = self._training_set()
+        examples = [(centroid_feature(image.values), region)
+                    for image, region in labeled]
+        kept = [feat.copy() for feat, _ in examples]
+        a = train_centroid_baseline(labeled)
+        b = fit_centroids(examples)
+        # Fitting must not write into the features a caller keeps to score.
+        assert all(np.array_equal(f, k) for (f, _), k in zip(examples, kept))
+        assert a.classes == b.classes
+        img = norm_image(np.random.default_rng(3).random((224, 224)), "q")
+        pa = a.classify_batch([img])[0]
+        pb = b.predict("q", centroid_feature(img.values))
+        assert pb.sop_uid == "q"
+        assert np.array_equal(pa.probabilities, pb.probabilities)
+
+    def test_feature_is_block_mean(self):
+        values = np.random.default_rng(4).random((37, 40))
+        feat = centroid_feature(values)
+        assert feat.shape == (256,)
+        # 37 // 16 = 2 rows and 40 // 16 = 2 columns per block; the rest is
+        # cropped.
+        assert feat[16 + 3] == pytest.approx(values[2:4, 6:8].mean())

@@ -1,13 +1,21 @@
 """CLI surface: stage chaining on a small phantom cohort, exit codes."""
 
 import csv
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from bodyregion import cli
 from bodyregion.cli import main
+from bodyregion.dicomio import EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1, encode_element
 from bodyregion.phantom import (PhantomSpec, RegionSpec, generate_phantom)
 from bodyregion.taxonomy import BodyRegion
+
+# sha256 of the pipeline_dirs phantom's scores.csv. Changes to how classify
+# decodes, preprocesses and reduces images must keep it byte-identical.
+SCORES_SHA256 = "c2d327cff53883845ef33c2fc22d9f3a87d03be93dc34de6f80d71b8c6eaaf2b"
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +92,104 @@ class TestPipelineOutputs:
         assert rc == 0
         out = capsys.readouterr().out
         assert "overall weighted sensitivity" in out
+
+
+class TestClassify:
+    def test_scores_unchanged(self, pipeline_dirs):
+        data = (pipeline_dirs / "scores.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == SCORES_SHA256
+
+    def test_decodes_and_preprocesses_each_image_once(self, pipeline_dirs,
+                                                      tmp_path, monkeypatch):
+        decoded, preprocessed = Counter(), Counter()
+        decode, preprocess = cli.decode_pixels_from_file, cli.preprocess_image
+
+        def counting_decode(image):
+            decoded[image.sop_uid] += 1
+            return decode(image)
+
+        def counting_preprocess(pixels, sop_uid="", **kwargs):
+            preprocessed[sop_uid] += 1
+            return preprocess(pixels, sop_uid, **kwargs)
+
+        monkeypatch.setattr(cli, "decode_pixels_from_file", counting_decode)
+        monkeypatch.setattr(cli, "preprocess_image", counting_preprocess)
+        out = tmp_path / "scores.csv"
+        assert main(["classify", "--dicom", str(pipeline_dirs / "ph"),
+                     "--truth", str(pipeline_dirs / "truth.csv"),
+                     "--out", str(out)]) == 0
+        assert len(decoded) == 96 and set(decoded.values()) == {1}
+        assert preprocessed == decoded
+        assert out.read_bytes() == (pipeline_dirs / "scores.csv").read_bytes()
+        with open(tmp_path / "scores.skip_report.csv") as fh:
+            assert list(csv.reader(fh)) == [["path", "error"]]
+
+
+def _file_meta(syntax):
+    meta = encode_element((0x0002, 0x0010), "UI", syntax)
+    return (b"\x00" * 128 + b"DICM"
+            + encode_element((0x0002, 0x0000), "UL", len(meta)) + meta)
+
+
+def _retag_jpeg_lossless(path):
+    """Declare a phantom file JPEG lossless: the filter admits it, but its
+    pixels cannot be decoded."""
+    data = path.read_bytes()
+    old = _file_meta(EXPLICIT_VR_LE)
+    assert data.startswith(old)
+    path.write_bytes(_file_meta(JPEG_LOSSLESS_SV1) + data[len(old):])
+
+
+class TestClassifyDecodeFailures:
+    @pytest.fixture
+    def small_phantom(self, tmp_path):
+        ph = tmp_path / "ph"
+        spec = PhantomSpec(
+            regions=[RegionSpec(BodyRegion.ABDOMEN, 20.0),
+                     RegionSpec(BodyRegion.CHEST, 20.0)],
+            slice_spacing_mm=5.0, seed=3, n_studies=2, window=1)
+        generate_phantom(spec, ph)
+        assert main(["ingest", "--dicom", str(ph),
+                     "--out", str(tmp_path / "ing")]) == 0
+        truth = tmp_path / "truth.csv"
+        assert main(["labels-project",
+                     "--in", str(tmp_path / "ing" / "metadata.ndjson"),
+                     "--boxes", str(ph / "labels.json"),
+                     "--out", str(truth)]) == 0
+        files = sorted(p for p in ph.rglob("*") if p.is_file()
+                       and p.name not in ("labels.json", "manifest.json"))
+        return ph, truth, files
+
+    @staticmethod
+    def _classify(ph, truth, out):
+        return main(["classify", "--dicom", str(ph), "--truth", str(truth),
+                     "--out", str(out)])
+
+    def test_undecodable_image_is_skipped(self, small_phantom, tmp_path,
+                                          capsys):
+        ph, truth, files = small_phantom
+        bad = files[len(files) // 2]
+        _retag_jpeg_lossless(bad)
+        capsys.readouterr()
+        assert self._classify(ph, truth, tmp_path / "scores.csv") == 0
+        with open(tmp_path / "scores.skip_report.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["path", "error"]
+        assert len(rows) == 2 and rows[1][0] == str(bad)
+        assert rows[1][1].startswith("UnsupportedCodec: ")
+        with open(tmp_path / "scores.csv") as fh:
+            assert sum(1 for _ in fh) - 1 == len(files) - 1
+        out = capsys.readouterr().out
+        assert out.count("skipped 1 undecodable images (1 UnsupportedCodec)") == 1
+
+    def test_nothing_scored_is_data_error(self, small_phantom, tmp_path):
+        ph, truth, files = small_phantom
+        for path in files:
+            _retag_jpeg_lossless(path)
+        assert self._classify(ph, truth, tmp_path / "scores.csv") == 2
+        with open(tmp_path / "scores.skip_report.csv") as fh:
+            assert len(list(csv.reader(fh))) == len(files) + 1
+        assert not (tmp_path / "scores.csv").exists()
 
 
 class TestExitCodes:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bodyregion.errors import EmptyImage, ParamsOutOfRange
-from bodyregion.preprocess import (AugmentParams, augment, augment_matrix,
-                                   clip_normalize, preprocess_image,
-                                   resize_pad, sample_augment_params,
-                                   to_three_channel)
+from bodyregion.preprocess import (AugmentParams, _bilinear_resize, augment,
+                                   augment_matrix, clip_normalize,
+                                   preprocess_image, resize_pad,
+                                   sample_augment_params, to_three_channel)
 
 images = hnp.arrays(
     dtype=np.float64,
@@ -59,6 +59,97 @@ class TestClipNormalize:
     def test_negation_flips_sign(self):
         img = np.arange(16.0).reshape(4, 4)
         assert np.allclose(clip_normalize(-img), -clip_normalize(img))
+
+    @staticmethod
+    def _reference(pixels):
+        """Out-of-place formula: std computed without the mean passed in."""
+        values = np.asarray(pixels).astype(np.float64)
+        mean = float(values.mean())
+        std = float(values.std())
+        if std == 0.0:
+            return np.zeros_like(values)
+        clipped = np.clip(values, mean - 4.0 * std, mean + 4.0 * std)
+        return np.clip((clipped - mean) / (2.0 * std), -2.0, 2.0)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("shape", [(64, 64), (37, 90), (1, 50)])
+    def test_equals_reference_with_outliers(self, dtype, shape):
+        rng = np.random.default_rng(shape[1])
+        top = np.iinfo(dtype).max
+        pixels = rng.integers(0, top // 8, shape).astype(dtype)
+        pixels.flat[rng.integers(0, pixels.size)] = top
+        out = clip_normalize(pixels)
+        assert np.array_equal(out, self._reference(pixels))
+        assert out.max() == 2.0  # the outlier was clipped
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_constant_equals_reference(self, dtype):
+        pixels = np.full((16, 24), 200, dtype=dtype)
+        assert np.array_equal(clip_normalize(pixels), self._reference(pixels))
+
+    def test_input_untouched(self):
+        pixels = np.arange(64.0).reshape(8, 8)
+        before = pixels.copy()
+        clip_normalize(pixels)
+        assert np.array_equal(pixels, before)
+
+
+def _ix_resize(values, ch, cw):
+    """Reference bilinear resize: four 2-D np.ix_ gathers, no separation."""
+    h, w = values.shape
+
+    def coords(n_src, n_dst):
+        c = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
+        return np.clip(c, 0.0, n_src - 1)
+
+    ys, xs = coords(h, ch), coords(w, cw)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    top = values[np.ix_(y0, x0)] * (1 - fx) + values[np.ix_(y0, x1)] * fx
+    bot = values[np.ix_(y1, x0)] * (1 - fx) + values[np.ix_(y1, x1)] * fx
+    return top * (1 - fy) + bot * fy
+
+
+class TestBilinearResize:
+    @pytest.mark.parametrize("src,dst", [
+        ((64, 64), (224, 224)),    # upsampling
+        ((512, 512), (224, 224)),  # downsampling
+        ((40, 90), (100, 224)),    # non-square, up
+        ((300, 120), (224, 90)),   # non-square, down
+        ((30, 500), (224, 13)),    # rows up, columns down
+        ((1, 50), (4, 224)),       # 1 x N
+        ((50, 1), (224, 4)),       # N x 1
+        ((224, 224), (224, 224)),  # already the target size
+    ])
+    def test_bit_identical_to_ix_reference(self, src, dst):
+        values = np.random.default_rng(sum(src)).standard_normal(src) * 100
+        before = values.copy()
+        out = _bilinear_resize(values, *dst)
+        assert out.shape == dst
+        assert np.array_equal(out, _ix_resize(values, *dst))
+        assert np.array_equal(values, before)
+
+    def test_already_target_is_identity(self):
+        values = np.random.default_rng(5).standard_normal((224, 224))
+        assert np.array_equal(_bilinear_resize(values, 224, 224), values)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (512, 512), (1, 50),
+                                       (120, 300), (224, 224)])
+    def test_resize_pad_matches_reference(self, shape):
+        values = np.random.default_rng(shape[0]).random(shape)
+        h, w = shape
+        if h >= w:
+            ch, cw = 224, max(1, round(w * 224 / h))
+        else:
+            ch, cw = max(1, round(h * 224 / w)), 224
+        expected = np.zeros((224, 224))
+        oy, ox = (224 - ch) // 2, (224 - cw) // 2
+        expected[oy:oy + ch, ox:ox + cw] = _ix_resize(values, ch, cw)
+        assert np.array_equal(resize_pad(values), expected)
 
 
 class TestResizePad:
