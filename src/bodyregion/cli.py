@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .ingest import (SkipReport, ingest_tree, read_metadata_ndjson,
 from .pixels import decode_pixels_from_file
 from .preprocess import preprocess_image
 from .stats import EvalSeries, EvalStudy, sample_size
-from .taxonomy import FINAL_REGIONS, BodyRegion, classes_for_modality
+from .taxonomy import FINAL_REGIONS, BodyRegion
 
 
 def _write_truth(rows, path):
@@ -195,7 +195,6 @@ def _collect_evals(studies, truth, label_by_sop, class_names):
     evals = {}
     for study in studies:
         ev = EvalStudy(study.study_uid)
-        kept_series = []
         for series in study.series:
             t, p, keep_idx = [], [], []
             for i, image in enumerate(series.images):
@@ -212,7 +211,6 @@ def _collect_evals(studies, truth, label_by_sop, class_names):
             positions = np.sort(geo.positions[keep_idx])
             ev.series.append(EvalSeries(positions, t, p,
                                         series_uid=series.series_uid))
-            kept_series.append(series)
         if ev.series:
             evals[study.study_uid] = ev
     return evals
@@ -227,7 +225,6 @@ def cmd_evaluate(args):
     result_rows = post_mod.read_series_results(args.results)
     label_by_sop = {}
     regions_by_study: Dict[str, set] = {}
-    region_by_series: Dict[str, Optional[str]] = {}
     series_to_study = {s.series_uid: st.study_uid
                        for st in studies for s in st.series}
     for row in result_rows:

@@ -1,8 +1,8 @@
 """Series/image inclusion rules and the dataset partitioning procedures.
 
-Keyword matching is case-insensitive whole-substring over the series
-description. The keyword lists are module-level constants so deployments
-can extend them via configuration.
+Keyword matching is case-insensitive over the tokenized series
+description (see `_keyword_hit`). The keyword lists are the module-level
+constants below; no configuration overrides them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import enum
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -124,21 +124,19 @@ def mri_sequence_type(description: str) -> Optional[str]:
     return None
 
 
-def filter_series(series: SeriesRecord, strict_geometry: bool = False,
-                  exclude_keywords: Optional[Dict[str, Sequence[str]]] = None,
-                  derived_keywords: Sequence[str] = DERIVED_KEYWORDS) -> FilterDecision:
+def filter_series(series: SeriesRecord,
+                  strict_geometry: bool = False) -> FilterDecision:
     """Series-level inclusion: modality, derived/keyword lists, axial angle."""
     if series.modality not in ("CT", "MR"):
         return FilterDecision(False, FilterReason.WRONG_MODALITY, series.modality)
 
-    kw = _match_keyword(series.series_description, derived_keywords)
+    kw = _match_keyword(series.series_description, DERIVED_KEYWORDS)
     if kw is not None:
         return FilterDecision(False, FilterReason.MPR_OR_DERIVED, kw)
 
-    if exclude_keywords is None:
-        exclude_keywords = {"MR": MRI_EXCLUDE_KEYWORDS, "CT": CT_EXCLUDE_KEYWORDS}
     kw = _match_keyword(series.series_description,
-                        exclude_keywords.get(series.modality, ()))
+                        MRI_EXCLUDE_KEYWORDS if series.modality == "MR"
+                        else CT_EXCLUDE_KEYWORDS)
     if kw is not None:
         return FilterDecision(False, FilterReason.KEYWORD_EXCLUDED, kw)
 
@@ -202,22 +200,11 @@ def apply_filters(studies: List[StudyRecord],
                 if idec.included:
                     kept_images.append(image)
             if kept_images:
-                kept_series.append(SeriesRecord(
-                    series_uid=series.series_uid, modality=series.modality,
-                    series_description=series.series_description,
-                    frame_of_reference_uid=series.frame_of_reference_uid,
-                    slice_thickness=series.slice_thickness,
-                    convolution_kernel=series.convolution_kernel,
-                    contrast_agent=series.contrast_agent,
-                    sequence_tags=set(series.sequence_tags),
-                    images=kept_images))
+                kept_series.append(replace(
+                    series, images=kept_images,
+                    sequence_tags=set(series.sequence_tags)))
         if kept_series:
-            kept = StudyRecord(**{k: getattr(study, k) for k in (
-                "study_uid", "patient_id", "patient_age", "patient_sex",
-                "manufacturer", "institution", "body_part_examined",
-                "procedure_description")})
-            kept.series = kept_series
-            kept_studies.append(kept)
+            kept_studies.append(replace(study, series=kept_series))
     return kept_studies, rows
 
 
@@ -268,9 +255,6 @@ def dedupe_patients(studies: Sequence[StudyRecord],
             if not s.patient_id or s.study_uid in keep_uids]
 
 
-_TRAIN_PATTERN = (Split.TRAIN, Split.TRAIN, Split.TRAIN, Split.VALIDATION)
-
-
 def partition_patients(studies: Sequence[StudyRecord],
                        regions: Dict[str, BodyRegion],
                        ratio: float = 0.75) -> List[PartitionAssignment]:
@@ -282,8 +266,8 @@ def partition_patients(studies: Sequence[StudyRecord],
     """
     if not studies:
         raise EmptyCohort("no studies to partition")
-    cycle_len = 4 if ratio == 0.75 else max(2, round(1.0 / (1.0 - ratio)))
-    n_train = cycle_len - 1 if ratio == 0.75 else round(cycle_len * ratio)
+    cycle_len = max(2, round(1.0 / (1.0 - ratio)))
+    n_train = round(cycle_len * ratio)
     groups: Dict[BodyRegion, List[StudyRecord]] = {}
     for s in studies:
         region = regions[s.study_uid]

@@ -7,13 +7,12 @@ way to run a study with the wrong threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Dict, List, Optional
 
 import yaml
 
-from .cohort import CT_EXCLUDE_KEYWORDS, DERIVED_KEYWORDS, MRI_EXCLUDE_KEYWORDS
 from .errors import ConfigError
 
 
@@ -28,12 +27,6 @@ class PipelineConfig:
     ci_level: float = 0.95
     seed: int = 0
     strict_geometry: bool = False
-    mri_exclude_keywords: List[str] = field(
-        default_factory=lambda: list(MRI_EXCLUDE_KEYWORDS))
-    ct_exclude_keywords: List[str] = field(
-        default_factory=lambda: list(CT_EXCLUDE_KEYWORDS))
-    derived_keywords: List[str] = field(
-        default_factory=lambda: list(DERIVED_KEYWORDS))
     synonym_map_path: Optional[str] = None
 
     def validate(self) -> None:

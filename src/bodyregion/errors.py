@@ -77,10 +77,6 @@ class EmptyCohort(BodyRegionError):
     """Operation requires at least one study."""
 
 
-class MissingPatientId(BodyRegionError):
-    """Study has no patient id; cannot be grouped by patient."""
-
-
 class InvalidParams(BodyRegionError):
     """Numeric parameters outside their valid domain."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .cohort import sequence_tags
 from .dicomio import parse_dicom
@@ -97,11 +97,6 @@ def ingest_tree(path) -> Tuple[List[StudyRecord], SkipReport]:
 # ---------------------------------------------------------------------------
 # NDJSON sidecar
 
-_IMAGE_KEYS = ("sop_uid", "rows", "cols", "bits_allocated", "bits_stored",
-               "samples_per_pixel", "transfer_syntax_uid", "sop_class_uid",
-               "instance_number", "image_position_patient",
-               "image_orientation_patient", "source_path",
-               "pixel_data_offset", "pixel_data_length")
 _SERIES_KEYS = ("series_uid", "modality", "series_description",
                 "frame_of_reference_uid", "slice_thickness",
                 "convolution_kernel", "contrast_agent")

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._kernels import affine_warp
 from .errors import EmptyImage, ParamsOutOfRange
 
 TARGET_SIZE = 224
@@ -172,6 +171,37 @@ def augment_matrix(params: AugmentParams) -> np.ndarray:
     return rot @ shear @ scale
 
 
+def _affine_warp(src, m00, m01, m10, m11, t0, t1, out):
+    """Inverse-mapping bilinear warp: each output pixel (r, c) samples the
+    source at (m00*r + m01*c + t0, m10*r + m11*c + t1). Zeros outside."""
+    hs, ws = src.shape
+    ho, wo = out.shape
+    rr, cc = np.meshgrid(np.arange(ho, dtype=np.float64),
+                         np.arange(wo, dtype=np.float64), indexing="ij")
+    ys = m00 * rr + m01 * cc + t0
+    xs = m10 * rr + m11 * cc + t1
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    fy = ys - y0
+    fx = xs - x0
+
+    padded = np.zeros((hs + 2, ws + 2), dtype=np.float64)
+    padded[1:-1, 1:-1] = src
+    inside = (y0 >= -1) & (y0 < hs) & (x0 >= -1) & (x0 < ws)
+    yc = np.clip(y0 + 1, 0, hs + 1)
+    xc = np.clip(x0 + 1, 0, ws + 1)
+    yc1 = np.clip(y0 + 2, 0, hs + 1)
+    xc1 = np.clip(x0 + 2, 0, ws + 1)
+    v00 = padded[yc, xc]
+    v01 = padded[yc, xc1]
+    v10 = padded[yc1, xc]
+    v11 = padded[yc1, xc1]
+    vals = ((1 - fy) * ((1 - fx) * v00 + fx * v01)
+            + fy * ((1 - fx) * v10 + fx * v11))
+    out[...] = np.where(inside, vals, 0.0)
+    return out
+
+
 def augment(values: np.ndarray,
             params: Optional[AugmentParams] = None,
             rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -203,7 +233,7 @@ def augment(values: np.ndarray,
     t_r = cy - m_rr * (cy + ty) - m_rc * (cx + tx)
     t_c = cx - m_cr * (cy + ty) - m_cc * (cx + tx)
     out = np.empty_like(values)
-    affine_warp(values, m_rr, m_rc, m_cr, m_cc, t_r, t_c, out)
+    _affine_warp(values, m_rr, m_rc, m_cr, m_cc, t_r, t_c, out)
     return out
 
 

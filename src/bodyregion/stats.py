@@ -55,15 +55,6 @@ class ConfusionMatrix:
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
 
-    @classmethod
-    def from_labels(cls, truth: Sequence[int], pred: Sequence[int],
-                    class_names: Sequence[str]) -> "ConfusionMatrix":
-        k = len(class_names)
-        truth = np.asarray(truth, dtype=np.int64)
-        pred = np.asarray(pred, dtype=np.int64)
-        flat = np.bincount(truth * k + pred, minlength=k * k)
-        return cls(flat.reshape(k, k), tuple(class_names))
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())

@@ -72,7 +72,3 @@ CANONICAL_TAG_STRINGS = {
 def classes_for_modality(modality: str):
     """Internal class set (including AbdomenChest) for 'CT' or 'MR'."""
     return CT_CLASSES if modality == "CT" else MRI_CLASSES
-
-
-def region_from_name(name: str) -> BodyRegion:
-    return BodyRegion(name)

@@ -1,6 +1,7 @@
 """Inclusion/exclusion filtering, deduplication, partitioning, audit sample."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ class TestApplyFilters:
         kept, _ = apply_filters([study])
         assert kept == []
 
+    def test_kept_records_keep_every_field(self):
+        series = make_series(slice_thickness=2.5, convolution_kernel="B30f",
+                             contrast_agent="IODINE", sequence_tags={"T1"})
+        series.images[1].bits_stored = 8
+        study = make_study(series=[series], patient_age=40.0, patient_sex="F",
+                           manufacturer="ACME", institution="H1",
+                           body_part_examined="CHEST",
+                           procedure_description="CT CHEST")
+        kept, _ = apply_filters([study])
+        kept_series = kept[0].series[0]
+        assert kept_series.images == [series.images[0], series.images[2]]
+        assert kept_series == replace(series, images=kept_series.images)
+        assert kept_series.sequence_tags is not series.sequence_tags
+        assert kept[0] == replace(study, series=[kept_series])
+
     def test_originals_not_mutated(self):
         study = make_study()
         n = len(study.series[0].images)
@@ -167,6 +183,22 @@ class TestPartition:
         for region in (BodyRegion.CHEST, BodyRegion.HEAD):
             group = [a for a in assignments if a.region is region]
             assert sum(1 for a in group if a.split is Split.TRAIN) == 6
+
+    def test_default_ratio_is_3_to_1_round_robin(self):
+        # Per region, by descending image count then uid: T, T, T, V, ...
+        chest = [make_study(study_uid=f"C{i}", patient_id=f"C{i}",
+                            series=[make_series(zs=range(n))])
+                 for i, n in enumerate([2, 5, 3, 5, 1, 4, 2])]
+        head = [make_study(study_uid=f"H{i}", patient_id=f"H{i}",
+                           series=[make_series(zs=range(n))])
+                for i, n in enumerate([1, 2, 3, 4, 5])]
+        regions = {s.study_uid: BodyRegion.CHEST for s in chest}
+        regions.update({s.study_uid: BodyRegion.HEAD for s in head})
+        assignments = partition_patients(head + chest, regions)
+        T, V = Split.TRAIN, Split.VALIDATION
+        assert [(a.study_uid, a.split) for a in assignments] == [
+            ("C1", T), ("C3", T), ("C5", T), ("C2", V), ("C0", T), ("C6", T),
+            ("C4", T), ("H4", T), ("H3", T), ("H2", T), ("H1", V), ("H0", T)]
 
     def test_deterministic(self):
         studies, regions = self._cohort(20)

@@ -1,7 +1,12 @@
 """Configuration loading: precedence, validation, synonym map."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+from bodyregion import cli
 from bodyregion.config import PipelineConfig, load_config, load_synonym_map
 from bodyregion.errors import ConfigError
 
@@ -38,6 +43,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_removed_keyword_list_rejected(self, tmp_path):
+        # The filter keyword lists are constants in bodyregion.cohort.
+        path = tmp_path / "cfg.yaml"
+        path.write_text("derived_keywords: [SCOUT]\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("- a\n- b\n")
@@ -52,6 +64,14 @@ class TestLoadConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             load_config(**kwargs)
+
+
+def test_every_field_is_read():
+    """A field no stage reads would be a knob that silently does nothing."""
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    read = set(re.findall(r"\bcfg\.(\w+)", source))
+    unread = [f.name for f in fields(PipelineConfig) if f.name not in read]
+    assert unread == []
 
 
 class TestSynonymMap:

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bodyregion.errors import EmptyImage, ParamsOutOfRange
-from bodyregion.preprocess import (AugmentParams, _bilinear_resize, augment,
-                                   augment_matrix, clip_normalize,
-                                   preprocess_image, resize_pad,
-                                   sample_augment_params, to_three_channel)
+from bodyregion.preprocess import (AugmentParams, _affine_warp,
+                                   _bilinear_resize, augment, augment_matrix,
+                                   clip_normalize, preprocess_image,
+                                   resize_pad, sample_augment_params,
+                                   to_three_channel)
 
 images = hnp.arrays(
     dtype=np.float64,
@@ -49,9 +50,11 @@ class TestClipNormalize:
     @given(images, st.floats(0.01, 100.0), st.floats(-1e4, 1e4))
     @settings(max_examples=300, deadline=None)
     def test_affine_invariance(self, img, a, b):
-        # Nearly constant images amplify float round-off past any fixed
-        # tolerance; they are covered by the exact constant-image case.
-        assume(img.std() > 1e-6 * (1.0 + np.abs(img).max()))
+        # Each value of a * img + b carries round-off of about
+        # eps * (|b| + a * max|img|), so the scaled spread must dominate
+        # that (b = 0, a = 1 bounds the plain image too). Nearly constant
+        # images are covered by the exact constant-image case.
+        assume(a * img.std() > 1e-5 * (1.0 + abs(b) + a * np.abs(img).max()))
         base = clip_normalize(img)
         scaled = clip_normalize(a * img + b)
         assert np.allclose(base, scaled, atol=1e-9)
@@ -221,6 +224,59 @@ class TestAugmentParams:
 
     def test_identity_matrix(self):
         assert np.allclose(augment_matrix(AugmentParams()), np.eye(2))
+
+
+def _affine_warp_loop(src, m00, m01, m10, m11, t0, t1, out):
+    """Reference warp, one output pixel at a time: sample the source at
+    (m00*r + m01*c + t0, m10*r + m11*c + t1), bilinear, zeros outside."""
+    hs, ws = src.shape
+    ho, wo = out.shape
+    for r in range(ho):
+        for c in range(wo):
+            ys = m00 * r + m01 * c + t0
+            xs = m10 * r + m11 * c + t1
+            y0 = int(np.floor(ys))
+            x0 = int(np.floor(xs))
+            if y0 < -1 or y0 >= hs or x0 < -1 or x0 >= ws:
+                out[r, c] = 0.0
+                continue
+            fy = ys - y0
+            fx = xs - x0
+            v00 = src[y0, x0] if (0 <= y0 < hs and 0 <= x0 < ws) else 0.0
+            v01 = src[y0, x0 + 1] if (0 <= y0 < hs and 0 <= x0 + 1 < ws) else 0.0
+            v10 = src[y0 + 1, x0] if (0 <= y0 + 1 < hs and 0 <= x0 < ws) else 0.0
+            v11 = src[y0 + 1, x0 + 1] if (0 <= y0 + 1 < hs and 0 <= x0 + 1 < ws) else 0.0
+            out[r, c] = ((1 - fy) * ((1 - fx) * v00 + fx * v01)
+                         + fy * ((1 - fx) * v10 + fx * v11))
+    return out
+
+
+class TestAffineWarp:
+    def test_matches_reference_on_random_warps(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            src = rng.random((31, 37))
+            m = np.eye(2) + 0.2 * rng.standard_normal((2, 2))
+            t0, t1 = rng.uniform(-5, 5, 2)
+            expected = np.empty((29, 33))
+            out = np.empty((29, 33))
+            _affine_warp_loop(src, m[0, 0], m[0, 1], m[1, 0], m[1, 1],
+                              t0, t1, expected)
+            _affine_warp(src, m[0, 0], m[0, 1], m[1, 0], m[1, 1],
+                         t0, t1, out)
+            assert np.allclose(out, expected, atol=1e-12)
+
+    def test_identity_warp(self):
+        src = np.random.default_rng(1).random((16, 16))
+        out = np.empty_like(src)
+        _affine_warp(src, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, out)
+        assert np.allclose(out, src)
+
+    def test_outside_is_zero(self):
+        src = np.ones((8, 8))
+        out = np.empty((8, 8))
+        _affine_warp(src, 1.0, 0.0, 0.0, 1.0, 100.0, 0.0, out)
+        assert np.all(out == 0.0)
 
 
 class TestAugment:
