@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import dicomio
-from .errors import EmptyCohort
+from .errors import EmptyCohort, InvalidParams
 from .geometry import AXIAL_MAX_ANGLE_DEG, axial_angle
 from .records import ImageRecord, SeriesRecord, StudyRecord
 from .taxonomy import BodyRegion
@@ -264,6 +264,8 @@ def partition_patients(studies: Sequence[StudyRecord],
     and assigned round-robin 3:1 so each split's share stays within one
     study of the ratio. Ratios other than 0.75 scale the round-robin cycle.
     """
+    if not 0.0 < ratio < 1.0:  # also rejects NaN
+        raise InvalidParams(f"train ratio must be in (0, 1), got {ratio!r}")
     if not studies:
         raise EmptyCohort("no studies to partition")
     cycle_len = max(2, round(1.0 / (1.0 - ratio)))

@@ -2,11 +2,13 @@
 
 JPEG lossless is on the study-inclusion codec whitelist but is recognized
 only at the metadata level; asking for an actual decode raises
-UnsupportedCodec. An RLE encoder is included for fixture/phantom writing.
+UnsupportedCodec. The RLE encoder writes fixtures, phantoms and benchmark
+cohorts; like the decoder it leaves the per-byte work to numpy.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -110,50 +112,69 @@ def decode_pixels(image: ImageRecord, raw: bytes) -> np.ndarray:
 
 
 def decode_pixels_from_file(image: ImageRecord) -> np.ndarray:
-    """Decode pixels for a record parsed by ingest_tree (lazy path)."""
+    """Decode pixels for a record parsed by ingest_tree (lazy path).
+
+    Reads only the pixel data's byte range from the file. A range past the
+    end of the file reads short, and decoding the short payload raises
+    LengthMismatch or Malformed.
+    """
     if image.pixels is not None:
         return image.pixels
-    if image.source_path is None or image.pixel_data_offset is None:
+    offset, length = image.pixel_data_offset, image.pixel_data_length
+    if image.source_path is None or offset is None or length is None:
         raise LengthMismatch(f"{image.sop_uid}: no pixel data available")
+    if offset < 0 or length < 0:
+        raise LengthMismatch(
+            f"{image.sop_uid}: pixel data at offset {offset}, length {length}")
     with open(image.source_path, "rb") as fh:
-        data = fh.read()
-    raw = data[image.pixel_data_offset:
-               image.pixel_data_offset + image.pixel_data_length]
+        # read(n) allocates n bytes up front, so never ask past the end.
+        length = min(length, os.fstat(fh.fileno()).st_size - offset)
+        fh.seek(offset)
+        raw = fh.read(max(length, 0))
     return decode_pixels(image, raw)
 
 
 # ---------------------------------------------------------------------------
-# Encoding (fixtures and the phantom generator)
+# Encoding (fixtures, the phantom generator and benchmark cohorts)
 
 
 def packbits_encode(data: bytes) -> bytes:
-    """PackBits-encode one byte string (replicate runs >= 3, else literals)."""
-    out = bytearray()
-    i = 0
+    """PackBits-encode one byte string, greedily.
+
+    Every maximal run of 3 or more equal bytes becomes replicate runs of at
+    most 128; a leftover of 1-2 bytes joins the literal bytes after it. The
+    literal bytes between long runs are cut into literals of 128 and a
+    shorter last one. numpy finds the runs, so Python loops only over the
+    long runs and the 128-byte literal pieces.
+    """
     n = len(data)
-    while i < n:
-        run = 1
-        while i + run < n and run < 128 and data[i + run] == data[i]:
-            run += 1
-        if run >= 3:
-            out.append(257 - run)
-            out.append(data[i])
-            i += run
-            continue
-        # Literal run: extend until a 3-byte replicate run starts.
-        start = i
-        i += run
-        while i < n and i - start < 128:
-            run = 1
-            while i + run < n and run < 3 and data[i + run] == data[i]:
-                run += 1
-            if run >= 3:
-                break
-            i += run
-        count = min(i - start, 128)
-        out.append(count - 1)
-        out.extend(data[start:start + count])
-        i = start + count
+    if n == 0:
+        return b""
+    a = np.frombuffer(data, dtype=np.uint8)
+    bounds = np.flatnonzero(a[1:] != a[:-1]) + 1
+    run_starts = np.concatenate(([0], bounds))
+    run_ends = np.concatenate((bounds, [n]))
+    long_runs = run_ends - run_starts >= 3
+    out = bytearray()
+
+    def literals(lo, hi):
+        for k in range(lo, hi, 128):
+            piece = data[k:min(k + 128, hi)]
+            out.append(len(piece) - 1)
+            out.extend(piece)
+
+    gap = 0
+    for start, stop in zip(run_starts[long_runs].tolist(),
+                           run_ends[long_runs].tolist()):
+        literals(gap, start)
+        full, rest = divmod(stop - start, 128)
+        value = data[start]
+        out.extend(bytes((129, value)) * full)
+        if rest >= 3:
+            out.extend((257 - rest, value))
+            rest = 0
+        gap = stop - rest
+    literals(gap, n)
     return bytes(out)
 
 

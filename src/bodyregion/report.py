@@ -9,7 +9,6 @@ files are stable.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -10,7 +10,7 @@ from bodyregion.cohort import (FilterReason, Split, apply_filters,
                                audit_sample, dedupe_patients, filter_image,
                                filter_series, mri_sequence_type,
                                partition_patients, sequence_tags)
-from bodyregion.errors import EmptyCohort
+from bodyregion.errors import EmptyCohort, InvalidParams
 from bodyregion.taxonomy import BodyRegion
 
 from conftest import make_image, make_series, make_study
@@ -209,6 +209,12 @@ class TestPartition:
     def test_empty(self):
         with pytest.raises(EmptyCohort):
             partition_patients([], {})
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_ratio_outside_open_unit_interval_rejected(self, ratio):
+        studies, regions = self._cohort(3)
+        with pytest.raises(InvalidParams):
+            partition_patients(studies, regions, ratio=ratio)
 
 
 class TestAuditSample:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from bodyregion._kernels import packbits_decode
 from bodyregion.dicomio import EXPLICIT_VR_LE, RLE_LOSSLESS
 from bodyregion.errors import LengthMismatch, Malformed, UnsupportedCodec
-from bodyregion.pixels import (decode_pixels, packbits_encode,
-                               rle_encode_frame)
+from bodyregion.pixels import (decode_pixels, decode_pixels_from_file,
+                               packbits_encode, rle_encode_frame)
 
 from conftest import make_image
 
@@ -39,6 +39,38 @@ def oracle_packbits_decode(data: bytes) -> bytes:
     return bytes(out)
 
 
+def greedy_packbits_encode(data: bytes) -> bytes:
+    """The byte-at-a-time greedy encoder that packbits_encode replaced, kept
+    as its reference: replicate runs >= 3, else literals."""
+    out = bytearray()
+    i = 0
+    n = len(data)
+    while i < n:
+        run = 1
+        while i + run < n and run < 128 and data[i + run] == data[i]:
+            run += 1
+        if run >= 3:
+            out.append(257 - run)
+            out.append(data[i])
+            i += run
+            continue
+        # Literal run: extend until a 3-byte replicate run starts.
+        start = i
+        i += run
+        while i < n and i - start < 128:
+            run = 1
+            while i + run < n and run < 3 and data[i + run] == data[i]:
+                run += 1
+            if run >= 3:
+                break
+            i += run
+        count = min(i - start, 128)
+        out.append(count - 1)
+        out.extend(data[start:start + count])
+        i = start + count
+    return bytes(out)
+
+
 class TestPackBits:
     @pytest.mark.parametrize("payload", [
         b"", b"\x00", b"abc", b"\x00" * 300, b"ababab" * 50,
@@ -61,14 +93,42 @@ class TestPackBits:
                       max_size=2000).map(bytes))
     @settings(max_examples=200, deadline=None)
     def test_kernel_paths_agree(self, payload):
-        """The run-at-a-time decoder and the byte-wise oracle agree, on
-        arbitrary and on run-heavy payloads, with spare output room."""
+        """The decoder and the byte-wise oracle agree, on arbitrary and on
+        run-heavy payloads, with spare output room."""
         enc = np.frombuffer(packbits_encode(payload), dtype=np.uint8)
         out = np.zeros(len(payload) + 8, dtype=np.uint8)
         expected = oracle_packbits_decode(enc.tobytes())
         assert packbits_decode(enc, out) == len(expected)
         assert out[:len(expected)].tobytes() == expected
         assert not out[len(expected):].any()
+
+    @pytest.mark.parametrize("run", [1, 2, 3, 127, 128, 129, 130, 131, 300])
+    @pytest.mark.parametrize("before, after", [
+        (b"", b""), (b"a", b"z"), (b"ab", b"zz"), (b"ab" * 64, b"zy" * 70),
+        (b"a" * 127 + b"b", b""),
+    ])
+    def test_encoder_matches_greedy_reference(self, run, before, after):
+        payload = before + b"x" * run + after
+        assert packbits_encode(payload) == greedy_packbits_encode(payload)
+
+    @given(st.binary(max_size=1500)
+           | st.lists(st.sampled_from(b"\x00\x00\x07"), max_size=1500).map(bytes)
+           | st.lists(st.tuples(st.integers(0, 3), st.integers(1, 300)),
+                      max_size=20).map(
+                          lambda runs: b"".join(bytes([v]) * k
+                                                for v, k in runs)))
+    @settings(max_examples=300, deadline=None)
+    def test_encoder_matches_greedy_reference_on_mixes(self, payload):
+        assert packbits_encode(payload) == greedy_packbits_encode(payload)
+
+    def test_encoder_matches_greedy_reference_on_ct_planes(self):
+        rng = np.random.default_rng(11)
+        matrix = np.clip(1040 + rng.normal(0, 20, (128, 128)), 0,
+                         4095).astype(np.uint16)
+        matrix[:, :40] = 24
+        for plane in (matrix >> 8, matrix & 0xFF):
+            data = plane.astype(np.uint8).tobytes()
+            assert packbits_encode(data) == greedy_packbits_encode(data)
 
     def test_truncated_literal_returns_minus_one(self):
         enc = np.array([5, 1, 2], dtype=np.uint8)  # literal of 6, only 2 given
@@ -111,6 +171,20 @@ class TestRLE:
         decoded = decode_pixels(image, frame)
         assert np.array_equal(decoded, matrix)
         assert np.array_equal(decoded, oracle_rle_decode(frame, 16, 12, 16))
+
+    def test_ct_sized_noisy_12bit_round_trip(self):
+        """The benchmark's frame shape: 512x512, 12 bits stored, noisy."""
+        rng = np.random.default_rng(4)
+        yy, xx = np.mgrid[:512, :512]
+        body = (yy - 256) ** 2 + (xx - 256) ** 2 < 200 ** 2
+        matrix = np.clip(np.where(body, 1040, 24)
+                         + rng.normal(0, 20, (512, 512)), 0,
+                         4095).astype(np.uint16)
+        frame = rle_encode_frame(matrix, 16)
+        image = make_image(rows=512, cols=512, bits_allocated=16,
+                           bits_stored=12, transfer_syntax_uid=RLE_LOSSLESS,
+                           pixels=None)
+        assert np.array_equal(decode_pixels(image, frame), matrix)
 
     def test_8bit_round_trip(self):
         matrix = np.arange(64, dtype=np.uint8).reshape(8, 8)
@@ -163,3 +237,58 @@ class TestNative:
                            pixels=None)
         with pytest.raises(UnsupportedCodec):
             decode_pixels(image, b"\x00" * 128)
+
+
+class TestFromFile:
+    """decode_pixels_from_file reads only the recorded pixel byte range."""
+
+    def _file(self, tmp_path, payload, before=b"H" * 132, after=b"T" * 40):
+        path = tmp_path / "img.dcm"
+        path.write_bytes(before + payload + after)
+        return str(path), len(before)
+
+    def test_reads_only_the_pixel_range(self, tmp_path):
+        matrix = np.arange(64, dtype="<u2").reshape(8, 8)
+        path, offset = self._file(tmp_path, matrix.tobytes(),
+                                  after=b"\xff" * 500)
+        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+                           source_path=path, pixel_data_offset=offset,
+                           pixel_data_length=128)
+        assert np.array_equal(decode_pixels_from_file(image), matrix)
+
+    def test_rle_range(self, tmp_path):
+        matrix = np.full((8, 8), 1234, dtype=np.uint16)
+        frame = rle_encode_frame(matrix, 16)
+        path, offset = self._file(tmp_path, frame)
+        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+                           transfer_syntax_uid=RLE_LOSSLESS, source_path=path,
+                           pixel_data_offset=offset,
+                           pixel_data_length=len(frame))
+        assert np.array_equal(decode_pixels_from_file(image), matrix)
+
+    @pytest.mark.parametrize("length", [128, 10 ** 12])
+    def test_range_past_end_of_file_reads_short(self, tmp_path, length):
+        path, offset = self._file(tmp_path, b"\x00" * 100, after=b"")
+        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+                           source_path=path, pixel_data_offset=offset,
+                           pixel_data_length=length)
+        with pytest.raises(LengthMismatch):
+            decode_pixels_from_file(image)
+
+    def test_short_rle_range_is_malformed(self, tmp_path):
+        path, offset = self._file(tmp_path, b"\x00" * 30, after=b"")
+        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+                           transfer_syntax_uid=RLE_LOSSLESS, source_path=path,
+                           pixel_data_offset=offset, pixel_data_length=200)
+        with pytest.raises(Malformed):
+            decode_pixels_from_file(image)
+
+    @pytest.mark.parametrize("offset, length", [
+        (None, 128), (132, None), (-4, 128), (132, -1), (10 ** 6, 128)])
+    def test_missing_or_bad_range(self, tmp_path, offset, length):
+        path, _ = self._file(tmp_path, b"\x00" * 128)
+        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+                           source_path=path, pixel_data_offset=offset,
+                           pixel_data_length=length)
+        with pytest.raises(LengthMismatch):
+            decode_pixels_from_file(image)
