@@ -4,8 +4,10 @@ A backend maps preprocessed images to probability vectors over its class
 set. Two implementations ship here: a score-file lookup (the evaluation
 oracle when network outputs are computed elsewhere) and a desk-scale
 centroid baseline so the full pipeline runs end to end without a trained
-network. Prediction invariants are enforced at this boundary, never
-trusted from backends.
+network. The baseline's feature is a 16 x 16 block mean of the letterboxed
+image; `pixel_feature` computes it from the clipped image through cached
+operators, without building the letterbox. Prediction invariants are
+enforced at this boundary, never trusted from backends.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import preprocess
 from .errors import BackendFailure, EmptyClass, NotNormalized, SchemaError
-from .preprocess import NormalizedImage
+from .preprocess import NormalizedImage, letterbox_block_operators
 from .taxonomy import CANONICAL_ORDER, BodyRegion
 
 _SUM_TOL = 1e-9
@@ -174,6 +177,17 @@ def centroid_feature(values: np.ndarray) -> np.ndarray:
     bh, bw = max(1, h // _THUMB), max(1, w // _THUMB)
     cropped = values[:bh * _THUMB, :bw * _THUMB]
     return cropped.reshape(_THUMB, bh, _THUMB, bw).mean(axis=(1, 3)).ravel()
+
+
+def pixel_feature(pixels: np.ndarray) -> np.ndarray:
+    """`centroid_feature(preprocess_image(pixels).values)`, equal to
+    round-off, without building the 224 x 224 letterbox: the clipped image
+    goes straight through the shape's cached row and column operators."""
+    h, w = np.shape(pixels)
+    a, b = letterbox_block_operators(h, w, _THUMB)
+    # Called through the module so a wrapper installed on
+    # preprocess.clip_normalize (perfbench/tracing.py) sees this call.
+    return (a @ preprocess.clip_normalize(pixels) @ b.T).ravel()
 
 
 class CentroidBackend(Backend):

@@ -24,19 +24,22 @@ from . import phantom as phantom_mod
 from . import postprocess as post_mod
 from . import report as report_mod
 from . import stats as stats_mod
-from .classify import (Prediction, centroid_feature, fit_centroids,
-                       load_scores, save_scores)
+from .classify import (Prediction, fit_centroids, load_scores,
+                       pixel_feature, save_scores)
 # Unused here, but perfbench/tracing.py wraps `cli.train_centroid_baseline`
 # and fails if the name is missing.
 from .classify import train_centroid_baseline  # noqa: F401
 from .config import load_config, load_synonym_map
 from .errors import (BodyRegionError, LengthMismatch, Malformed, SchemaError,
                      UnsupportedCodec)
-from .geometry import load_boxes, project_box_labels, series_geometry
+from .geometry import (load_boxes, project_box_labels, series_geometry,
+                       warn_foreign_frames)
 from .ingest import (SkipReport, ingest_tree, read_metadata_ndjson,
                      write_metadata_ndjson)
 from .pixels import decode_pixels_from_file
-from .preprocess import preprocess_image
+# Unused here since classify builds features without the letterbox, but
+# perfbench/tracing.py wraps `cli.preprocess_image` and fails if it is missing.
+from .preprocess import preprocess_image  # noqa: F401
 from .stats import EvalSeries, EvalStudy, sample_size
 from .taxonomy import FINAL_REGIONS, BodyRegion
 
@@ -105,6 +108,7 @@ def cmd_labels_project(args):
             for image, label in zip(series.images, labels):
                 rows.append([image.sop_uid, series.series_uid, study.study_uid,
                              label.value if label else ""])
+    warn_foreign_frames(boxes, [s for st in studies for s in st.series])
     _write_truth(rows, args.out)
     labeled = sum(1 for r in rows if r[3])
     print(f"labeled {labeled}/{len(rows)} images -> {args.out}")
@@ -112,8 +116,10 @@ def cmd_labels_project(args):
 
 
 def cmd_classify(args):
-    """Decode, preprocess and reduce each image to its centroid feature once,
-    fit the centroids on the training features, then score every feature.
+    """Decode each image once and map it straight to its centroid feature
+    (`pixel_feature`: clip, then the shape's cached operators; the 224 x 224
+    letterbox is never built), fit the centroids on the training features,
+    then score every feature.
 
     An image that fails to decode becomes a row of `<out stem>.skip_report.csv`
     (written even when empty); the stage fails only if nothing was scored.
@@ -138,8 +144,7 @@ def cmd_classify(args):
                     skipped.add(image.source_path, exc)
                     reasons[type(exc).__name__] += 1
                     continue
-                feat = centroid_feature(
-                    preprocess_image(pixels, image.sop_uid).values)
+                feat = pixel_feature(pixels)
                 features.append((image.sop_uid, feat))
                 region = truth.get(image.sop_uid)
                 if trains and region is not None:
@@ -446,6 +451,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except FileNotFoundError as exc:
+        # Name the missing directory when that is what failed, e.g. an
+        # output file whose parent does not exist.
+        path = str(exc.filename)
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            print(f"error: no such directory: {parent}", file=sys.stderr)
+        else:
+            print(f"error: no such file: {path}", file=sys.stderr)
+        return 1
     except SchemaError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

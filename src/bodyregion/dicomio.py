@@ -27,8 +27,13 @@ JPEG_LOSSLESS = "1.2.840.10008.1.2.4.57"
 
 NATIVE_SYNTAXES = {IMPLICIT_VR_LE, EXPLICIT_VR_LE}
 JPEG_LOSSLESS_SYNTAXES = {JPEG_LOSSLESS_SV1, JPEG_LOSSLESS}
-# Codec whitelist: anything else is excluded at the cohort filter.
-ACCEPTED_SYNTAXES = NATIVE_SYNTAXES | {RLE_LOSSLESS} | JPEG_LOSSLESS_SYNTAXES
+# The syntaxes pixels.decode_pixels can decode; every other one raises
+# UnsupportedCodec there.
+DECODABLE_SYNTAXES = NATIVE_SYNTAXES | {RLE_LOSSLESS}
+# Codec whitelist: anything else is excluded at the cohort filter. It is a
+# superset of DECODABLE_SYNTAXES because an external score file can score
+# JPEG lossless images that nothing here decodes.
+ACCEPTED_SYNTAXES = DECODABLE_SYNTAXES | JPEG_LOSSLESS_SYNTAXES
 
 # VRs that use the 12-byte explicit header (2 reserved + 4-byte length).
 _LONG_VRS = {b"OB", b"OW", b"OF", b"OD", b"OL", b"SQ", b"UC", b"UR", b"UT", b"UN"}

@@ -171,7 +171,9 @@ def project_box_labels(boxes: Sequence[BoundingBox3D],
     An image gets region R when a box sharing the series frame of reference
     contains its position point (min inclusive, max exclusive on every
     axis). Overlaps resolve to the box whose center is nearest the slice
-    position along the normal, then lexicographic region name.
+    position along the normal, then lexicographic region name. Boxes in
+    another frame of reference are ignored without a warning; a caller
+    labelling many series reports them once with `warn_foreign_frames`.
     """
     if not series.images:
         raise EmptySeries(series.series_uid)
@@ -180,11 +182,7 @@ def project_box_labels(boxes: Sequence[BoundingBox3D],
     geo = series_geometry(series)
     normal = np.asarray(geo.normal)
 
-    matching = [b for b in boxes
-                if b.frame_of_reference_uid == series.frame_of_reference_uid]
-    if len(matching) < len(boxes):
-        log.warning("series %s: %d box(es) in a different frame of reference",
-                    series.series_uid, len(boxes) - len(matching))
+    matching = _boxes_in_frame(boxes, series)
 
     labels: List[Optional[BodyRegion]] = []
     for im, pos_n in zip(series.images, geo.positions):
@@ -202,6 +200,26 @@ def project_box_labels(boxes: Sequence[BoundingBox3D],
         else:
             labels.append(None)
     return labels
+
+
+def _boxes_in_frame(boxes: Sequence[BoundingBox3D],
+                    series: SeriesRecord) -> List[BoundingBox3D]:
+    """The boxes that share the series frame of reference."""
+    return [b for b in boxes
+            if b.frame_of_reference_uid == series.frame_of_reference_uid]
+
+
+def warn_foreign_frames(boxes: Sequence[BoundingBox3D],
+                        series_list: Sequence[SeriesRecord]) -> None:
+    """Log one warning for all series that see boxes in another frame of
+    reference (`project_box_labels` ignores those boxes): the series count
+    and the box-series pair count."""
+    foreign = [len(boxes) - len(_boxes_in_frame(boxes, s))
+               for s in series_list]
+    pairs = sum(foreign)
+    if pairs:
+        log.warning("%d series: %d box-series pair(s) in a different frame "
+                    "of reference", sum(1 for n in foreign if n), pairs)
 
 
 # ---------------------------------------------------------------------------

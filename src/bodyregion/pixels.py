@@ -81,9 +81,7 @@ def decode_pixels(image: ImageRecord, raw: bytes) -> np.ndarray:
     RLE frame) for RLE. Values are masked to bits_stored.
     """
     ts = image.transfer_syntax_uid
-    if ts in dicomio.JPEG_LOSSLESS_SYNTAXES:
-        raise UnsupportedCodec("JPEG lossless is whitelisted but not decodable here")
-    if ts not in dicomio.NATIVE_SYNTAXES and ts != dicomio.RLE_LOSSLESS:
+    if ts not in dicomio.DECODABLE_SYNTAXES:
         raise UnsupportedCodec(f"no codec for transfer syntax {ts!r}")
 
     rows, cols = image.rows, image.cols

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodyregion.classify import (CentroidBackend, Prediction,
                                  ScoreFileBackend, centroid_feature,
-                                 fit_centroids, load_scores, save_scores,
-                                 train_centroid_baseline)
+                                 fit_centroids, load_scores, pixel_feature,
+                                 save_scores, train_centroid_baseline)
 from bodyregion.errors import (BackendFailure, EmptyClass, NotNormalized,
                                SchemaError)
-from bodyregion.preprocess import NormalizedImage
+from bodyregion.preprocess import NormalizedImage, preprocess_image
 from bodyregion.taxonomy import BodyRegion
 
 CLASSES = (BodyRegion.ABDOMEN, BodyRegion.CHEST, BodyRegion.HEAD)
@@ -166,3 +168,33 @@ class TestCentroidBaseline:
         # 37 // 16 = 2 rows and 40 // 16 = 2 columns per block; the rest is
         # cropped.
         assert feat[16 + 3] == pytest.approx(values[2:4, 6:8].mean())
+
+
+class TestPixelFeature:
+    """pixel_feature against the letterbox chain it replaces."""
+
+    @staticmethod
+    def _reference(pixels):
+        return centroid_feature(preprocess_image(pixels).values)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (64, 64), (48, 64), (64, 30),
+                                       (224, 224), (300, 17), (512, 512)])
+    def test_equals_letterbox_chain(self, shape):
+        pixels = np.random.default_rng(shape[0] * 1000 + shape[1]).integers(
+            0, 4096, shape).astype(np.uint16)
+        feat = pixel_feature(pixels)
+        assert feat.shape == (256,)
+        assert np.abs(feat - self._reference(pixels)).max() <= 1e-12
+
+    def test_constant_image(self):
+        pixels = np.full((40, 70), 917, dtype=np.uint16)
+        assert np.array_equal(pixel_feature(pixels), self._reference(pixels))
+
+    @given(st.integers(1, 600), st.integers(1, 600),
+           st.sampled_from([np.uint8, np.uint16]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_letterbox_chain_any_shape(self, h, w, dtype, seed):
+        pixels = np.random.default_rng(seed).integers(
+            0, np.iinfo(dtype).max, (h, w), dtype=dtype, endpoint=True)
+        assert np.abs(pixel_feature(pixels)
+                      - self._reference(pixels)).max() <= 1e-12

@@ -99,30 +99,51 @@ class TestClassify:
         data = (pipeline_dirs / "scores.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == SCORES_SHA256
 
-    def test_decodes_and_preprocesses_each_image_once(self, pipeline_dirs,
-                                                      tmp_path, monkeypatch):
-        decoded, preprocessed = Counter(), Counter()
-        decode, preprocess = cli.decode_pixels_from_file, cli.preprocess_image
+    def test_decodes_and_reduces_each_image_once(self, pipeline_dirs,
+                                                 tmp_path, monkeypatch):
+        decoded, reduced = Counter(), Counter()
+        owner = {}  # id of a decoded matrix -> (sop_uid, the matrix)
+        decode, feature = cli.decode_pixels_from_file, cli.pixel_feature
 
         def counting_decode(image):
             decoded[image.sop_uid] += 1
-            return decode(image)
+            pixels = decode(image)
+            owner[id(pixels)] = (image.sop_uid, pixels)
+            return pixels
 
-        def counting_preprocess(pixels, sop_uid="", **kwargs):
-            preprocessed[sop_uid] += 1
-            return preprocess(pixels, sop_uid, **kwargs)
+        def counting_feature(pixels):
+            reduced[owner[id(pixels)][0]] += 1
+            return feature(pixels)
 
         monkeypatch.setattr(cli, "decode_pixels_from_file", counting_decode)
-        monkeypatch.setattr(cli, "preprocess_image", counting_preprocess)
+        monkeypatch.setattr(cli, "pixel_feature", counting_feature)
         out = tmp_path / "scores.csv"
         assert main(["classify", "--dicom", str(pipeline_dirs / "ph"),
                      "--truth", str(pipeline_dirs / "truth.csv"),
                      "--out", str(out)]) == 0
         assert len(decoded) == 96 and set(decoded.values()) == {1}
-        assert preprocessed == decoded
+        assert reduced == decoded
         assert out.read_bytes() == (pipeline_dirs / "scores.csv").read_bytes()
         with open(tmp_path / "scores.skip_report.csv") as fh:
             assert list(csv.reader(fh)) == [["path", "error"]]
+
+
+class TestLabelsProject:
+    def test_one_frame_of_reference_warning_per_run(self, pipeline_dirs,
+                                                     tmp_path, caplog):
+        truth = tmp_path / "truth.csv"
+        with caplog.at_level("WARNING", logger="bodyregion.geometry"):
+            assert main(["labels-project",
+                         "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
+                         "--boxes", str(pipeline_dirs / "ph" / "labels.json"),
+                         "--out", str(truth)]) == 0
+        records = [r for r in caplog.records if r.name == "bodyregion.geometry"]
+        # 8 single-series studies, one frame of reference and 2 boxes each:
+        # every series sees the other 7 studies' 14 boxes.
+        assert [r.getMessage() for r in records] == [
+            "8 series: 112 box-series pair(s) in a different frame of "
+            "reference"]
+        assert truth.read_bytes() == (pipeline_dirs / "truth.csv").read_bytes()
 
 
 def _file_meta(syntax):
@@ -208,6 +229,43 @@ class TestExitCodes:
         bad.write_text("{not json}\n")
         rc = main(["filter", "--in", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def _assert_missing(self, capsys, argv, path):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: no such file: {path}\n"
+
+    def test_missing_truth_is_usage_error(self, tmp_path, capsys):
+        nope = str(tmp_path / "nope.csv")
+        self._assert_missing(capsys, [
+            "classify", "--dicom", str(tmp_path), "--truth", nope,
+            "--out", str(tmp_path / "scores.csv")], nope)
+
+    def test_missing_train_uids_is_usage_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("sop_uid,series_uid,study_uid,region\n")
+        nope = str(tmp_path / "nope.txt")
+        self._assert_missing(capsys, [
+            "classify", "--dicom", str(tmp_path), "--truth", str(truth),
+            "--train-uids", nope, "--out", str(tmp_path / "scores.csv")], nope)
+
+    def test_missing_evaluate_input_is_usage_error(self, tmp_path, capsys):
+        nope = str(tmp_path / "nope.ndjson")
+        self._assert_missing(capsys, [
+            "evaluate", "--in", nope, "--results", str(tmp_path / "r.ndjson"),
+            "--truth", str(tmp_path / "t.csv"),
+            "--out", str(tmp_path / "eval")], nope)
+
+    def test_missing_output_directory_is_named(self, pipeline_dirs, tmp_path,
+                                               capsys):
+        missing = str(tmp_path / "no_dir")
+        capsys.readouterr()
+        assert main(["labels-project",
+                     "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
+                     "--boxes", str(pipeline_dirs / "ph" / "labels.json"),
+                     "--out", str(tmp_path / "no_dir" / "truth.csv")]) == 1
+        assert capsys.readouterr().err == f"error: no such directory: {missing}\n"
 
     def test_sample_size(self, capsys):
         assert main(["sample-size"]) == 0

@@ -7,6 +7,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "bodyregion"
 
 # Imported only so that perfbench/tracing.py can patch the name there.
 KEPT_FOR_TRACING = {("cli", "train_centroid_baseline"),
+                    ("cli", "preprocess_image"),
                     ("report", "bootstrap_ci")}
 
 

@@ -238,6 +238,15 @@ class TestNative:
         with pytest.raises(UnsupportedCodec):
             decode_pixels(image, b"\x00" * 128)
 
+    # The other JPEG lossless UID and a baseline JPEG one nothing here
+    # accepts; both must raise whatever DECODABLE_SYNTAXES holds.
+    @pytest.mark.parametrize("syntax", ["1.2.840.10008.1.2.4.57",
+                                        "1.2.840.10008.1.2.4.50"])
+    def test_undecodable_syntax_is_unsupported(self, syntax):
+        image = make_image(transfer_syntax_uid=syntax, pixels=None)
+        with pytest.raises(UnsupportedCodec):
+            decode_pixels(image, b"\x00" * 128)
+
 
 class TestFromFile:
     """decode_pixels_from_file reads only the recorded pixel byte range."""

@@ -11,9 +11,9 @@ from hypothesis.extra import numpy as hnp
 from bodyregion.errors import EmptyImage, ParamsOutOfRange
 from bodyregion.preprocess import (AugmentParams, _affine_warp,
                                    _bilinear_resize, augment, augment_matrix,
-                                   clip_normalize, preprocess_image,
-                                   resize_pad, sample_augment_params,
-                                   to_three_channel)
+                                   clip_normalize, letterbox_block_operators,
+                                   preprocess_image, resize_pad,
+                                   sample_augment_params, to_three_channel)
 
 images = hnp.arrays(
     dtype=np.float64,
@@ -192,6 +192,32 @@ class TestResizePad:
     def test_empty(self):
         with pytest.raises(EmptyImage):
             resize_pad(np.empty((0, 3)))
+
+
+class TestLetterboxBlockOperators:
+    def test_cached_per_shape(self):
+        a, b = letterbox_block_operators(48, 64, 16)
+        again = letterbox_block_operators(48, 64, 16)
+        assert again[0] is a and again[1] is b
+        assert a.shape == (16, 48) and b.shape == (16, 64)
+        other = letterbox_block_operators(64, 48, 16)
+        assert other[0] is not a
+
+    def test_read_only(self):
+        a, _ = letterbox_block_operators(30, 30, 16)
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+    def test_block_mean_of_letterbox(self):
+        values = np.random.default_rng(5).random((37, 90))
+        a, b = letterbox_block_operators(37, 90, 8)
+        padded = resize_pad(values)
+        expected = padded.reshape(8, 28, 8, 28).mean(axis=(1, 3))
+        assert np.allclose(a @ values @ b.T, expected, rtol=0, atol=1e-12)
+
+    def test_empty(self):
+        with pytest.raises(EmptyImage):
+            letterbox_block_operators(0, 5, 16)
 
 
 class TestThreeChannel:
