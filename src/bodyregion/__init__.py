@@ -12,8 +12,8 @@ Library layout mirrors the processing stages:
   patient-level partitioning.
 - :mod:`bodyregion.preprocess` — clip/normalize, letterbox resize,
   augmentation.
-- :mod:`bodyregion.classify` — backend protocol, score files, centroid
-  baseline.
+- :mod:`bodyregion.classify` — score files (the plug-in point for an
+  external classifier) and the centroid baseline.
 - :mod:`bodyregion.postprocess` — the five-stage series rule engine.
 - :mod:`bodyregion.stats` — weighted metrics, bootstrap CIs, chi-squared,
   effect sizes, sample size, tag agreement, factor reports.
@@ -21,15 +21,15 @@ Library layout mirrors the processing stages:
 - :mod:`bodyregion.phantom` — deterministic synthetic cohorts.
 """
 
-from .classify import (Backend, CentroidBackend, Prediction, ScoreFileBackend,
-                       load_scores, save_scores, train_centroid_baseline)
+from .classify import (CentroidBackend, Prediction, load_scores, save_scores,
+                       train_centroid_baseline)
 from .cohort import (FilterDecision, FilterReason, Split, apply_filters,
                      partition_patients)
 from .config import PipelineConfig, load_config, load_synonym_map
 from .errors import BodyRegionError, Malformed, SchemaError
 from .geometry import (BoundingBox3D, SliceGeometry, load_boxes,
-                       project_box_labels, sample_every_10mm, save_boxes,
-                       series_geometry, sort_series_images)
+                       project_box_labels, save_boxes, series_geometry,
+                       sort_series_images)
 from .ingest import (ingest_tree, read_metadata_ndjson, write_metadata_ndjson)
 from .phantom import (PhantomSpec, RegionSpec, default_six_region_spec,
                       generate_phantom)
@@ -40,32 +40,29 @@ from .preprocess import (AugmentParams, NormalizedImage, augment,
 from .records import ImageRecord, SeriesRecord, StudyRecord
 from .stats import (ConfusionMatrix, EvalSeries, EvalStudy, bootstrap_ci,
                     chi2_sf, chi_square, cramers_v, factor_report,
-                    full_confusion, jackknife_variance, sample_size,
-                    tag_agreement, weighted_sensitivity,
-                    weighted_sensitivity_exact, weighted_specificity)
-from .taxonomy import (CANONICAL_ORDER, FINAL_REGIONS, BodyRegion,
-                       classes_for_modality)
+                    full_confusion, sample_size, tag_agreement,
+                    weighted_sensitivity, weighted_sensitivity_exact,
+                    weighted_specificity)
+from .taxonomy import CANONICAL_ORDER, FINAL_REGIONS, BodyRegion
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentParams", "Backend", "BodyRegion", "BodyRegionError",
-    "BoundingBox3D", "CANONICAL_ORDER", "CentroidBackend", "ConfusionMatrix",
-    "EvalSeries", "EvalStudy", "FINAL_REGIONS", "FilterDecision",
-    "FilterReason", "ImageRecord", "Malformed", "NormalizedImage",
-    "PhantomSpec", "PipelineConfig", "Prediction", "RegionSpec",
-    "SchemaError", "ScoreFileBackend", "SeriesRecord", "SeriesResult",
-    "SeriesStatus", "SliceGeometry", "Split", "StudyRecord",
-    "apply_filters", "augment", "bootstrap_ci", "chi2_sf", "chi_square",
-    "classes_for_modality", "clip_normalize", "cramers_v",
+    "AugmentParams", "BodyRegion", "BodyRegionError", "BoundingBox3D",
+    "CANONICAL_ORDER", "CentroidBackend", "ConfusionMatrix", "EvalSeries",
+    "EvalStudy", "FINAL_REGIONS", "FilterDecision", "FilterReason",
+    "ImageRecord", "Malformed", "NormalizedImage", "PhantomSpec",
+    "PipelineConfig", "Prediction", "RegionSpec", "SchemaError",
+    "SeriesRecord", "SeriesResult", "SeriesStatus", "SliceGeometry",
+    "Split", "StudyRecord", "apply_filters", "augment", "bootstrap_ci",
+    "chi2_sf", "chi_square", "clip_normalize", "cramers_v",
     "default_six_region_spec", "factor_report", "full_confusion",
-    "generate_phantom", "ingest_tree", "jackknife_variance", "load_boxes",
-    "load_config", "load_scores", "load_synonym_map", "partition_patients",
+    "generate_phantom", "ingest_tree", "load_boxes", "load_config",
+    "load_scores", "load_synonym_map", "partition_patients",
     "preprocess_image", "project_box_labels", "read_metadata_ndjson",
-    "resize_pad", "run_pipeline", "sample_augment_params",
-    "sample_every_10mm", "sample_size", "save_boxes", "save_scores",
-    "series_geometry", "sort_series_images", "tag_agreement",
-    "to_three_channel", "train_centroid_baseline", "weighted_sensitivity",
-    "weighted_sensitivity_exact", "weighted_specificity",
-    "write_metadata_ndjson",
+    "resize_pad", "run_pipeline", "sample_augment_params", "sample_size",
+    "save_boxes", "save_scores", "series_geometry", "sort_series_images",
+    "tag_agreement", "to_three_channel", "train_centroid_baseline",
+    "weighted_sensitivity", "weighted_sensitivity_exact",
+    "weighted_specificity", "write_metadata_ndjson",
 ]

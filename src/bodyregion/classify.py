@@ -1,20 +1,20 @@
-"""Pluggable per-image classifier backends.
+"""Per-image class probabilities: score files and the centroid baseline.
 
-A backend maps preprocessed images to probability vectors over its class
-set. Two implementations ship here: a score-file lookup (the evaluation
-oracle when network outputs are computed elsewhere) and a desk-scale
-centroid baseline so the full pipeline runs end to end without a trained
+A score file (`load_scores` / `save_scores`) holds one probability vector
+per image over its class set. It is where an externally trained network
+plugs in: the postprocess stage reads it. The desk-scale centroid baseline
+writes one, so the full pipeline runs end to end without a trained
 network. The baseline's feature is a 16 x 16 block mean of the letterboxed
 image; `pixel_feature` computes it from the clipped image through cached
 operators, without building the letterbox. Prediction invariants are
-enforced at this boundary, never trusted from backends.
+enforced at this boundary, never trusted from the producer.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,20 +69,8 @@ class Prediction:
         return float(-(nz * np.log(nz)).sum() / np.log(k))
 
 
-class Backend:
-    """Classifier backend interface: prepare once, then classify batches."""
-
-    classes: Tuple[BodyRegion, ...] = ()
-
-    def prepare(self) -> None:
-        pass
-
-    def classify_batch(self, images: Sequence[NormalizedImage]) -> List[Prediction]:
-        raise NotImplementedError
-
-
 # ---------------------------------------------------------------------------
-# Score-file backend
+# Score files
 
 
 def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
@@ -137,29 +125,6 @@ def save_scores(scores: Dict[str, np.ndarray],
             writer.writerow([uid] + [f"{p:.10g}" for p in scores[uid]])
 
 
-class ScoreFileBackend(Backend):
-    """Looks predictions up from a score CSV produced elsewhere."""
-
-    def __init__(self, path):
-        self._path = path
-        self._scores: Dict[str, np.ndarray] = {}
-        self.classes = ()
-
-    def prepare(self) -> None:
-        self._scores, self.classes = load_scores(self._path)
-
-    def classify_batch(self, images):
-        if not self._scores:
-            self.prepare()
-        preds = []
-        for image in images:
-            vec = self._scores.get(image.source_sop_uid)
-            if vec is None:
-                raise BackendFailure(f"no scores for {image.source_sop_uid}")
-            preds.append(Prediction(image.source_sop_uid, self.classes, vec))
-        return preds
-
-
 # ---------------------------------------------------------------------------
 # Centroid baseline
 
@@ -190,7 +155,7 @@ def pixel_feature(pixels: np.ndarray) -> np.ndarray:
     return (a @ preprocess.clip_normalize(pixels) @ b.T).ravel()
 
 
-class CentroidBackend(Backend):
+class CentroidBackend:
     """Nearest-centroid classifier over down-averaged images.
 
     Softmax over negative Euclidean distances to the per-class mean

@@ -313,11 +313,9 @@ def cmd_tag_write(args):
         if row["status"] != "Accepted":
             region_by_series[row["series_uid"]] = None
             continue
-        regions = row["series_regions"]
-        region_by_series[row["series_uid"]] = \
-            BodyRegion(regions[0]) if len(regions) == 1 else (
-                BodyRegion(max(regions, key=lambda r: sum(
-                    1 for img in row["images"] if img["label"] == r))))
+        region_by_series[row["series_uid"]] = BodyRegion(max(
+            row["series_regions"], key=lambda r: sum(
+                1 for img in row["images"] if img["label"] == r)))
     files = []
     for root, dirs, names in os.walk(args.dicom):
         dirs.sort()
@@ -364,17 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Body-region classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-
     p = sub.add_parser("ingest", help="parse a DICOM tree to NDJSON metadata")
     p.add_argument("--dicom", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("filter", help="apply inclusion/exclusion rules")
-    common(p)
+    p.add_argument("--config", default=None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strict-geometry", action="store_true", default=False)
@@ -397,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("postprocess", help="run the series rule engine")
-    common(p)
+    p.add_argument("--config", default=None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--metric", choices=["margin", "entropy"], default=None)
@@ -406,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("evaluate", help="statistics and report tables")
-    common(p)
+    p.add_argument("--config", default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--results", required=True)
     p.add_argument("--truth", required=True)

@@ -69,11 +69,6 @@ def axial_angle(orientation: Sequence[float]) -> float:
     return float(np.degrees(np.arccos(min(1.0, abs(float(n[2]))))))
 
 
-def is_axial(orientation: Sequence[float],
-             max_angle: float = AXIAL_MAX_ANGLE_DEG) -> bool:
-    return axial_angle(orientation) <= max_angle
-
-
 def series_geometry(series: SeriesRecord) -> SliceGeometry:
     """Normal, per-image positions along it, and the median slice gap.
 
@@ -135,33 +130,6 @@ def first_window_size(sorted_positions: np.ndarray, step: float) -> int:
     """Number of candidate start indices within the first step window."""
     return max(1, int(np.searchsorted(sorted_positions,
                                       sorted_positions[0] + step, side="left")))
-
-
-def sample_every_10mm(series: SeriesRecord, step: float = 10.0,
-                      rng: Optional[np.random.Generator] = None) -> List[int]:
-    """Greedy physical subsampling to reduce inter-slice correlation.
-
-    Starts at a uniformly random index within the first step window and
-    then selects the next image whose position is at least `step` past the
-    previously selected one. Returns indices into series.images.
-    """
-    if not series.images:
-        raise EmptySeries(series.series_uid)
-    if rng is None:
-        rng = np.random.default_rng()
-    try:
-        geo = series_geometry(series)
-        positions = geo.positions
-    except MissingGeometry:
-        # No usable spacing information: every image stands alone.
-        return list(range(len(series.images)))
-
-    order = np.argsort(positions, kind="stable")
-    sorted_pos = positions[order]
-    window = first_window_size(sorted_pos, step)
-    start = int(rng.integers(0, window))
-    selected = greedy_sample_indices(sorted_pos, step, start)
-    return sorted(int(order[k]) for k in selected)
 
 
 def project_box_labels(boxes: Sequence[BoundingBox3D],

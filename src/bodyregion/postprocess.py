@@ -19,7 +19,6 @@ from .classify import Prediction
 from .errors import EmptySeries
 from .taxonomy import BodyRegion
 
-BREAST_FRACTION = 0.5
 DEFAULT_MIN_RUN = 3
 DEFAULT_WINDOW = 3
 DEFAULT_UNCERTAINTY_THRESHOLD = 0.2

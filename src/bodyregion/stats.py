@@ -435,23 +435,17 @@ def bootstrap_counts(studies: Sequence[EvalStudy], k: int,
     return out.reshape(resamples, k, k)
 
 
-def ci_from_counts(counts: np.ndarray,
-                   metric: Callable[[ConfusionMatrix], float],
+def ci_from_counts(counts: np.ndarray, metric: CountMetric,
                    class_names: Sequence[str],
                    level: float = 0.95, seed: int = 0) -> CIResult:
     """Percentile CI of `metric` over a `bootstrap_counts` tensor.
 
-    A CountMetric is evaluated on the whole tensor at once; any other
-    callable once per resample. The point estimate is the bootstrap
-    median, so lo <= point <= hi by construction.
+    The metric is evaluated on the whole tensor at once. The point estimate
+    is the bootstrap median, so lo <= point <= hi by construction.
     """
     if metric is weighted_specificity:
         _log_undefined_tnr(counts, class_names)
-    if isinstance(metric, CountMetric):
-        values = metric.over(counts)
-    else:
-        values = np.array([metric(ConfusionMatrix(c, tuple(class_names)))
-                           for c in counts], dtype=np.float64)
+    values = metric.over(counts)
     resamples = len(counts)
     alpha = (1.0 - level) / 2.0
     # A resample can miss a class entirely, making a per-class metric
@@ -467,7 +461,7 @@ def ci_from_counts(counts: np.ndarray,
 
 
 def bootstrap_ci(studies: Sequence[EvalStudy],
-                 metric: Callable[[ConfusionMatrix], float],
+                 metric: CountMetric,
                  k: int,
                  class_names: Optional[Sequence[str]] = None,
                  resamples: int = 1000,
@@ -486,29 +480,6 @@ def bootstrap_ci(studies: Sequence[EvalStudy],
         class_names = [str(i) for i in range(k)]
     counts = bootstrap_counts(studies, k, resamples, seed, step_mm)
     return ci_from_counts(counts, metric, class_names, level, seed)
-
-
-def jackknife_variance(studies: Sequence[EvalStudy],
-                       metric: Callable[[ConfusionMatrix], float],
-                       k: int,
-                       class_names: Optional[Sequence[str]] = None) -> float:
-    """Leave-one-study-out jackknife variance of the metric (no subsampling)."""
-    studies = list(studies)
-    if len(studies) < 2:
-        raise EmptyCohort("jackknife needs at least two studies")
-    if class_names is None:
-        class_names = [str(i) for i in range(k)]
-    per_study = np.stack([
-        np.sum([np.bincount(s.truth * k + s.pred, minlength=k * k)
-                for s in study.series], axis=0)
-        for study in studies])
-    total = per_study.sum(axis=0)
-    thetas = np.array([
-        metric(ConfusionMatrix((total - per_study[j]).reshape(k, k),
-                               tuple(class_names)))
-        for j in range(len(studies))])
-    n = len(studies)
-    return float((n - 1) / n * np.sum((thetas - thetas.mean()) ** 2))
 
 
 # ---------------------------------------------------------------------------

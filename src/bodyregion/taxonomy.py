@@ -1,4 +1,4 @@
-"""Body-region class taxonomy and per-modality class sets.
+"""Body-region class taxonomy and the tag strings written back to DICOM.
 
 The final taxonomy has 18 regions; CT drops Breast (17 classes). The
 internal class set adds AbdomenChest, a training-time class for slices
@@ -42,10 +42,6 @@ CANONICAL_ORDER = tuple(BodyRegion)
 
 FINAL_REGIONS = tuple(r for r in CANONICAL_ORDER if r is not BodyRegion.ABDOMEN_CHEST)
 
-# Internal (classifier output) class sets by modality. Breast is MRI-only.
-MRI_CLASSES = CANONICAL_ORDER
-CT_CLASSES = tuple(r for r in CANONICAL_ORDER if r is not BodyRegion.BREAST)
-
 # DICOM BodyPartExamined defined-term style strings for tag write-back.
 CANONICAL_TAG_STRINGS = {
     BodyRegion.ABDOMEN: "ABDOMEN",
@@ -67,8 +63,3 @@ CANONICAL_TAG_STRINGS = {
     BodyRegion.LUMBAR_SPINE: "LSPINE",
     BodyRegion.THIGH: "THIGH",
 }
-
-
-def classes_for_modality(modality: str):
-    """Internal class set (including AbdomenChest) for 'CT' or 'MR'."""
-    return CT_CLASSES if modality == "CT" else MRI_CLASSES

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bodyregion.classify import (CentroidBackend, Prediction,
-                                 ScoreFileBackend, centroid_feature,
-                                 fit_centroids, load_scores, pixel_feature,
-                                 save_scores, train_centroid_baseline)
+                                 centroid_feature, fit_centroids, load_scores,
+                                 pixel_feature, save_scores,
+                                 train_centroid_baseline)
 from bodyregion.errors import (BackendFailure, EmptyClass, NotNormalized,
                                SchemaError)
 from bodyregion.preprocess import NormalizedImage, preprocess_image
@@ -92,13 +92,6 @@ class TestScoreFile:
         path.write_text(body)
         with pytest.raises(SchemaError):
             load_scores(path)
-
-    def test_backend_lookup(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        save_scores(self._scores(), CLASSES, path)
-        backend = ScoreFileBackend(path)
-        preds = backend.classify_batch([norm_image(np.zeros((4, 4)), "1.2")])
-        assert preds[0].label is BodyRegion.CHEST
 
 
 class TestCentroidBaseline:

@@ -1,14 +1,16 @@
 """CLI surface: stage chaining on a small phantom cohort, exit codes."""
 
+import argparse
 import csv
 import hashlib
+import inspect
 import json
 from collections import Counter
 
 import pytest
 
 from bodyregion import cli
-from bodyregion.cli import main
+from bodyregion.cli import build_parser, main
 from bodyregion.dicomio import EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1, encode_element
 from bodyregion.phantom import (PhantomSpec, RegionSpec, generate_phantom)
 from bodyregion.taxonomy import BodyRegion
@@ -224,6 +226,18 @@ class TestExitCodes:
             main(["frobnicate"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--in", "m.ndjson", "--out", "filt"],
+        ["postprocess", "--in", "m.ndjson", "--scores", "s.csv",
+         "--out", "r.ndjson"]])
+    def test_seed_is_not_a_flag_of(self, argv, capsys):
+        # Only evaluate reads a seed; these stages reject the flag.
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--seed", "1"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --seed 1\n")
+
     def test_data_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.ndjson"
         bad.write_text("{not json}\n")
@@ -273,3 +287,18 @@ class TestExitCodes:
 
     def test_sample_size_invalid(self, capsys):
         assert main(["sample-size", "--accuracy", "1.5"]) == 2
+
+
+def test_every_flag_is_read_by_its_handler():
+    """No subcommand defines an option its handler ignores."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        dests = {a.dest for a in parser._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        missing = sorted(d for d in dests if f"args.{d}" not in source)
+        if missing:
+            unread[name] = missing
+    assert unread == {}

@@ -50,6 +50,16 @@ class TestSeriesFilter:
             im.image_orientation_patient = SAGITTAL
         assert filter_series(series).reason is FilterReason.NOT_AXIAL
 
+    @pytest.mark.parametrize("degrees, reason", [
+        (45.0, FilterReason.INCLUDED), (46.0, FilterReason.NOT_AXIAL)])
+    def test_axial_angle_boundary_is_inclusive(self, degrees, reason):
+        t = math.radians(degrees)
+        tilted = (1.0, 0.0, 0.0, 0.0, math.cos(t), math.sin(t))
+        series = make_series()
+        for im in series.images:
+            im.image_orientation_patient = tilted
+        assert filter_series(series).reason is reason
+
     def test_missing_orientation_lenient_vs_strict(self):
         series = make_series()
         for im in series.images:

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bodyregion.errors import (DegenerateOrientation, EmptySeries,
                                MissingGeometry)
 from bodyregion.geometry import (AXIAL_IDENTITY, BoundingBox3D, axial_angle,
                                  first_window_size, greedy_sample_indices,
-                                 is_axial, load_boxes, project_box_labels,
-                                 sample_every_10mm, save_boxes,
+                                 load_boxes, project_box_labels, save_boxes,
                                  series_geometry, slice_normal,
                                  sort_series_images)
 from bodyregion.records import SeriesRecord
@@ -37,7 +38,6 @@ class TestOrientation:
 
     def test_tilt_45_on_boundary(self):
         assert axial_angle(TILTED_45) == pytest.approx(45.0)
-        assert is_axial(TILTED_45)  # inclusive threshold
 
     def test_flipped_normal_still_axial(self):
         flipped = (1.0, 0.0, 0.0, 0.0, -1.0, 0.0)
@@ -121,23 +121,28 @@ class TestGreedySampling:
         positions = np.array([0.0, 1.0, 9.5, 10.0, 25.0])
         assert greedy_sample_indices(positions, 10.0, 0) == [0, 3, 4]
 
-    def test_sample_every_10mm_deterministic_window_one(self):
-        series = make_series(zs=tuple(np.arange(0.0, 60.0, 12.0)))
-        assert sample_every_10mm(series, rng=np.random.default_rng(0)) == \
-            [0, 1, 2, 3, 4]
+    @staticmethod
+    def _check_every_start(positions, step):
+        """Every start in the first step window begins its own subsample,
+        and successive kept positions are at least `step` apart."""
+        window = first_window_size(positions, step)
+        # The starts are exactly the positions within `step` of the first.
+        assert np.all(positions[:window] < positions[0] + step)
+        assert np.all(positions[window:] >= positions[0] + step)
+        for start in range(window):
+            idx = greedy_sample_indices(positions, step, start)
+            assert idx[0] == start
+            kept = positions[idx]
+            assert np.all(kept[1:] >= kept[:-1] + step)
+        return window
 
-    def test_sample_every_10mm_start_in_first_window(self):
-        series = make_series(zs=tuple(np.arange(0.0, 40.0, 2.0)))
-        for seed in range(10):
-            idx = sample_every_10mm(series, rng=np.random.default_rng(seed))
-            assert idx[0] < 5  # start within the first 10 mm
-            pos = [series.images[i].image_position_patient[2] for i in idx]
-            assert all(b - a >= 10.0 for a, b in zip(pos, pos[1:]))
+    def test_starts_lie_in_the_first_window(self):
+        assert self._check_every_start(np.arange(0.0, 40.0, 2.0), 10.0) == 5
 
-    def test_unsorted_series_indices_map_back(self):
-        series = make_series(zs=(20.0, 0.0, 10.0))
-        idx = sample_every_10mm(series, rng=np.random.default_rng(0))
-        assert idx == [0, 1, 2]
+    @given(st.lists(st.floats(-500.0, 500.0), min_size=1, max_size=40),
+           st.floats(0.5, 50.0))
+    def test_every_start_property(self, positions, step):
+        self._check_every_start(np.sort(np.asarray(positions)), step)
 
 
 class TestBoxProjection:

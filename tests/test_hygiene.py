@@ -1,14 +1,33 @@
-"""Source hygiene: no module-level import in the package goes unused."""
+"""Source hygiene: no module-level import goes unused, and no public
+top-level name in the package is defined for nothing to load."""
 
 import ast
 import pathlib
+import pkgutil
+import sys
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "bodyregion"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "bodyregion"
 
-# Imported only so that perfbench/tracing.py can patch the name there.
-KEPT_FOR_TRACING = {("cli", "train_centroid_baseline"),
-                    ("cli", "preprocess_image"),
-                    ("report", "bootstrap_ci")}
+sys.path[:0] = [str(REPO / "perfbench")]
+import tracing  # noqa: E402
+
+# (module, name) pairs perfbench/tracing.py wraps; some modules import a
+# name only so that the wrapper can patch it there.
+TRACED = {(owner[len("bodyregion."):], attr)
+          for owner, attr, _, _ in tracing.BINDINGS
+          if owner.startswith("bodyregion.")}
+
+# Library API reached by tests only: paper features no CLI stage runs,
+# and oracles the tests check the fast paths against.
+LIBRARY_API = {("preprocess", "augment"), ("preprocess", "to_three_channel"),
+               ("stats", "cramers_v"), ("cohort", "partition_patients"),
+               ("cohort", "dedupe_patients"), ("cohort", "audit_sample"),
+               ("stats", "weighted_sensitivity_exact"),
+               ("pixels", "rle_encode_frame")}
+
+# Read by perfbench/run.py for its machine record.
+READ_BY_BENCHMARK = {("_kernels", "USE_NUMBA")}
 
 
 def _imported_names(tree):
@@ -36,7 +55,7 @@ def unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
     return [(name, line) for name, line in _imported_names(tree)
-            if name not in used and (path.stem, name) not in KEPT_FOR_TRACING]
+            if name not in used and (path.stem, name) not in TRACED]
 
 
 def test_no_unused_module_level_imports():
@@ -50,3 +69,84 @@ def test_scan_flags_an_unused_import(tmp_path):
     module.write_text("import os\nimport sys\nfrom typing import List, Tuple\n"
                       "x: List[int] = sys.argv\n")
     assert unused_imports(module) == [("os", 1), ("Tuple", 3)]
+
+
+def _defined_names(node):
+    """Public names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if not n.startswith("_")]
+
+
+def _loaded_names(node):
+    """Identifiers a statement loads, as a bare name or an attribute."""
+    loaded = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            loaded.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            loaded.add(n.attr)
+    return loaded
+
+
+def unreached_names(package):
+    """(module, name) of each public top-level definition in `package`
+    that no statement of it loads, outside the definition itself and
+    `__init__.py`."""
+    statements = []  # (module, defined names, loaded names)
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements.extend((path.stem, _defined_names(node),
+                           _loaded_names(node)) for node in tree.body)
+    unreached = []
+    for i, (module, defined, _) in enumerate(statements):
+        for name in defined:
+            if not any(name in loaded for j, (_, _, loaded)
+                       in enumerate(statements) if j != i):
+                unreached.append((module, name))
+    return unreached
+
+
+def test_every_public_name_is_reached_or_listed():
+    # A traced name is exempt in the module that defines it, too.
+    traced = {name for _, name in TRACED}
+    assert [(module, name) for module, name in unreached_names(PACKAGE)
+            if name not in traced
+            and (module, name) not in LIBRARY_API | READ_BY_BENCHMARK] == []
+
+
+def test_listed_names_exist_and_are_unreached():
+    # A listed name that a stage starts to load, or that is deleted,
+    # comes off the list.
+    unreached = set(unreached_names(PACKAGE))
+    for module, name in LIBRARY_API | READ_BY_BENCHMARK:
+        assert (module, name) in unreached
+
+
+def test_scan_flags_an_unreached_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\nSPARE = 4\n\n\ndef used(n):\n    return used(n - 1)\n\n\n"
+        "def _private():\n    pass\n")
+    (tmp_path / "b.py").write_text("from . import a\n\nx = a.LIMIT\n")
+    (tmp_path / "__init__.py").write_text("from .a import SPARE\n"
+                                          "y = SPARE\n")
+    assert unreached_names(tmp_path) == [("a", "SPARE"), ("a", "used"),
+                                         ("b", "x")]
+
+
+def test_every_traced_binding_resolves():
+    """perfbench/run.py --trace 1 patches each binding through its owner's
+    __dict__; a missing one would end the run with a KeyError."""
+    for owner, attr, _, _ in tracing.BINDINGS:
+        if owner.startswith("bodyregion."):
+            assert attr in vars(pkgutil.resolve_name(owner)), (owner, attr)

@@ -17,8 +17,8 @@ from bodyregion.stats import (CIResult, ConfusionMatrix, EvalSeries,
                               EvalStudy, FactorTable, association_bucket,
                               bootstrap_ci, bootstrap_counts, chi2_sf,
                               chi_square, cramers_v, factor_report,
-                              full_confusion, jackknife_variance,
-                              normalize_tag_value, sample_size,
+                              full_confusion, normalize_tag_value,
+                              sample_size,
                               tag_agreement, weighted_sensitivity,
                               weighted_sensitivity_exact,
                               weighted_specificity)
@@ -419,13 +419,6 @@ class TestSharedResamplePass:
                                           resamples=150, seed=5,
                                           step_mm=8.0)
 
-    def test_plain_callable_metric_matches_count_metric(self):
-        studies = uneven_cohort(n=6)
-        plain = bootstrap_ci(studies, lambda cm: weighted_specificity(cm), 3,
-                             resamples=40, seed=2)
-        assert plain == bootstrap_ci(studies, weighted_specificity, 3,
-                                     resamples=40, seed=2)
-
     def test_undefined_tnr_logged_once_per_ci(self, caplog):
         # Ten studies hold only class a; in every resample that draws
         # neither of the two mixed studies, class a has no negatives.
@@ -442,19 +435,6 @@ class TestSharedResamplePass:
         assert lines == [f"TNR undefined, skipped: class a in {lone}/400 "
                          f"resamples"]
         assert ci.resamples == 400
-
-
-class TestJackknife:
-    def test_zero_for_identical_studies(self):
-        studies = [eval_study(f"S{i}", [0, 1], [0, 1]) for i in range(5)]
-        assert jackknife_variance(studies, weighted_sensitivity, 2) == \
-            pytest.approx(0.0)
-
-    def test_positive_for_heterogeneous(self):
-        studies = [eval_study("A", [0] * 10, [0] * 10),
-                   eval_study("B", [0] * 10, [1] * 10),
-                   eval_study("C", [0] * 10, [0] * 10)]
-        assert jackknife_variance(studies, weighted_sensitivity, 2) > 0
 
 
 class TestTagAgreement:
