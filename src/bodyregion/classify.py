@@ -77,8 +77,9 @@ def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
                 ) -> Tuple[Dict[str, np.ndarray], Tuple[BodyRegion, ...]]:
     """Read a score CSV: header `sop_uid,<class names>`, one row per image.
 
-    Vectors within 1e-6 of summing to 1 are renormalized; anything further
-    off raises NotNormalized. Duplicate sop_uids are data corruption.
+    Every entry must be finite and non-negative. Vectors within 1e-6 of
+    summing to 1 are renormalized; anything further off raises
+    NotNormalized. Duplicate sop_uids are data corruption.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -108,6 +109,9 @@ def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
                 vec = np.array([float(x) for x in row[1:]], dtype=np.float64)
             except ValueError:
                 raise SchemaError("non-numeric probability", line=lineno)
+            if not (np.isfinite(vec).all() and (vec >= 0).all()):
+                raise SchemaError("probabilities must be finite and "
+                                  "non-negative", line=lineno)
             total = float(vec.sum())
             if abs(total - 1.0) > _CSV_SUM_TOL:
                 raise NotNormalized(

@@ -212,9 +212,10 @@ def _collect_evals(studies, truth, label_by_sop, class_names):
                 keep_idx.append(i)
             if not t:
                 continue
-            geo = series_geometry(series)
-            positions = np.sort(geo.positions[keep_idx])
-            ev.series.append(EvalSeries(positions, t, p,
+            positions = series_geometry(series).positions[keep_idx]
+            order = np.argsort(positions, kind="stable")
+            ev.series.append(EvalSeries(positions[order], np.array(t)[order],
+                                        np.array(p)[order],
                                         series_uid=series.series_uid))
         if ev.series:
             evals[study.study_uid] = ev

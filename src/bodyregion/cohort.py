@@ -108,13 +108,6 @@ def _match_keyword(description: str, keywords: Iterable[str]) -> Optional[str]:
     return None
 
 
-def sequence_tags(description: str) -> set:
-    """All MRI sequence keywords found in a series description."""
-    toks = _tokens(description)
-    return {kw for kws in MRI_SEQUENCE_TYPES.values() for kw in kws
-            if _keyword_hit(toks, kw)}
-
-
 def mri_sequence_type(description: str) -> Optional[str]:
     """First matching sequence-type bucket, in table order."""
     toks = _tokens(description)
@@ -200,9 +193,7 @@ def apply_filters(studies: List[StudyRecord],
                 if idec.included:
                     kept_images.append(image)
             if kept_images:
-                kept_series.append(replace(
-                    series, images=kept_images,
-                    sequence_tags=set(series.sequence_tags)))
+                kept_series.append(replace(series, images=kept_images))
         if kept_series:
             kept_studies.append(replace(study, series=kept_series))
     return kept_studies, rows

@@ -2,8 +2,8 @@
 
 Reads Part-10 files (128-byte preamble + "DICM" + file meta group) and bare
 explicit/implicit VR little-endian datasets. Unknown elements are skipped by
-length, sequences are skipped wholesale, and the pixel data element is
-located but never decoded here (see pixels.decode_pixels).
+length, sequences are stepped over item by item, and the pixel data element
+is located but never decoded here (see pixels.decode_pixels).
 
 Every structural fault raises Malformed with the byte offset of the fault;
 no input byte string may crash the reader or trigger unbounded allocation.
@@ -42,6 +42,17 @@ _KNOWN_VRS = _LONG_VRS | {
     b"LO", b"LT", b"PN", b"SH", b"SL", b"SS", b"ST", b"TM", b"UI", b"UL",
     b"US",
 }
+_LONG_VR_NAMES = {vr.decode() for vr in _LONG_VRS}
+
+# Header layouts, little endian. Implicit VR, and every item or delimiter
+# header (group FFFE), is tag + 4-byte length; explicit VR is tag + VR +
+# 2-byte length, or tag + VR + 2 reserved + 4-byte length for the long VRs.
+_IMPLICIT_HEADER = struct.Struct("<HHI")
+_EXPLICIT_LAYOUTS = {vr: (vr.decode(), struct.Struct(
+    "<HH4xI" if vr in _LONG_VRS else "<HH2xH")) for vr in _KNOWN_VRS}
+_ITEM_GROUP = b"\xfe\xff"
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 TAG_PIXEL_DATA = (0x7FE0, 0x0010)
 TAG_ITEM = (0xFFFE, 0xE000)
@@ -81,6 +92,7 @@ TAG_TABLE = {
 }
 
 VR_BY_TAG = {tag: vr for tag, (_, vr) in TAG_TABLE.items()}
+_TAG_BY_KEYWORD = {kw: tag for tag, (kw, _) in TAG_TABLE.items()}
 
 
 @dataclass
@@ -98,113 +110,103 @@ class ElementRef:
         return self.value_start + self.value_length
 
 
-def _u16(data, pos):
-    return data[pos] | (data[pos + 1] << 8)
-
-
-def _u32(data, pos):
-    return struct.unpack_from("<I", data, pos)[0]
-
-
-def _read_header(data: bytes, pos: int, explicit: bool):
-    """Read one element header. Returns (ElementRef, next_header_pos)."""
-    n = len(data)
-    if pos + 8 > n:
+def _read_header(data: bytes, pos: int, explicit: bool) -> ElementRef:
+    """Read the element or item header at `pos`, in either VR encoding."""
+    if pos + 8 > len(data):
         raise Malformed("truncated element header", offset=pos)
-    tag = (_u16(data, pos), _u16(data, pos + 2))
-
-    # Item/delimiter tags always use the implicit 8-byte header.
-    if tag[0] == 0xFFFE:
-        length = _u32(data, pos + 4)
-        return ElementRef(tag, None, pos, pos + 8, length), pos + 8
-
-    if explicit:
+    if explicit and data[pos:pos + 2] != _ITEM_GROUP:
         vr = data[pos + 4:pos + 6]
-        if vr in _LONG_VRS:
-            if pos + 12 > n:
-                raise Malformed("truncated long-VR header", offset=pos)
-            length = _u32(data, pos + 8)
-            return ElementRef(tag, vr.decode(), pos, pos + 12, length), pos + 12
-        if vr in _KNOWN_VRS:
-            length = _u16(data, pos + 6)
-            return ElementRef(tag, vr.decode(), pos, pos + 8, length), pos + 8
-        raise Malformed(f"unknown VR {vr!r}", offset=pos + 4)
+        layout = _EXPLICIT_LAYOUTS.get(vr)
+        if layout is None:
+            raise Malformed(f"unknown VR {vr!r}", offset=pos + 4)
+        name, header = layout
+        if pos + header.size > len(data):
+            raise Malformed("truncated long-VR header", offset=pos)
+        group, element, length = header.unpack_from(data, pos)
+        return ElementRef((group, element), name, pos, pos + header.size,
+                          length)
+    group, element, length = _IMPLICIT_HEADER.unpack_from(data, pos)
+    return ElementRef((group, element), None, pos, pos + 8, length)
 
-    length = _u32(data, pos + 4)
-    return ElementRef(tag, None, pos, pos + 8, length), pos + 8
+
+def _opened(head: ElementRef, explicit: bool):
+    """What an undefined-length header opens: (in_item, explicit, fragments).
+
+    An item opens a nested dataset in the same encoding. A sequence opens a
+    list of items in the dataset's encoding, an undefined-length UN one in
+    implicit VR (PS3.5 6.2.2), and pixel data or any other VR a list of
+    defined-length fragments.
+    """
+    if head.tag == TAG_ITEM:
+        return True, explicit, False
+    if head.vr == "SQ" or (head.vr is None and head.tag != TAG_PIXEL_DATA):
+        return False, explicit, False
+    return False, False, head.vr != "UN"
 
 
-def _skip_undefined(data: bytes, pos: int, is_sequence: bool) -> int:
-    """Skip an undefined-length sequence or encapsulated pixel stream.
-
-    Returns the position just past the sequence delimitation item.
+def _skip_undefined(data: bytes, ref: ElementRef, explicit: bool) -> int:
+    """Step over the value of an undefined-length element: a list of items
+    closed by a sequence delimiter, where an undefined-length item is a
+    dataset closed by an item delimiter. Returns the position just past
+    the element's sequence delimiter.
     """
     n = len(data)
-    depth = 0
+    # Open containers, innermost last: (in_item, explicit, fragments).
+    stack = [_opened(ref, explicit)]
+    pos = ref.value_start
     while True:
         if pos + 8 > n:
             raise Malformed("unterminated undefined-length element", offset=pos)
-        tag = (_u16(data, pos), _u16(data, pos + 2))
-        length = _u32(data, pos + 4)
-        pos += 8
-        if tag == TAG_SEQ_DELIM:
-            if depth == 0:
-                return pos
-            depth -= 1
-        elif tag == TAG_ITEM:
-            if length == UNDEFINED_LENGTH:
-                if not is_sequence:
-                    raise Malformed("undefined-length fragment", offset=pos - 8)
-                # Items of undefined length only occur inside sequences;
-                # their contents are nested datasets. Walk byte-wise for
-                # the matching delimiter rather than reparsing.
-                depth += 1
-            else:
-                if length > n - pos:
-                    raise Malformed("item length past end of data", offset=pos - 8)
-                pos += length
-        elif tag == TAG_ITEM_DELIM:
-            if depth == 0:
-                raise Malformed("unexpected item delimiter", offset=pos - 8)
-            depth -= 1
+        in_item, enc, fragments = stack[-1]
+        # A list holds only item and delimiter headers, read as implicit.
+        head = _read_header(data, pos, in_item and enc)
+        tag = head.tag
+        if tag == TAG_ITEM_DELIM or tag == TAG_SEQ_DELIM:
+            if (tag == TAG_ITEM_DELIM) != in_item:
+                kind = "sequence" if in_item else "item"
+                raise Malformed(f"unexpected {kind} delimiter", offset=pos)
+            stack.pop()
+            if not stack:
+                return head.value_start
+            pos = head.value_start
+        elif (tag == TAG_ITEM) == in_item:
+            raise Malformed("unexpected tag in undefined-length element",
+                            offset=pos)
+        elif head.value_length == UNDEFINED_LENGTH:
+            if fragments:
+                raise Malformed("undefined-length fragment", offset=pos)
+            stack.append(_opened(head, enc))
+            pos = head.value_start
+        elif head.value_length > n - head.value_start:
+            raise Malformed("value length past end of data", offset=pos)
         else:
-            if depth == 0:
-                raise Malformed("unexpected tag in undefined-length element",
-                                offset=pos - 8)
-            if length == UNDEFINED_LENGTH:
-                raise Malformed("nested undefined length too deep", offset=pos - 8)
-            if length > n - pos:
-                raise Malformed("element length past end of data", offset=pos - 8)
-            pos += length
+            pos = head.value_end
 
 
 def iter_elements(data: bytes, start: int, explicit: bool,
                   stop_before_group: Optional[int] = None) -> Iterator[ElementRef]:
     """Iterate top-level data elements from `start` to the end of `data`.
 
-    Undefined-length elements (sequences, encapsulated pixel data) are
-    yielded with value_length == UNDEFINED_LENGTH and their true byte span
-    recorded in ref.value_start..skip position via the generator's skipping.
+    An undefined-length element (a sequence or encapsulated pixel data) is
+    yielded with value_length == UNDEFINED_LENGTH after its value has been
+    stepped over; the walk resumes past its sequence delimiter.
     """
+    stop = stop_before_group is not None and _U16.pack(stop_before_group)
     pos = start
     n = len(data)
     while pos < n:
         if n - pos < 8:
             raise Malformed("trailing garbage shorter than an element", offset=pos)
-        group = _u16(data, pos)
-        if stop_before_group is not None and group != stop_before_group:
+        if stop and data[pos:pos + 2] != stop:
             return
-        ref, body = _read_header(data, pos, explicit)
+        ref = _read_header(data, pos, explicit)
         if ref.value_length == UNDEFINED_LENGTH:
-            is_seq = ref.vr == "SQ" or (ref.vr is None and ref.tag != TAG_PIXEL_DATA)
-            end = _skip_undefined(data, body, is_sequence=is_seq)
-            yield ref
-            pos = end
+            pos = _skip_undefined(data, ref, explicit)
+        elif ref.value_length > n - ref.value_start:
+            raise Malformed("element length past end of file", offset=pos)
         else:
-            if ref.value_length > n - body:
-                raise Malformed("element length past end of file", offset=pos)
-            yield ref
-            pos = body + ref.value_length
+            pos = ref.value_end
+        yield ref
 
 
 def _decode_string(raw: bytes) -> str:
@@ -218,11 +220,11 @@ def _decode_value(vr: str, raw: bytes, offset: int):
     if vr == "US":
         if len(raw) < 2:
             raise Malformed("US value shorter than 2 bytes", offset=offset)
-        return _u16(raw, 0)
+        return _U16.unpack_from(raw)[0]
     if vr == "UL":
         if len(raw) < 4:
             raise Malformed("UL value shorter than 4 bytes", offset=offset)
-        return _u32(raw, 0)
+        return _U32.unpack_from(raw)[0]
     if vr in ("DS", "IS"):
         text = _decode_string(raw)
         if not text:
@@ -257,7 +259,6 @@ class ParsedFile:
     image: ImageRecord
     series_attrs: dict = field(default_factory=dict)
     study_attrs: dict = field(default_factory=dict)
-    transfer_syntax: str = ""
     explicit: bool = True
     dataset_start: int = 0
 
@@ -291,8 +292,8 @@ def _find_dataset_start(data: bytes):
     tsuid = EXPLICIT_VR_LE if explicit else IMPLICIT_VR_LE
     # Sanity: the first tag must look like a plausible group number,
     # otherwise reject early with a clear error (bad magic).
-    group = _u16(data, 0)
-    if group in (0x0000,) or group > 0x7FE0:
+    group = _read_header(data, 0, explicit=False).tag[0]
+    if group == 0x0000 or group > 0x7FE0:
         raise Malformed("not a DICOM file (no DICM magic, implausible first tag)",
                         offset=0)
     return 0, explicit, tsuid
@@ -401,7 +402,7 @@ def parse_dicom(data: bytes, source_path: Optional[str] = None) -> ParsedFile:
         "procedure_description": as_str("StudyDescription") or None,
     }
     return ParsedFile(image=image, series_attrs=series_attrs,
-                      study_attrs=study_attrs, transfer_syntax=tsuid,
+                      study_attrs=study_attrs,
                       explicit=explicit, dataset_start=start)
 
 
@@ -440,7 +441,7 @@ def encode_element(tag: tuple, vr: str, value, explicit: bool = True) -> bytes:
     raw = _encode_value(vr, value)
     head = struct.pack("<HH", tag[0], tag[1])
     if explicit:
-        if vr in {v.decode() for v in _LONG_VRS}:
+        if vr in _LONG_VR_NAMES:
             return head + vr.encode() + b"\x00\x00" + struct.pack("<I", len(raw)) + raw
         return head + vr.encode() + struct.pack("<H", len(raw)) + raw
     return head + struct.pack("<I", len(raw)) + raw
@@ -456,12 +457,11 @@ def build_dicom(dataset: dict, transfer_syntax: str = EXPLICIT_VR_LE,
     (7FE0,0010) value; `encapsulated` wraps it in a single-fragment item
     stream (used for RLE).
     """
-    keyword_to_tag = {kw: tag for tag, (kw, _) in TAG_TABLE.items()}
     elements = []
     for keyword, value in dataset.items():
         if value is None:
             continue
-        tag = keyword_to_tag[keyword]
+        tag = _TAG_BY_KEYWORD[keyword]
         if tag[0] == 0x0002:
             continue
         elements.append((tag, VR_BY_TAG[tag], value))

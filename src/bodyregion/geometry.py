@@ -46,7 +46,6 @@ class BoundingBox3D:
 class SliceGeometry:
     normal: tuple                 # unit 3-vector
     positions: np.ndarray         # mm along normal, one per image (series order)
-    spacing: Optional[float]      # median successive gap, None if <2 distinct
 
 
 def slice_normal(orientation: Sequence[float]) -> np.ndarray:
@@ -70,7 +69,7 @@ def axial_angle(orientation: Sequence[float]) -> float:
 
 
 def series_geometry(series: SeriesRecord) -> SliceGeometry:
-    """Normal, per-image positions along it, and the median slice gap.
+    """Normal and per-image positions along it.
 
     Missing orientation with present positions assumes the axial identity
     (common in legacy CT) and logs a warning. Missing positions fall back
@@ -95,10 +94,7 @@ def series_geometry(series: SeriesRecord) -> SliceGeometry:
             raise MissingGeometry(
                 f"series {series.series_uid}: no positions and no slice thickness")
         positions = np.arange(len(series.images), dtype=float) * step
-
-    distinct = np.unique(positions)
-    spacing = float(np.median(np.diff(distinct))) if distinct.size >= 2 else None
-    return SliceGeometry(normal=tuple(normal), positions=positions, spacing=spacing)
+    return SliceGeometry(normal=tuple(normal), positions=positions)
 
 
 def sort_series_images(series: SeriesRecord) -> None:

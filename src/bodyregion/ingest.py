@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from .cohort import sequence_tags
 from .dicomio import parse_dicom
 from .errors import BodyRegionError, SchemaError
 from .geometry import sort_series_images
@@ -36,9 +35,9 @@ class SkipReport:
 def _merge_attrs(target, attrs: dict) -> None:
     """First-wins merge of per-file attributes onto a series/study record."""
     for key, value in attrs.items():
-        if value in (None, "", set()):
+        if value in (None, ""):
             continue
-        if getattr(target, key, None) in (None, "", set(), "other"):
+        if getattr(target, key, None) in (None, "", "other"):
             setattr(target, key, value)
 
 
@@ -88,7 +87,6 @@ def ingest_tree(path) -> Tuple[List[StudyRecord], SkipReport]:
         study = studies[study_uid]
         study.series.sort(key=lambda s: s.series_uid)
         for series in study.series:
-            series.sequence_tags = sequence_tags(series.series_description)
             sort_series_images(series)
         result.append(study)
     return result, skipped
@@ -119,6 +117,14 @@ def write_metadata_ndjson(studies: List[StudyRecord], path) -> None:
                     fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _optional_float(row: dict, key: str, lineno: int):
+    value = row.get(key)
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{key} must be a number, got {value!r}", line=lineno)
+
+
 def read_metadata_ndjson(path) -> List[StudyRecord]:
     """Rebuild the record hierarchy from an NDJSON sidecar (pixels absent)."""
     studies: dict = {}
@@ -144,7 +150,7 @@ def read_metadata_ndjson(path) -> List[StudyRecord]:
                 study = studies[study_uid] = StudyRecord(
                     study_uid=study_uid,
                     patient_id=row.get("patient_id") or "",
-                    patient_age=row.get("patient_age"),
+                    patient_age=_optional_float(row, "patient_age", lineno),
                     patient_sex=row.get("patient_sex"),
                     manufacturer=row.get("manufacturer"),
                     institution=row.get("institution"),
@@ -158,10 +164,10 @@ def read_metadata_ndjson(path) -> List[StudyRecord]:
                     modality=row.get("modality") or "other",
                     series_description=row.get("series_description") or "",
                     frame_of_reference_uid=row.get("frame_of_reference_uid"),
-                    slice_thickness=row.get("slice_thickness"),
+                    slice_thickness=_optional_float(row, "slice_thickness",
+                                                    lineno),
                     convolution_kernel=row.get("convolution_kernel"),
                     contrast_agent=row.get("contrast_agent"))
-                series.sequence_tags = sequence_tags(series.series_description)
                 study.series.append(series)
 
             def _vec(key, length):

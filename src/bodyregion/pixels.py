@@ -26,21 +26,17 @@ def _unwrap_fragments(raw: bytes) -> bytes:
     pos = 0
     n = len(raw)
     fragments = []
-    first = True
     while pos + 8 <= n:
-        group, elem, length = struct.unpack_from("<HHI", raw, pos)
-        pos += 8
-        if (group, elem) == dicomio.TAG_SEQ_DELIM:
+        item = dicomio._read_header(raw, pos, explicit=False)
+        if item.tag == dicomio.TAG_SEQ_DELIM:
             break
-        if (group, elem) != dicomio.TAG_ITEM:
-            raise Malformed("unexpected tag in pixel fragment stream", offset=pos - 8)
-        if length > n - pos:
-            raise Malformed("fragment length past end of data", offset=pos - 8)
-        if not first:
-            fragments.append(raw[pos:pos + length])
-        first = False
-        pos += length
-    return b"".join(fragments)
+        if item.tag != dicomio.TAG_ITEM:
+            raise Malformed("unexpected tag in pixel fragment stream", offset=pos)
+        if item.value_length > n - item.value_start:
+            raise Malformed("fragment length past end of data", offset=pos)
+        fragments.append(raw[item.value_start:item.value_end])
+        pos = item.value_end
+    return b"".join(fragments[1:])
 
 
 def _decode_rle_frame(frame: bytes, rows: int, cols: int, bits_allocated: int):
@@ -92,7 +88,8 @@ def decode_pixels(image: ImageRecord, raw: bytes) -> np.ndarray:
 
     if ts == dicomio.RLE_LOSSLESS:
         frame = raw
-        if len(raw) >= 8 and struct.unpack_from("<HH", raw, 0) == dicomio.TAG_ITEM:
+        if (len(raw) >= 8 and dicomio._read_header(raw, 0, explicit=False).tag
+                == dicomio.TAG_ITEM):
             frame = _unwrap_fragments(raw)
         matrix = _decode_rle_frame(frame, rows, cols, image.bits_allocated)
     else:

@@ -67,7 +67,6 @@ class SeriesRecord:
     slice_thickness: Optional[float] = None
     convolution_kernel: Optional[str] = None
     contrast_agent: Optional[str] = None
-    sequence_tags: set = field(default_factory=set)
     images: list = field(default_factory=list)  # ordered ImageRecord list
 
     def __len__(self):

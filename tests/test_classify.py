@@ -93,6 +93,15 @@ class TestScoreFile:
         with pytest.raises(SchemaError):
             load_scores(path)
 
+    @pytest.mark.parametrize("row", ["1.2,nan,0.5", "1.2,inf,0.0",
+                                     "1.2,-0.5,1.5"])
+    def test_non_finite_or_negative_names_its_line(self, tmp_path, row):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"sop_uid,Abdomen,Chest\n1.1,0.5,0.5\n{row}\n")
+        with pytest.raises(SchemaError) as err:
+            load_scores(path)
+        assert err.value.line == 3
+
 
 class TestCentroidBaseline:
     def _training_set(self):

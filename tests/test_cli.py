@@ -7,13 +7,17 @@ import inspect
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from bodyregion import cli
 from bodyregion.cli import build_parser, main
 from bodyregion.dicomio import EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1, encode_element
 from bodyregion.phantom import (PhantomSpec, RegionSpec, generate_phantom)
-from bodyregion.taxonomy import BodyRegion
+from bodyregion.stats import bootstrap_counts
+from bodyregion.taxonomy import FINAL_REGIONS, BodyRegion
+
+from conftest import make_series, make_study
 
 # sha256 of the pipeline_dirs phantom's scores.csv. Changes to how classify
 # decodes, preprocesses and reduces images must keep it byte-identical.
@@ -287,6 +291,37 @@ class TestExitCodes:
 
     def test_sample_size_invalid(self, capsys):
         assert main(["sample-size", "--accuracy", "1.5"]) == 2
+
+
+class TestCollectEvals:
+    # Truth by slice position; the classifier errs only at z = 0.
+    TRUTH = {0.0: BodyRegion.CHEST, 5.0: BodyRegion.CHEST,
+             10.0: BodyRegion.NECK, 15.0: BodyRegion.NECK,
+             20.0: BodyRegion.HEAD, 25.0: BodyRegion.HEAD}
+
+    def _counts(self, zs):
+        series = make_series(zs=zs)
+        truth, labels = {}, {}
+        for image in series.images:
+            z = image.image_position_patient[2]
+            truth[image.sop_uid] = self.TRUTH[z]
+            labels[image.sop_uid] = ("Abdomen" if z == 0.0
+                                     else self.TRUTH[z].value)
+        class_names = [r.value for r in FINAL_REGIONS]
+        evals = cli._collect_evals([make_study(series=[series])], truth,
+                                   labels, class_names)
+        [ev] = evals.values()
+        return ev.series[0], bootstrap_counts([ev], len(class_names),
+                                              resamples=40, seed=0)
+
+    def test_descending_series_keeps_labels_with_positions(self):
+        zs = sorted(self.TRUTH)
+        asc, asc_counts = self._counts(zs)
+        desc, desc_counts = self._counts(zs[::-1])
+        assert list(desc.positions) == zs
+        assert list(desc.truth) == list(asc.truth)
+        assert list(desc.pred) == list(asc.pred)
+        assert np.array_equal(desc_counts, asc_counts)
 
 
 def test_every_flag_is_read_by_its_handler():

@@ -9,7 +9,7 @@ import pytest
 from bodyregion.cohort import (FilterReason, Split, apply_filters,
                                audit_sample, dedupe_patients, filter_image,
                                filter_series, mri_sequence_type,
-                               partition_patients, sequence_tags)
+                               partition_patients)
 from bodyregion.errors import EmptyCohort, InvalidParams
 from bodyregion.taxonomy import BodyRegion
 
@@ -119,7 +119,7 @@ class TestApplyFilters:
 
     def test_kept_records_keep_every_field(self):
         series = make_series(slice_thickness=2.5, convolution_kernel="B30f",
-                             contrast_agent="IODINE", sequence_tags={"T1"})
+                             contrast_agent="IODINE")
         series.images[1].bits_stored = 8
         study = make_study(series=[series], patient_age=40.0, patient_sex="F",
                            manufacturer="ACME", institution="H1",
@@ -129,7 +129,6 @@ class TestApplyFilters:
         kept_series = kept[0].series[0]
         assert kept_series.images == [series.images[0], series.images[2]]
         assert kept_series == replace(series, images=kept_series.images)
-        assert kept_series.sequence_tags is not series.sequence_tags
         assert kept[0] == replace(study, series=[kept_series])
 
     def test_originals_not_mutated(self):
@@ -141,10 +140,6 @@ class TestApplyFilters:
 
 
 class TestSequenceTags:
-    def test_tags_found(self):
-        assert "T1" in sequence_tags("AX T1 FSE")
-        assert "FSE" in sequence_tags("AX T1 FSE")
-
     def test_bucket_order(self):
         assert mri_sequence_type("ax T2 FSE") == "Image weighting"
         assert mri_sequence_type("ax flair") == "Inversion recovery"

@@ -1,6 +1,7 @@
 """DICOM parser/writer: round trips, VR handling, and malformed inputs."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bodyregion.dicomio import (EXPLICIT_VR_LE, IMPLICIT_VR_LE, RLE_LOSSLESS,
                                 _parse_age, build_dicom, encode_element,
                                 iter_elements, parse_dicom)
 from bodyregion.errors import Malformed
+from bodyregion.ingest import ingest_tree
 
 from conftest import AXIAL, make_dicom
 
@@ -17,7 +19,7 @@ class TestParseRoundTrip:
     def test_explicit_vr_metadata(self):
         pixels = np.arange(64, dtype="<u2")
         parsed = parse_dicom(make_dicom(pixels=pixels))
-        assert parsed.transfer_syntax == EXPLICIT_VR_LE
+        assert parsed.image.transfer_syntax_uid == EXPLICIT_VR_LE
         assert parsed.explicit
         im = parsed.image
         assert im.sop_uid == "1.2.3.4.1"
@@ -58,7 +60,7 @@ class TestParseRoundTrip:
         data = make_dicom(pixels=b"\x01\x02\x03\x04",
                           transfer_syntax=RLE_LOSSLESS, encapsulated=True)
         parsed = parse_dicom(data)
-        assert parsed.transfer_syntax == RLE_LOSSLESS
+        assert parsed.image.transfer_syntax_uid == RLE_LOSSLESS
         assert parsed.image.pixel_data_offset is not None
 
     def test_unknown_tags_are_skipped(self):
@@ -127,20 +129,115 @@ class TestWriter:
         assert make_dicom() == make_dicom()
 
 
+UNDEFINED = 0xFFFFFFFF
+ITEM_DELIM = struct.pack("<HHI", 0xFFFE, 0xE00D, 0)
+SEQ_DELIM = struct.pack("<HHI", 0xFFFE, 0xE0DD, 0)
+REF_UID = (0x0008, 0x1150)  # ReferencedSOPClassUID, absent from TAG_TABLE
+
+
+def item(body=b"", defined=False):
+    length = len(body) if defined else UNDEFINED
+    return (struct.pack("<HHI", 0xFFFE, 0xE000, length) + body
+            + (b"" if defined else ITEM_DELIM))
+
+
+def sequence(tag, items, vr=b"SQ", defined=False, explicit=True):
+    """An element whose value is `items`, undefined length unless `defined`."""
+    head = struct.pack("<HH", *tag) + (vr + b"\x00\x00" if explicit else b"")
+    length = len(items) if defined else UNDEFINED
+    return head + struct.pack("<I", length) + items + (b"" if defined else SEQ_DELIM)
+
+
+def ref_uid(explicit=True):
+    return encode_element(REF_UID, "UI", "1.2.840.10008.5.1.4.1.1.2", explicit)
+
+
+def with_element(element, **kwargs):
+    """make_dicom(**kwargs) with `element` spliced in at its tag's place."""
+    data = make_dicom(pixels=np.arange(64, dtype="<u2"), **kwargs)
+    parsed = parse_dicom(data)
+    tag = struct.unpack_from("<HH", element)
+    for ref in iter_elements(data, parsed.dataset_start, parsed.explicit):
+        if ref.tag > tag:
+            cut = ref.element_start
+            return data, data[:cut] + element + data[cut:]
+    raise AssertionError("no element after the insertion point")
+
+
+def assert_same_metadata(data, nested):
+    """Both parse alike; only the pixel data offset may move."""
+    a, b = parse_dicom(data), parse_dicom(nested)
+    assert b.image.pixel_data_offset - a.image.pixel_data_offset == (
+        len(nested) - len(data))
+    assert replace(b.image, pixel_data_offset=0) == replace(
+        a.image, pixel_data_offset=0)
+    assert (b.series_attrs, b.study_attrs) == (a.series_attrs, a.study_attrs)
+    assert (b.explicit, b.dataset_start) == (a.explicit, a.dataset_start)
+
+
+EXPLICIT_NESTED = {
+    "undefined_item_with_content":
+        sequence((0x0008, 0x1140), item(ref_uid())),
+    "defined_sq_in_undefined_item":
+        sequence((0x0008, 0x1140), item(
+            sequence((0x0008, 0x1199), item(ref_uid(), defined=True),
+                     defined=True))),
+    "undefined_sq_in_undefined_item":
+        sequence((0x0008, 0x1140), item(
+            sequence((0x0008, 0x1199), item(ref_uid()) + item()))),
+    "undefined_un_with_implicit_content":
+        sequence((0x0009, 0x1010), item(ref_uid(explicit=False)), vr=b"UN"),
+    "empty_undefined_item":
+        sequence((0x0008, 0x1140), item()),
+    "empty_defined_item":
+        sequence((0x0008, 0x1140), item(defined=True)),
+}
+
+
 class TestUndefinedLengthSkipping:
+    @pytest.mark.parametrize("case", sorted(EXPLICIT_NESTED))
+    def test_explicit_nested_content_is_stepped_over(self, case):
+        assert_same_metadata(*with_element(EXPLICIT_NESTED[case]))
+
+    def test_implicit_nested_content_is_stepped_over(self):
+        seq = sequence((0x0008, 0x1140),
+                       item(ref_uid(explicit=False)) + item(), explicit=False)
+        assert_same_metadata(*with_element(seq, transfer_syntax=IMPLICIT_VR_LE))
+
     def test_sequence_with_undefined_length(self):
-        # (0008,1140) SQ undefined length, one empty item, then delimiter.
-        seq = (struct.pack("<HH", 0x0008, 0x1140) + b"SQ\x00\x00"
-               + struct.pack("<I", 0xFFFFFFFF)
-               + struct.pack("<HHI", 0xFFFE, 0xE000, 0)
-               + struct.pack("<HHI", 0xFFFE, 0xE0DD, 0))
-        data = seq + make_dicom(preamble=False)
+        data = sequence((0x0008, 0x1140), item()) + make_dicom(preamble=False)
         parsed = parse_dicom(data)
         assert parsed.image.sop_uid == "1.2.3.4.1"
 
+    def test_nested_file_is_ingested_not_skipped(self, tmp_path):
+        _, nested = with_element(
+            EXPLICIT_NESTED["undefined_sq_in_undefined_item"])
+        (tmp_path / "nested.dcm").write_bytes(nested)
+        studies, skipped = ingest_tree(tmp_path)
+        assert len(skipped) == 0
+        [image] = studies[0].series[0].images
+        assert image.sop_uid == "1.2.3.4.1"
+
     def test_unterminated_sequence_is_malformed(self):
         seq = (struct.pack("<HH", 0x0008, 0x1140) + b"SQ\x00\x00"
-               + struct.pack("<I", 0xFFFFFFFF)
+               + struct.pack("<I", UNDEFINED)
                + struct.pack("<HHI", 0xFFFE, 0xE000, 0))
         with pytest.raises(Malformed):
             parse_dicom(seq)
+
+    @pytest.mark.parametrize("body,fault", [
+        # The item holds an element but no item delimiter.
+        (item(ref_uid())[:-8] + SEQ_DELIM, 12 + 8 + 34),
+        # An item delimiter directly inside the sequence.
+        (ITEM_DELIM + SEQ_DELIM, 12),
+        # A nested OB header cut after 10 of its 12 bytes.
+        (struct.pack("<HHI", 0xFFFE, 0xE000, UNDEFINED)
+         + struct.pack("<HH", 0x0009, 0x0010) + b"OB\x00\x00\x00\x00", 12 + 8),
+    ], ids=["unterminated_item", "item_delimiter_at_depth_0",
+            "truncated_nested_header"])
+    def test_nested_faults_are_malformed_with_offset(self, body, fault):
+        head = struct.pack("<HH", 0x0008, 0x1140) + b"SQ\x00\x00"
+        data = head + struct.pack("<I", UNDEFINED) + body
+        with pytest.raises(Malformed) as err:
+            parse_dicom(data)
+        assert err.value.offset == fault

@@ -58,7 +58,6 @@ class TestSeriesGeometry:
         series = make_series(zs=(0.0, 2.0, 4.0))
         geo = series_geometry(series)
         assert np.allclose(geo.positions, [0, 2, 4])
-        assert geo.spacing == pytest.approx(2.0)
 
     def test_missing_orientation_assumes_axial(self):
         series = make_series(zs=(0.0, 3.0))

@@ -130,6 +130,24 @@ class TestNdjsonSchema:
         with pytest.raises(SchemaError):
             read_metadata_ndjson(path)
 
+    @pytest.mark.parametrize("key", ["patient_age", "slice_thickness"])
+    def test_numeric_text_becomes_float(self, tmp_path, key):
+        row = {"sop_uid": "1", "series_uid": "2", "study_uid": "3", key: "45"}
+        [study] = read_metadata_ndjson(self._write(tmp_path, [json.dumps(row)]))
+        record = study if key == "patient_age" else study.series[0]
+        value = getattr(record, key)
+        assert value == 45.0 and isinstance(value, float)
+
+    @pytest.mark.parametrize("key", ["patient_age", "slice_thickness"])
+    @pytest.mark.parametrize("value", ["old", [45], {"y": 45}])
+    def test_non_numeric_names_its_line(self, tmp_path, key, value):
+        good = {"sop_uid": "1", "series_uid": "2", "study_uid": "3"}
+        bad = {"sop_uid": "4", "series_uid": "5", "study_uid": "6", key: value}
+        path = self._write(tmp_path, [json.dumps(good), json.dumps(bad)])
+        with pytest.raises(SchemaError) as err:
+            read_metadata_ndjson(path)
+        assert err.value.line == 2
+
     def test_blank_lines_skipped(self, tmp_path):
         row = json.dumps({"sop_uid": "1", "series_uid": "2", "study_uid": "3"})
         path = self._write(tmp_path, [row, "", row.replace('"1"', '"4"')])
