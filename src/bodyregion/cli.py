@@ -251,10 +251,13 @@ def cmd_evaluate(args):
 
     os.makedirs(args.out, exist_ok=True)
     k = len(class_names)
+    # Every resample pass of this run shares the seed's streams, so each
+    # stream is built once per run.
+    streams = stats_mod.ResampleStreams(cfg.seed)
     rows = report_mod.region_rows(units, class_names,
                                   resamples=cfg.bootstrap_resamples,
                                   level=cfg.ci_level, seed=cfg.seed,
-                                  step_mm=cfg.step_mm)
+                                  step_mm=cfg.step_mm, streams=streams)
     report_mod.emit_region_report(rows, os.path.join(args.out, "by_region.csv"))
 
     factor_reports = []
@@ -262,7 +265,7 @@ def cmd_evaluate(args):
         fr = stats_mod.factor_report(studies, evals, factor, k, class_names,
                                      resamples=cfg.bootstrap_resamples,
                                      level=cfg.ci_level, seed=cfg.seed,
-                                     step_mm=cfg.step_mm)
+                                     step_mm=cfg.step_mm, streams=streams)
         factor_reports.append(fr)
         report_mod.emit_factor_report(
             fr, os.path.join(args.out, f"by_{factor}.csv"))

@@ -104,6 +104,9 @@ class ElementRef:
     element_start: int
     value_start: int
     value_length: int  # UNDEFINED_LENGTH for encapsulated/undefined
+    # Position just past the element, its delimiters included; set by
+    # iter_elements, which has stepped over an undefined-length value.
+    end: Optional[int] = None
 
     @property
     def value_end(self) -> int:
@@ -189,7 +192,8 @@ def iter_elements(data: bytes, start: int, explicit: bool,
 
     An undefined-length element (a sequence or encapsulated pixel data) is
     yielded with value_length == UNDEFINED_LENGTH after its value has been
-    stepped over; the walk resumes past its sequence delimiter.
+    stepped over; the walk resumes past its sequence delimiter. Each
+    yielded element's `end` is where the walk resumes.
     """
     stop = stop_before_group is not None and _U16.pack(stop_before_group)
     pos = start
@@ -206,6 +210,7 @@ def iter_elements(data: bytes, start: int, explicit: bool,
             raise Malformed("element length past end of file", offset=pos)
         else:
             pos = ref.value_end
+        ref.end = pos
         yield ref
 
 
@@ -280,7 +285,7 @@ def _find_dataset_start(data: bytes):
         for ref in iter_elements(data, pos, explicit=True, stop_before_group=0x0002):
             if ref.tag == (0x0002, 0x0010):
                 tsuid = _decode_string(data[ref.value_start:ref.value_end])
-            last = ref.value_end if ref.value_length != UNDEFINED_LENGTH else last
+            last = ref.end
         if not tsuid:
             raise Malformed("file meta group missing TransferSyntaxUID", offset=pos)
         explicit = tsuid != IMPLICIT_VR_LE

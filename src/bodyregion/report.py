@@ -17,8 +17,9 @@ import numpy as np
 from .dicomio import ParsedFile, encode_element, iter_elements, parse_dicom
 from .errors import BodyRegionError
 from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
-                    bootstrap_counts, ci_from_counts, full_confusion,
-                    ratio_or_nan, weighted_sensitivity, weighted_specificity)
+                    ResampleStreams, bootstrap_counts, ci_from_counts,
+                    full_confusion, ratio_or_nan, weighted_sensitivity,
+                    weighted_specificity)
 # Kept importable from this module: callers resolve it through here.
 from .stats import bootstrap_ci  # noqa: F401
 from .taxonomy import CANONICAL_TAG_STRINGS, BodyRegion
@@ -59,15 +60,17 @@ def class_specificity(idx: int) -> CountMetric:
 def region_rows(evals: Sequence[EvalStudy], class_names: Sequence[str],
                 resamples: int = 1000, level: float = 0.95, seed: int = 0,
                 step_mm: float = 10.0,
-                min_count: int = MIN_REGION_COUNT) -> List[RegionRow]:
+                min_count: int = MIN_REGION_COUNT,
+                streams: Optional[ResampleStreams] = None) -> List[RegionRow]:
     """Overall row plus one row per region with bootstrap CIs.
 
-    Every CI is read from one resample pass over `evals`, so each equals
+    Every CI is read from one resample pass over `evals`, drawn from
+    `streams` (see `bootstrap_counts`), so each equals
     `bootstrap_ci(evals, metric, ...)` with the same arguments.
     """
     k = len(class_names)
     cm = full_confusion(evals, k, class_names)
-    counts = bootstrap_counts(evals, k, resamples, seed, step_mm)
+    counts = bootstrap_counts(evals, k, resamples, seed, step_mm, streams)
 
     def ci(metric) -> CIResult:
         return ci_from_counts(counts, metric, class_names, level, seed)

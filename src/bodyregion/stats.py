@@ -9,12 +9,17 @@ order and bit-reproducible for a fixed seed.
 
 Each unit set is resampled once: `bootstrap_counts` returns the pooled
 (R, K, K) count tensor, and every CI of that unit set is read from it by
-`ci_from_counts`. Each metric is a `CountMetric`, implemented once over
-(..., K, K) counts, so a point estimate is the one-matrix case of the same
-code. The floats are exact: a ratio of int64 counts below 2^53 divides with
-correct rounding, and weighted specificity sums its per-class rationals on
-one common denominator in Python ints before a single int / int division,
-which CPython rounds correctly; each equals float() of its Fraction.
+`ci_from_counts`. Resample i always draws from the `default_rng([seed, i])`
+stream. The passes of one evaluate run share a `ResampleStreams`, which
+builds each stream once and restores it from its start state for every
+later pass, so the draws, and the CIs, are those of a new generator. Each
+metric is a `CountMetric`, implemented once over (..., K, K) counts, so a
+point estimate is the one-matrix case of the same code. The floats are
+exact: a ratio of int64 counts below 2^53 divides with correct rounding,
+and weighted specificity sums its per-class rationals on one common
+denominator in Python ints before a single int / int division, which
+CPython rounds correctly; each equals float() of its Fraction. It does so
+once per distinct row of a tensor, as resamples repeat rows.
 """
 
 from __future__ import annotations
@@ -159,11 +164,21 @@ def weighted_specificity(counts: np.ndarray) -> np.ndarray:
     keep = (support > 0) & (negatives > 0)
     weight = np.where(keep, support, 0)
     negatives = np.where(keep, negatives, 1)
-    # Row by row, so only K Python ints per row are alive at a time.
-    out = np.array([_exact_weighted_ratio(w.tolist(), t.tolist(), g.tolist())
-                    for w, t, g in zip(weight, tn, negatives)],
-                   dtype=np.float64)
-    return out.reshape(counts.shape[:-2])
+    # A class with zero weight in every row has g = 1 there and adds no
+    # term, so dropping it is exact. Resamples repeat rows, so each distinct
+    # (w, t, g) row is summed once, row by row so that only its Python ints
+    # are alive at a time.
+    used = weight.any(axis=0)
+    m = int(used.sum())
+    rows, inverse = np.unique(
+        np.concatenate([weight[:, used], tn[:, used], negatives[:, used]],
+                       axis=1),
+        axis=0, return_inverse=True)
+    values = np.empty(len(rows))
+    for j, row in enumerate(rows):
+        row = row.tolist()
+        values[j] = _exact_weighted_ratio(row[:m], row[m:2 * m], row[2 * m:])
+    return values[inverse.reshape(-1)].reshape(counts.shape[:-2])
 
 
 def _log_undefined_tnr(counts: np.ndarray, class_names: Sequence[str]) -> None:
@@ -376,19 +391,61 @@ def full_confusion(studies: Sequence[EvalStudy], k: int,
 _GATHER_ELEMENTS = 1 << 15
 
 
+class ResampleStreams:
+    """The random streams of one bootstrap seed, each built once.
+
+    Resample i draws from `default_rng([seed, i])`. The first request for
+    stream i builds that generator and keeps its PCG64 start state (two
+    ints); every later request restores the state into one reused
+    generator, which yields the same draws for a fraction of the cost of
+    building a new one. One object serves every `bootstrap_counts` pass of
+    a run; it holds only R pairs of ints and dies with the run.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._starts: List[Tuple[int, int]] = []
+        self._bit_generator = np.random.PCG64()
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def generator(self, i: int) -> np.random.Generator:
+        """A generator at the start of stream `[seed, i]`, valid until the
+        next call (a restored stream reuses one generator)."""
+        if i < len(self._starts):
+            state, inc = self._starts[i]
+            self._bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+            return self._generator
+        rng = np.random.default_rng([self.seed, i])
+        if i == len(self._starts):
+            start = rng.bit_generator.state["state"]
+            self._starts.append((start["state"], start["inc"]))
+        return rng
+
+
 def bootstrap_counts(studies: Sequence[EvalStudy], k: int,
                      resamples: int = 1000, seed: int = 0,
-                     step_mm: float = 10.0) -> np.ndarray:
+                     step_mm: float = 10.0,
+                     streams: Optional[ResampleStreams] = None) -> np.ndarray:
     """Pooled confusion counts of every bootstrap resample, shape (R, K, K).
 
     Resample i uses its own stream `default_rng([seed, i])`: it draws n
     studies with replacement, then one uniform series per drawn study, then
     one uniform sampling start in that series' first step_mm window, and
-    pools the counts of the images the greedy subsample keeps.
+    pools the counts of the images the greedy subsample keeps. Passes that
+    share `streams` (made for the same seed) build each stream once and
+    restore it from its start state afterwards; the draws, and so the
+    counts, are the same either way.
     """
     studies = list(studies)
     if not studies:
         raise EmptyCohort("no studies to bootstrap")
+    if streams is None:
+        streams = ResampleStreams(seed)
+    elif streams.seed != seed:
+        raise ValueError(f"streams are for seed {streams.seed}, not {seed}")
 
     # One combo row per (study, series, start); each series' rows are
     # contiguous, and each study's series are numbered contiguously.
@@ -410,28 +467,33 @@ def bootstrap_counts(studies: Sequence[EvalStudy], k: int,
             n_combos += len(block)
             blocks.append(block)
     combos = np.concatenate(blocks)
+    # Only the (truth, pred) cells some combo fills can be non-zero.
+    occupied = np.flatnonzero(combos.any(axis=0))
+    combos = combos[:, occupied]
     first_combo, windows, first_series, n_series = (
         np.asarray(a, dtype=np.int64)
         for a in (first_combo, windows, first_series, n_series))
 
     n = len(studies)
-    out = np.empty((resamples, k * k), dtype=np.int64)
-    # Resamples run in chunks so the (chunk, n, K*K) gather stays bounded.
-    chunk = max(1, _GATHER_ELEMENTS // (n * k * k))
+    out = np.zeros((resamples, k * k), dtype=np.int64)
+    # Resamples run in chunks so the (chunk, n, occupied) gather stays
+    # bounded.
+    chunk = max(1, _GATHER_ELEMENTS // (n * max(1, len(occupied))))
     for lo in range(0, resamples, chunk):
         hi = min(lo + chunk, resamples)
         drawn = np.empty((hi - lo, n), dtype=np.int64)
-        u_series = np.empty((hi - lo, n))
-        u_start = np.empty((hi - lo, n))
+        # Per resample: n uniforms picking the series, then n picking the
+        # start, drawn by one call in stream order.
+        uniforms = np.empty((hi - lo, 2, n))
         for row, i in enumerate(range(lo, hi)):
-            rng = np.random.default_rng([seed, i])
+            rng = streams.generator(i)
             drawn[row] = rng.integers(0, n, size=n)
-            rng.random(out=u_series[row])
-            rng.random(out=u_start[row])
+            rng.random(out=uniforms[row])
+        u_series, u_start = uniforms[:, 0], uniforms[:, 1]
         series = first_series[drawn] + \
             (u_series * n_series[drawn]).astype(np.int64)
         starts = (u_start * windows[series]).astype(np.int64)
-        out[lo:hi] = combos[first_combo[series] + starts].sum(axis=1)
+        out[lo:hi, occupied] = combos[first_combo[series] + starts].sum(axis=1)
     return out.reshape(resamples, k, k)
 
 
@@ -526,7 +588,8 @@ def tag_agreement(studies: Sequence[StudyRecord],
 
 
 def _age_bucket(age: Optional[float]) -> str:
-    if age is None:
+    # A NaN or negative age (an unparseable or corrupt value) is no age.
+    if age is None or math.isnan(age) or age < 0:
         return "Unknown"
     if age < 45:
         return "18-44 years"
@@ -602,12 +665,14 @@ def factor_report(studies: Sequence[StudyRecord],
                   resamples: int = 1000,
                   level: float = 0.95,
                   seed: int = 0,
-                  step_mm: float = 10.0) -> FactorReport:
+                  step_mm: float = 10.0,
+                  streams: Optional[ResampleStreams] = None) -> FactorReport:
     """Stratified performance table for one confounding factor.
 
     Categories with fewer units than min_count get NA metrics. The
     chi-squared test runs on the correct/incorrect contingency across
-    categories when at least two categories have images.
+    categories when at least two categories have images. Each category's
+    resample pass draws from `streams` (see `bootstrap_counts`).
     """
     if factor not in FACTORS:
         raise UnknownFactor(factor)
@@ -649,7 +714,8 @@ def factor_report(studies: Sequence[StudyRecord],
             rows.append(FactorRow(cat, len(cat_units), n_images,
                                   None, None, None, None))
             continue
-        counts = bootstrap_counts(cat_units, k, resamples, seed, step_mm)
+        counts = bootstrap_counts(cat_units, k, resamples, seed, step_mm,
+                                  streams)
         rows.append(FactorRow(
             cat, len(cat_units), n_images,
             weighted_sensitivity(cm),

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bodyregion import cli
+from bodyregion import cli, stats
 from bodyregion.cli import build_parser, main
 from bodyregion.dicomio import EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1, encode_element
 from bodyregion.phantom import (PhantomSpec, RegionSpec, generate_phantom)
@@ -132,6 +132,45 @@ class TestClassify:
         assert out.read_bytes() == (pipeline_dirs / "scores.csv").read_bytes()
         with open(tmp_path / "scores.skip_report.csv") as fh:
             assert list(csv.reader(fh)) == [["path", "error"]]
+
+
+class TestEvaluate:
+    def test_builds_each_resample_stream_once_per_run(self, pipeline_dirs,
+                                                      tmp_path, monkeypatch):
+        built, requested = Counter(), Counter()
+        default_rng = np.random.default_rng
+        generator = stats.ResampleStreams.generator
+
+        def counting_rng(seed=None):
+            built[tuple(seed)] += 1
+            return default_rng(seed)
+
+        def counting_generator(self, i):
+            requested[i] += 1
+            return generator(self, i)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(stats.ResampleStreams, "generator",
+                            counting_generator)
+        root = pipeline_dirs
+        argv = ["evaluate", "--in", str(root / "filt" / "filtered.ndjson"),
+                "--results", str(root / "results.ndjson"),
+                "--truth", str(root / "truth.csv"), "--bootstrap", "50",
+                # Two factors with a category of at least five studies.
+                "--factors", "kernel", "contrast"]
+        for run in (1, 2):
+            assert main(argv + ["--out", str(tmp_path / f"eval{run}")]) == 0
+            # Three passes per run (regions, kernel, contrast), each stream
+            # built once per run: a second run in the same process builds
+            # them all again.
+            assert set(requested.values()) == {3 * run}
+            assert built == Counter({(0, i): run for i in range(50)})
+        for name in ("by_region.csv", "summary.json"):
+            assert (tmp_path / "eval1" / name).read_bytes() == (
+                root / "eval" / name).read_bytes()
+        for name in ("by_kernel.csv", "by_contrast.csv"):
+            assert (tmp_path / "eval1" / name).read_bytes() == (
+                tmp_path / "eval2" / name).read_bytes()
 
 
 class TestLabelsProject:

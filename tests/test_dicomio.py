@@ -241,3 +241,25 @@ class TestUndefinedLengthSkipping:
         with pytest.raises(Malformed) as err:
             parse_dicom(data)
         assert err.value.offset == fault
+
+
+class TestFileMetaGroup:
+    @pytest.mark.parametrize("items", [b"", item(ref_uid())],
+                             ids=["empty", "one_item"])
+    def test_undefined_length_meta_sequence(self, items):
+        # A valid file whose meta group ends in an undefined-length SQ:
+        # the dataset starts past the SQ's delimiter, in its own encoding.
+        data = make_dicom(pixels=np.arange(64, dtype="<u2"),
+                          transfer_syntax=IMPLICIT_VR_LE)
+        plain = parse_dicom(data)
+        seq = sequence((0x0002, 0x0100), items)
+        (group_length,) = struct.unpack_from("<I", data, 140)
+        spliced = (data[:140] + struct.pack("<I", group_length + len(seq))
+                   + data[144:plain.dataset_start] + seq
+                   + data[plain.dataset_start:])
+        parsed = parse_dicom(spliced)
+        shift = len(seq)
+        assert replace(parsed, dataset_start=parsed.dataset_start - shift,
+                       image=replace(parsed.image, pixel_data_offset=(
+                           parsed.image.pixel_data_offset - shift))) == plain
+        assert not parsed.explicit

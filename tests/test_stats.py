@@ -170,6 +170,64 @@ class TestCountMetricsAgainstFractionOracles:
                 metric.over(counts)
 
 
+def rowwise_weighted_specificity(counts):
+    """One exact ratio per matrix over all K classes, no row sharing."""
+    support = counts.sum(axis=-1)
+    negatives = support.sum(axis=-1, keepdims=True) - support
+    tn = negatives - (counts.sum(axis=-2)
+                      - np.diagonal(counts, axis1=-2, axis2=-1))
+    keep = (support > 0) & (negatives > 0)
+    weight = np.where(keep, support, 0)
+    negatives = np.where(keep, negatives, 1)
+    return np.array([stats._exact_weighted_ratio(w.tolist(), t.tolist(),
+                                                 g.tolist())
+                     for w, t, g in zip(weight, tn, negatives)])
+
+
+class TestSpecificityOverDistinctRows:
+    """Each distinct row is summed once; the values still equal the
+    row-by-row exact form and float() of the Fraction oracle."""
+
+    @staticmethod
+    def _check(counts):
+        values = weighted_specificity.over(counts)
+        expected = rowwise_weighted_specificity(counts)
+        assert np.array_equal(values, expected, equal_nan=True)
+        for value, matrix in zip(values, counts):
+            oracle = oracle_weighted_specificity(matrix)
+            if oracle is None:
+                assert math.isnan(value)
+            else:
+                assert value == float(oracle)
+
+    @pytest.mark.parametrize("k", [2, 6, 18])
+    def test_duplicates_and_edge_rows(self, k):
+        rng = np.random.default_rng(100 + k)
+        pool = edge_case_tensor(rng, k, r=40)
+        if k > 2:
+            # Two classes hold nothing in any matrix: zero weight in every
+            # row. (With two classes, one weighted class weights the other.)
+            for cls in (0, k - 1):
+                pool[:, :, cls] = pool[:, cls, :] = 0
+            pool[pool.sum(axis=(1, 2)) == 0, 1, 1] = 1
+        counts = pool[rng.integers(0, len(pool), size=400)]
+        support = counts.sum(axis=2)
+        negatives = support.sum(axis=1, keepdims=True) - support
+        weighted = (support > 0) & (negatives > 0)
+        assert len(np.unique(counts, axis=0)) < len(counts) // 5
+        assert ((support > 0) & (negatives == 0)).any()  # tn + fp == 0
+        assert ((support == 0) & (negatives > 0)).any()  # zero support
+        assert weighted.any()
+        assert (~weighted.any(axis=0)).sum() == (2 if k > 2 else 0)
+        self._check(counts)
+
+    def test_every_row_undefined(self):
+        counts = np.zeros((5, 3, 3), dtype=np.int64)
+        counts[:, 1, 1] = np.arange(1, 6)
+        assert np.isnan(weighted_specificity.over(counts)).all()
+        self._check(counts)
+
+
 class TestChiSquared:
     # Battery of fixed tables with oracle-checked p values.
     TABLES = [
@@ -389,6 +447,37 @@ class TestSharedResamplePass:
         assert np.array_equal(
             got, reference_bootstrap_counts(studies, 3, 57, 11, 10.0))
 
+    def test_empty_columns_across_chunks(self, monkeypatch):
+        # Five classes, of which the studies hold only the first three and
+        # never confuse class 2: most of the 25 count columns stay empty.
+        studies = uneven_cohort(n=12, k=3, seed=4)
+        for st in studies:
+            for s in st.series:
+                s.pred = np.where(s.truth == 2, 2, s.pred % 2)
+        monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 120)
+        got = bootstrap_counts(studies, 5, 90, 3, 10.0)
+        assert (got.reshape(90, -1) == 0).all(axis=0).sum() == 20
+        assert np.array_equal(
+            got, reference_bootstrap_counts(studies, 5, 90, 3, 10.0))
+
+    def test_shared_streams_equal_separate_passes(self, monkeypatch):
+        cohort = uneven_cohort(n=16, seed=2)
+        first, second, other = cohort[:8], cohort[8:], cohort[:5]
+        monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 400)
+        streams = stats.ResampleStreams(9)
+        # Two unit sets of the same n, one of another n, then a longer run
+        # that restores the first 60 streams and builds the rest.
+        for units, r in ((first, 60), (second, 60), (other, 60),
+                         (first, 75)):
+            got = bootstrap_counts(units, 3, r, 9, 10.0, streams)
+            assert np.array_equal(
+                got, reference_bootstrap_counts(units, 3, r, 9, 10.0))
+
+    def test_streams_of_another_seed_are_refused(self):
+        with pytest.raises(ValueError):
+            bootstrap_counts(uneven_cohort(n=3), 3, 5, 1, 10.0,
+                             stats.ResampleStreams(2))
+
     def test_region_rows_cis_equal_bootstrap_ci(self):
         studies = uneven_cohort()
         names = ["a", "b", "c"]
@@ -511,6 +600,14 @@ class TestFactorReport:
     def test_unknown_factor(self):
         with pytest.raises(UnknownFactor):
             factor_report([], {}, "zodiac", 2, ["a", "b"])
+
+    @pytest.mark.parametrize("age,bucket", [
+        (None, "Unknown"), (math.nan, "Unknown"), (-5.0, "Unknown"),
+        (0.0, "18-44 years"), (44.9, "18-44 years"), (45.0, "45-64 years"),
+        (65.0, ">=65 years"),
+    ])
+    def test_age_buckets(self, age, bucket):
+        assert stats._age_bucket(age) == bucket
 
     def test_series_level_factor(self):
         studies, evals = self._setup()
