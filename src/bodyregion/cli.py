@@ -35,7 +35,7 @@ from .errors import (BodyRegionError, LengthMismatch, Malformed, SchemaError,
 from .geometry import (load_boxes, project_box_labels, series_geometry,
                        warn_foreign_frames)
 from .ingest import (SkipReport, ingest_tree, read_metadata_ndjson,
-                     write_metadata_ndjson)
+                     tree_files, write_metadata_ndjson)
 from .pixels import decode_pixels_from_file
 # Unused here since classify builds features without the letterbox, but
 # perfbench/tracing.py wraps `cli.preprocess_image` and fails if it is missing.
@@ -320,11 +320,8 @@ def cmd_tag_write(args):
         region_by_series[row["series_uid"]] = BodyRegion(max(
             row["series_regions"], key=lambda r: sum(
                 1 for img in row["images"] if img["label"] == r)))
-    files = []
-    for root, dirs, names in os.walk(args.dicom):
-        dirs.sort()
-        files.extend(os.path.join(root, n) for n in sorted(names))
-    changes = report_mod.write_body_part_tags(files, region_by_series,
+    changes = report_mod.write_body_part_tags(tree_files(args.dicom),
+                                              region_by_series,
                                               dry_run=args.dry_run)
     report_mod.write_change_log(changes, args.out)
     rewritten = sum(1 for c in changes if c.action == "rewritten")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import Malformed
-from .records import ImageRecord
+from .records import SIDECAR_FIELDS, ImageRecord, SeriesRecord, StudyRecord
 
 # Transfer syntaxes the pipeline recognizes.
 IMPLICIT_VR_LE = "1.2.840.10008.1.2"
@@ -60,39 +60,40 @@ TAG_ITEM_DELIM = (0xFFFE, 0xE00D)
 TAG_SEQ_DELIM = (0xFFFE, 0xE0DD)
 UNDEFINED_LENGTH = 0xFFFFFFFF
 
-# Tag -> (keyword, VR) for everything the pipeline extracts or writes.
+# Tag -> (keyword, VR, record field) for everything the pipeline extracts or
+# writes. The field is the one in records.py that the tag's value fills.
 TAG_TABLE = {
-    (0x0002, 0x0010): ("TransferSyntaxUID", "UI"),
-    (0x0008, 0x0016): ("SOPClassUID", "UI"),
-    (0x0008, 0x0018): ("SOPInstanceUID", "UI"),
-    (0x0008, 0x0060): ("Modality", "CS"),
-    (0x0008, 0x1030): ("StudyDescription", "LO"),
-    (0x0008, 0x103E): ("SeriesDescription", "LO"),
-    (0x0008, 0x0070): ("Manufacturer", "LO"),
-    (0x0008, 0x0080): ("InstitutionName", "LO"),
-    (0x0010, 0x0020): ("PatientID", "LO"),
-    (0x0010, 0x1010): ("PatientAge", "AS"),
-    (0x0010, 0x0040): ("PatientSex", "CS"),
-    (0x0018, 0x0010): ("ContrastBolusAgent", "LO"),
-    (0x0018, 0x0015): ("BodyPartExamined", "CS"),
-    (0x0018, 0x0050): ("SliceThickness", "DS"),
-    (0x0018, 0x1210): ("ConvolutionKernel", "SH"),
-    (0x0020, 0x000D): ("StudyInstanceUID", "UI"),
-    (0x0020, 0x000E): ("SeriesInstanceUID", "UI"),
-    (0x0020, 0x0013): ("InstanceNumber", "IS"),
-    (0x0020, 0x0032): ("ImagePositionPatient", "DS"),
-    (0x0020, 0x0037): ("ImageOrientationPatient", "DS"),
-    (0x0020, 0x0052): ("FrameOfReferenceUID", "UI"),
-    (0x0028, 0x0002): ("SamplesPerPixel", "US"),
-    (0x0028, 0x0010): ("Rows", "US"),
-    (0x0028, 0x0011): ("Columns", "US"),
-    (0x0028, 0x0100): ("BitsAllocated", "US"),
-    (0x0028, 0x0101): ("BitsStored", "US"),
-    TAG_PIXEL_DATA: ("PixelData", "OW"),
+    (0x0002, 0x0010): ("TransferSyntaxUID", "UI", "transfer_syntax_uid"),
+    (0x0008, 0x0016): ("SOPClassUID", "UI", "sop_class_uid"),
+    (0x0008, 0x0018): ("SOPInstanceUID", "UI", "sop_uid"),
+    (0x0008, 0x0060): ("Modality", "CS", "modality"),
+    (0x0008, 0x1030): ("StudyDescription", "LO", "procedure_description"),
+    (0x0008, 0x103E): ("SeriesDescription", "LO", "series_description"),
+    (0x0008, 0x0070): ("Manufacturer", "LO", "manufacturer"),
+    (0x0008, 0x0080): ("InstitutionName", "LO", "institution"),
+    (0x0010, 0x0020): ("PatientID", "LO", "patient_id"),
+    (0x0010, 0x1010): ("PatientAge", "AS", "patient_age"),
+    (0x0010, 0x0040): ("PatientSex", "CS", "patient_sex"),
+    (0x0018, 0x0010): ("ContrastBolusAgent", "LO", "contrast_agent"),
+    (0x0018, 0x0015): ("BodyPartExamined", "CS", "body_part_examined"),
+    (0x0018, 0x0050): ("SliceThickness", "DS", "slice_thickness"),
+    (0x0018, 0x1210): ("ConvolutionKernel", "SH", "convolution_kernel"),
+    (0x0020, 0x000D): ("StudyInstanceUID", "UI", "study_uid"),
+    (0x0020, 0x000E): ("SeriesInstanceUID", "UI", "series_uid"),
+    (0x0020, 0x0013): ("InstanceNumber", "IS", "instance_number"),
+    (0x0020, 0x0032): ("ImagePositionPatient", "DS", "image_position_patient"),
+    (0x0020, 0x0037): ("ImageOrientationPatient", "DS", "image_orientation_patient"),
+    (0x0020, 0x0052): ("FrameOfReferenceUID", "UI", "frame_of_reference_uid"),
+    (0x0028, 0x0002): ("SamplesPerPixel", "US", "samples_per_pixel"),
+    (0x0028, 0x0010): ("Rows", "US", "rows"),
+    (0x0028, 0x0011): ("Columns", "US", "cols"),
+    (0x0028, 0x0100): ("BitsAllocated", "US", "bits_allocated"),
+    (0x0028, 0x0101): ("BitsStored", "US", "bits_stored"),
+    TAG_PIXEL_DATA: ("PixelData", "OW", None),
 }
 
-VR_BY_TAG = {tag: vr for tag, (_, vr) in TAG_TABLE.items()}
-_TAG_BY_KEYWORD = {kw: tag for tag, (kw, _) in TAG_TABLE.items()}
+VR_BY_TAG = {tag: vr for tag, (_, vr, _) in TAG_TABLE.items()}
+_TAG_BY_KEYWORD = {kw: tag for tag, (kw, _, _) in TAG_TABLE.items()}
 
 
 @dataclass
@@ -237,7 +238,7 @@ def _decode_value(vr: str, raw: bytes, offset: int):
         parts = [p.strip() for p in text.split("\\")]
         try:
             vals = [float(p) if vr == "DS" else int(float(p)) for p in parts if p]
-        except ValueError:
+        except (ValueError, OverflowError):  # int(float("inf")) overflows
             raise Malformed(f"bad {vr} value {text!r}", offset=offset)
         if not vals:
             return None
@@ -255,6 +256,20 @@ def _parse_age(text: str) -> Optional[float]:
     except ValueError:
         return None
     return {"Y": num, "M": num / 12.0, "W": num / 52.0, "D": num / 365.0}.get(unit, num)
+
+
+# The records parse_dicom fills: its image record, then the series and
+# study attributes.
+_RECORDS = (ImageRecord, SeriesRecord, StudyRecord)
+_DEFAULTS = tuple({name: default for name, _, _, _, default
+                   in SIDECAR_FIELDS[cls]} for cls in _RECORDS)
+# Tag -> (table VR, index into _RECORDS, field spec) for each tag that fills
+# a record field.
+_TAG_FIELDS = {tag: (vr, i, spec)
+               for i, cls in enumerate(_RECORDS)
+               for spec in SIDECAR_FIELDS[cls]
+               for tag, (_, vr, name) in TAG_TABLE.items()
+               if name == spec[0]}
 
 
 @dataclass
@@ -312,7 +327,9 @@ def parse_dicom(data: bytes, source_path: Optional[str] = None) -> ParsedFile:
     """
     start, explicit, tsuid = _find_dataset_start(data)
 
-    values = {}
+    # Field values of each record in _RECORDS; a missing tag leaves the
+    # field at its default.
+    records = [dict(defaults) for defaults in _DEFAULTS]
     pixel_ref = None
     for ref in iter_elements(data, start, explicit=explicit):
         if ref.tag == TAG_PIXEL_DATA:
@@ -320,92 +337,42 @@ def parse_dicom(data: bytes, source_path: Optional[str] = None) -> ParsedFile:
             continue
         if ref.vr == "SQ" or ref.value_length == UNDEFINED_LENGTH:
             continue  # sequences carry nothing the pipeline needs
-        entry = TAG_TABLE.get(ref.tag)
+        entry = _TAG_FIELDS.get(ref.tag)
         if entry is None:
             continue
-        keyword, table_vr = entry
+        table_vr, i, (name, typ, convert, _, default) = entry
         vr = ref.vr if ref.vr is not None else table_vr
         if vr in ("UN", "OB", "OW"):
             vr = table_vr
-        values[keyword] = _decode_value(vr, data[ref.value_start:ref.value_end],
-                                        ref.value_start)
-
-    def as_int(keyword, default):
-        # A corrupted VR can turn a numeric tag into arbitrary text; treat
-        # anything unparseable as absent rather than crashing.
-        v = values.get(keyword)
-        if isinstance(v, list):
-            v = v[0] if v else None
-        try:
-            return int(v)
-        except (TypeError, ValueError):
-            return default
-
-    def as_str(keyword, default=""):
-        v = values.get(keyword, default)
-        return v if isinstance(v, str) else default
-
-    def vec(keyword, length):
-        v = values.get(keyword)
-        if v is None:
-            return None
-        if not isinstance(v, list):
-            v = [v]
-        if len(v) != length:
-            return None
-        try:
-            return tuple(float(x) for x in v)
-        except (TypeError, ValueError):
-            return None
-
-    image = ImageRecord(
-        sop_uid=as_str("SOPInstanceUID"),
-        rows=as_int("Rows", 0),
-        cols=as_int("Columns", 0),
-        bits_allocated=as_int("BitsAllocated", 0),
-        bits_stored=as_int("BitsStored", 0),
-        samples_per_pixel=as_int("SamplesPerPixel", 1),
-        transfer_syntax_uid=tsuid,
-        sop_class_uid=as_str("SOPClassUID"),
-        instance_number=as_int("InstanceNumber", None),
-        image_position_patient=vec("ImagePositionPatient", 3),
-        image_orientation_patient=vec("ImageOrientationPatient", 6),
-        source_path=source_path,
-    )
-    if pixel_ref is not None:
-        if pixel_ref.value_length == UNDEFINED_LENGTH:
-            image.pixel_data_offset = pixel_ref.value_start
-            image.pixel_data_length = len(data) - pixel_ref.value_start
+        value = _decode_value(vr, data[ref.value_start:ref.value_end],
+                              ref.value_start)
+        if table_vr == "AS":
+            value = _parse_age(value) if isinstance(value, str) else None
+        # A corrupted VR can turn any tag into arbitrary data, so the
+        # policy is lenient: a multi-valued scalar gives its first value,
+        # and an empty or unconvertible value gives the field's default.
+        if value is None or value == "":
+            value = default
         else:
-            image.pixel_data_offset = pixel_ref.value_start
-            image.pixel_data_length = pixel_ref.value_length
+            if value.__class__ is list and typ is not None:
+                value = value[0]  # a scalar field; a number, never empty
+            try:
+                if value.__class__ is not typ:
+                    value = convert(value)
+            except (TypeError, ValueError, OverflowError):
+                value = default
+        records[i][name] = value
 
-    thickness = values.get("SliceThickness")
-    if isinstance(thickness, list):
-        thickness = thickness[0] if thickness else None
-    try:
-        thickness = float(thickness) if thickness is not None else None
-    except (TypeError, ValueError):
-        thickness = None
-    series_attrs = {
-        "series_uid": as_str("SeriesInstanceUID"),
-        "modality": as_str("Modality") or "other",
-        "series_description": as_str("SeriesDescription"),
-        "frame_of_reference_uid": as_str("FrameOfReferenceUID") or None,
-        "slice_thickness": thickness,
-        "convolution_kernel": as_str("ConvolutionKernel") or None,
-        "contrast_agent": as_str("ContrastBolusAgent") or None,
-    }
-    study_attrs = {
-        "study_uid": as_str("StudyInstanceUID"),
-        "patient_id": as_str("PatientID"),
-        "patient_age": _parse_age(as_str("PatientAge")),
-        "patient_sex": as_str("PatientSex") or None,
-        "manufacturer": as_str("Manufacturer") or None,
-        "institution": as_str("InstitutionName") or None,
-        "body_part_examined": as_str("BodyPartExamined") or None,
-        "procedure_description": as_str("StudyDescription") or None,
-    }
+    image_attrs, series_attrs, study_attrs = records
+    image = ImageRecord(**image_attrs)
+    # The file meta group, not the dataset, declares the transfer syntax.
+    image.transfer_syntax_uid = tsuid
+    image.source_path = source_path
+    if pixel_ref is not None:
+        image.pixel_data_offset = pixel_ref.value_start
+        image.pixel_data_length = (len(data) - pixel_ref.value_start
+                                   if pixel_ref.value_length == UNDEFINED_LENGTH
+                                   else pixel_ref.value_length)
     return ParsedFile(image=image, series_attrs=series_attrs,
                       study_attrs=study_attrs,
                       explicit=explicit, dataset_start=start)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .classify import Prediction
 from .errors import EmptySeries
+from .ingest import read_ndjson
 from .taxonomy import BodyRegion
 
 DEFAULT_MIN_RUN = 3
@@ -216,10 +217,4 @@ def write_series_results(results: Sequence[SeriesResult], path) -> None:
 
 
 def read_series_results(path) -> List[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    return [row for _, row in read_ndjson(path)]

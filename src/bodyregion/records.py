@@ -3,12 +3,16 @@
 Records are plain frozen-ish dataclasses built once by the ingest layer and
 treated as immutable afterwards; everything downstream (filtering, geometry,
 classification) reads them without mutation.
+
+The dataclasses are also the one definition of the metadata fields that the
+DICOM reader fills and the NDJSON sidecar carries: `SIDECAR_FIELDS` derives
+each field's conversion rule from its annotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,8 +28,10 @@ class ImageRecord:
     transfer_syntax_uid: str = ""
     sop_class_uid: str = ""
     instance_number: Optional[int] = None
-    image_position_patient: Optional[tuple] = None   # (x, y, z) mm
-    image_orientation_patient: Optional[tuple] = None  # 6 direction cosines
+    image_position_patient: Optional[tuple] = field(  # (x, y, z) mm
+        default=None, metadata={"length": 3})
+    image_orientation_patient: Optional[tuple] = field(  # 6 direction cosines
+        default=None, metadata={"length": 6})
     pixels: Optional[np.ndarray] = None
     # Locator for lazy pixel decode: (source path, byte offset, byte length).
     pixel_data_offset: Optional[int] = None
@@ -38,24 +44,7 @@ class ImageRecord:
 
     def metadata_dict(self) -> dict:
         """Flat metadata view used by the NDJSON sidecar format."""
-        return {
-            "sop_uid": self.sop_uid,
-            "rows": self.rows,
-            "cols": self.cols,
-            "bits_allocated": self.bits_allocated,
-            "bits_stored": self.bits_stored,
-            "samples_per_pixel": self.samples_per_pixel,
-            "transfer_syntax_uid": self.transfer_syntax_uid,
-            "sop_class_uid": self.sop_class_uid,
-            "instance_number": self.instance_number,
-            "image_position_patient": list(self.image_position_patient)
-            if self.image_position_patient is not None else None,
-            "image_orientation_patient": list(self.image_orientation_patient)
-            if self.image_orientation_patient is not None else None,
-            "source_path": self.source_path,
-            "pixel_data_offset": self.pixel_data_offset,
-            "pixel_data_length": self.pixel_data_length,
-        }
+        return sidecar_row(self)
 
 
 @dataclass
@@ -93,3 +82,64 @@ class StudyRecord:
             if s.series_uid == series_uid:
                 return s
         return None
+
+
+# ---------------------------------------------------------------------------
+# Field conversion rules
+
+
+def _not_a_string(value):
+    raise TypeError(value)
+
+
+def _vector_rule(length: int) -> Callable:
+    def convert(value) -> tuple:
+        if not isinstance(value, list) or len(value) != length:
+            raise TypeError(value)
+        return tuple(map(float, value))
+    return convert
+
+
+# Annotation -> (type, conversion, what a value must be).
+_RULES = {"str": (str, _not_a_string, "a string"),
+          "int": (int, int, "an integer"),
+          "float": (float, float, "a number")}
+
+
+def _sidecar_fields(cls) -> Tuple[tuple, ...]:
+    """The metadata fields of record class `cls`, in declaration order, as
+    (name, type, convert, what, default) tuples.
+
+    A field annotated `str`, `int` or `float` (optionally `Optional[...]`),
+    or `Optional[tuple]` with a `length` in its metadata (a fixed-length
+    float vector), is a metadata field; pixels and the child lists are not.
+    A value of class `type` is taken as it is (`type` is None for a vector,
+    so a list always converts); any other goes through `convert`, which
+    raises TypeError, ValueError or OverflowError if it cannot convert it;
+    `what` says what a value must be. The first field, the only one without
+    a default, is the record's UID; its `default` is "".
+    """
+    specs = []
+    for f in fields(cls):
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        if kind == "tuple":
+            length = f.metadata["length"]
+            rule = (None, _vector_rule(length),
+                    f"a {length}-element array of numbers")
+        elif kind in _RULES:
+            rule = _RULES[kind]
+        else:
+            continue
+        specs.append((f.name, *rule, "" if f.default is MISSING else f.default))
+    return tuple(specs)
+
+
+# Record class -> its metadata fields (see `_sidecar_fields`).
+SIDECAR_FIELDS = {cls: _sidecar_fields(cls)
+                  for cls in (ImageRecord, SeriesRecord, StudyRecord)}
+
+
+def sidecar_row(record) -> dict:
+    """The record's metadata fields as a flat dict (vectors as tuples)."""
+    return {name: getattr(record, name)
+            for name, _, _, _, _ in SIDECAR_FIELDS[type(record)]}

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dicomio import ParsedFile, encode_element, iter_elements, parse_dicom
 from .errors import BodyRegionError
+from .records import SeriesRecord
 from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
                     ResampleStreams, bootstrap_counts, ci_from_counts,
                     full_confusion, ratio_or_nan, weighted_sensitivity,
@@ -106,15 +107,15 @@ def _fmt_p(p: Optional[float]) -> str:
     return f"{p:.3g}" if p >= 0.001 else f"{p:.1e}"
 
 
-def emit_region_report(rows: Sequence[RegionRow], path, fmt: str = "csv") -> None:
+def emit_region_report(rows: Sequence[RegionRow], path) -> None:
     header = ["region", "n", "sensitivity_95ci", "specificity_95ci"]
     table = [[r.name, str(r.n_images),
               _fmt_metric(r.sensitivity, r.sensitivity_ci),
               _fmt_metric(r.specificity, r.specificity_ci)] for r in rows]
-    _emit_table(header, table, path, fmt)
+    _emit_table(header, table, path)
 
 
-def emit_factor_report(report: FactorReport, path, fmt: str = "csv") -> None:
+def emit_factor_report(report: FactorReport, path) -> None:
     header = ["factor", "category", "n", "n_images",
               "sensitivity_95ci", "specificity_95ci", "p_value"]
     table = []
@@ -124,23 +125,14 @@ def emit_factor_report(report: FactorReport, path, fmt: str = "csv") -> None:
             _fmt_metric(row.sensitivity, row.sensitivity_ci),
             _fmt_metric(row.specificity, row.specificity_ci),
             _fmt_p(report.p_value) if i == 0 else ""])
-    _emit_table(header, table, path, fmt)
+    _emit_table(header, table, path)
 
 
-def _emit_table(header: List[str], rows: List[List[str]], path, fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    elif fmt == "markdown":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("| " + " | ".join(header) + " |\n")
-            fh.write("|" + "|".join("---" for _ in header) + "|\n")
-            for row in rows:
-                fh.write("| " + " | ".join(row) + " |\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+def _emit_table(header: List[str], rows: List[List[str]], path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +191,7 @@ def write_body_part_tags(files: Sequence[str],
         except (BodyRegionError, OSError) as exc:
             changes.append(TagChange(path, "error", detail=str(exc)))
             continue
-        series_uid = parsed.series_attrs.get("series_uid", "")
+        series_uid = SeriesRecord(**parsed.series_attrs).series_uid
         if series_uid not in region_by_series:
             changes.append(TagChange(path, "skipped",
                                      detail="series not in results"))

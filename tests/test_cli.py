@@ -13,6 +13,7 @@ import pytest
 from bodyregion import cli, stats
 from bodyregion.cli import build_parser, main
 from bodyregion.dicomio import EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1, encode_element
+from bodyregion.ingest import tree_files
 from bodyregion.phantom import (PhantomSpec, RegionSpec, generate_phantom)
 from bodyregion.stats import bootstrap_counts
 from bodyregion.taxonomy import FINAL_REGIONS, BodyRegion
@@ -91,6 +92,16 @@ class TestPipelineOutputs:
         with open(log) as fh:
             rows = list(csv.DictReader(fh))
         assert any(r["action"] == "rewritten" for r in rows)
+
+    def test_tag_write_walks_files_in_ingest_order(self, pipeline_dirs,
+                                                   tmp_path):
+        log = tmp_path / "tags.csv"
+        assert main(["tag-write", "--dicom", str(pipeline_dirs / "ph"),
+                     "--results", str(pipeline_dirs / "results.ndjson"),
+                     "--out", str(log), "--dry-run"]) == 0
+        with open(log) as fh:
+            paths = [r["path"] for r in csv.DictReader(fh)]
+        assert paths == tree_files(pipeline_dirs / "ph")
 
     def test_report_rendering(self, pipeline_dirs, tmp_path, capsys):
         rc = main(["report",
@@ -286,6 +297,25 @@ class TestExitCodes:
         bad.write_text("{not json}\n")
         rc = main(["filter", "--in", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("stage", ["tag-write", "evaluate"])
+    def test_bad_results_line_is_data_error(self, pipeline_dirs, tmp_path,
+                                            capsys, stage):
+        results = tmp_path / "results.ndjson"
+        lines = (pipeline_dirs / "results.ndjson").read_text().splitlines()
+        lines.insert(2, '{"series_uid": ')
+        results.write_text("\n".join(lines) + "\n")
+        if stage == "tag-write":
+            argv = ["--dicom", str(pipeline_dirs / "ph"), "--dry-run",
+                    "--out", str(tmp_path / "tags.csv")]
+        else:
+            argv = ["--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
+                    "--truth", str(pipeline_dirs / "truth.csv"),
+                    "--out", str(tmp_path / "eval")]
+        capsys.readouterr()
+        assert main([stage, "--results", str(results)] + argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: line 3: invalid JSON: ")
 
     def _assert_missing(self, capsys, argv, path):
         capsys.readouterr()

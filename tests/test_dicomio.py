@@ -1,18 +1,24 @@
 """DICOM parser/writer: round trips, VR handling, and malformed inputs."""
 
+import json
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bodyregion.cli import main
 from bodyregion.dicomio import (EXPLICIT_VR_LE, IMPLICIT_VR_LE, RLE_LOSSLESS,
-                                _parse_age, build_dicom, encode_element,
-                                iter_elements, parse_dicom)
+                                TAG_PIXEL_DATA, TAG_TABLE, UNDEFINED_LENGTH,
+                                ParsedFile, _decode_value,
+                                _find_dataset_start, _parse_age, build_dicom,
+                                encode_element, iter_elements, parse_dicom)
 from bodyregion.errors import Malformed
 from bodyregion.ingest import ingest_tree
+from bodyregion.records import (SIDECAR_FIELDS, ImageRecord, SeriesRecord,
+                                StudyRecord)
 
-from conftest import AXIAL, make_dicom
+from conftest import AXIAL, base_dataset, make_dicom
 
 
 class TestParseRoundTrip:
@@ -263,3 +269,214 @@ class TestFileMetaGroup:
                        image=replace(parsed.image, pixel_data_offset=(
                            parsed.image.pixel_data_offset - shift))) == plain
         assert not parsed.explicit
+
+
+# ---------------------------------------------------------------------------
+# Record fields: one definition in records.py, filled through TAG_TABLE
+
+
+def reference_parse_dicom(data, source_path=None):
+    """parse_dicom as it was before records.py defined the record fields:
+    a hand-written conversion per field. It shares the element walk and
+    the value decoding with parse_dicom, so it checks the field mapping."""
+    start, explicit, tsuid = _find_dataset_start(data)
+
+    values = {}
+    pixel_ref = None
+    for ref in iter_elements(data, start, explicit=explicit):
+        if ref.tag == TAG_PIXEL_DATA:
+            pixel_ref = ref
+            continue
+        if ref.vr == "SQ" or ref.value_length == UNDEFINED_LENGTH:
+            continue
+        entry = TAG_TABLE.get(ref.tag)
+        if entry is None:
+            continue
+        keyword, table_vr, _ = entry
+        vr = ref.vr if ref.vr is not None else table_vr
+        if vr in ("UN", "OB", "OW"):
+            vr = table_vr
+        values[keyword] = _decode_value(vr, data[ref.value_start:ref.value_end],
+                                        ref.value_start)
+
+    def as_int(keyword, default):
+        v = values.get(keyword)
+        if isinstance(v, list):
+            v = v[0] if v else None
+        try:
+            return int(v)
+        except (TypeError, ValueError):
+            return default
+
+    def as_str(keyword, default=""):
+        v = values.get(keyword, default)
+        return v if isinstance(v, str) else default
+
+    def vec(keyword, length):
+        v = values.get(keyword)
+        if v is None:
+            return None
+        if not isinstance(v, list):
+            v = [v]
+        if len(v) != length:
+            return None
+        try:
+            return tuple(float(x) for x in v)
+        except (TypeError, ValueError):
+            return None
+
+    image = ImageRecord(
+        sop_uid=as_str("SOPInstanceUID"),
+        rows=as_int("Rows", 0),
+        cols=as_int("Columns", 0),
+        bits_allocated=as_int("BitsAllocated", 0),
+        bits_stored=as_int("BitsStored", 0),
+        samples_per_pixel=as_int("SamplesPerPixel", 1),
+        transfer_syntax_uid=tsuid,
+        sop_class_uid=as_str("SOPClassUID"),
+        instance_number=as_int("InstanceNumber", None),
+        image_position_patient=vec("ImagePositionPatient", 3),
+        image_orientation_patient=vec("ImageOrientationPatient", 6),
+        source_path=source_path,
+    )
+    if pixel_ref is not None:
+        image.pixel_data_offset = pixel_ref.value_start
+        if pixel_ref.value_length == UNDEFINED_LENGTH:
+            image.pixel_data_length = len(data) - pixel_ref.value_start
+        else:
+            image.pixel_data_length = pixel_ref.value_length
+
+    thickness = values.get("SliceThickness")
+    if isinstance(thickness, list):
+        thickness = thickness[0] if thickness else None
+    try:
+        thickness = float(thickness) if thickness is not None else None
+    except (TypeError, ValueError):
+        thickness = None
+    series_attrs = {
+        "series_uid": as_str("SeriesInstanceUID"),
+        "modality": as_str("Modality") or "other",
+        "series_description": as_str("SeriesDescription"),
+        "frame_of_reference_uid": as_str("FrameOfReferenceUID") or None,
+        "slice_thickness": thickness,
+        "convolution_kernel": as_str("ConvolutionKernel") or None,
+        "contrast_agent": as_str("ContrastBolusAgent") or None,
+    }
+    study_attrs = {
+        "study_uid": as_str("StudyInstanceUID"),
+        "patient_id": as_str("PatientID"),
+        "patient_age": _parse_age(as_str("PatientAge")),
+        "patient_sex": as_str("PatientSex") or None,
+        "manufacturer": as_str("Manufacturer") or None,
+        "institution": as_str("InstitutionName") or None,
+        "body_part_examined": as_str("BodyPartExamined") or None,
+        "procedure_description": as_str("StudyDescription") or None,
+    }
+    return ParsedFile(image=image, series_attrs=series_attrs,
+                      study_attrs=study_attrs,
+                      explicit=explicit, dataset_start=start)
+
+
+def mutation_stream(count):
+    """The first `count` inputs of acceptance criterion 8's fuzz stream."""
+    base = build_dicom(base_dataset(),
+                       pixel_payload=np.zeros(16, dtype="<u2").tobytes(),
+                       preamble=False)
+    n = len(base)
+    rng = np.random.default_rng(8)
+    for _ in range(count):
+        buf = bytearray(base)
+        for _ in range(int(rng.integers(1, 9))):
+            buf[int(rng.integers(0, n))] = int(rng.integers(0, 256))
+        if rng.random() < 0.25:
+            buf = buf[:int(rng.integers(0, n))]
+        yield bytes(buf)
+
+
+def outcome(parse, data):
+    """repr of the ParsedFile, or the fault's type and byte offset."""
+    try:
+        return repr(parse(data, source_path="a.dcm"))
+    except Malformed as exc:
+        return "Malformed", exc.offset
+
+
+def element(tag, vr, raw):
+    """An explicit-VR element with the value bytes `raw` as they are."""
+    return struct.pack("<HH", *tag) + vr + struct.pack("<H", len(raw)) + raw
+
+
+ROWS = (0x0028, 0x0010)
+INSTANCE_NUMBER = (0x0020, 0x0013)
+
+
+class TestRecordFields:
+    def test_tag_table_names_record_fields(self):
+        names = [spec[0] for cls in (ImageRecord, SeriesRecord, StudyRecord)
+                 for spec in SIDECAR_FIELDS[cls]]
+        assert len(names) == len(set(names))  # one flat sidecar row
+        filled = [field for _, _, field in TAG_TABLE.values()
+                  if field is not None]
+        assert len(filled) == len(set(filled))
+        assert set(filled) <= set(names)
+        # Only the pixel data locator is not read from a tag.
+        assert set(names) - set(filled) == {
+            "pixel_data_offset", "pixel_data_length", "source_path"}
+
+    def test_matches_reference_on_mutation_stream(self):
+        mismatched = parsed = 0
+        for data in mutation_stream(20_000):
+            new = outcome(parse_dicom, data)
+            mismatched += new != outcome(reference_parse_dicom, data)
+            parsed += isinstance(new, str)
+        assert mismatched == 0
+        assert parsed > 2_000  # the stream reaches the field conversions
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, dict(transfer_syntax=IMPLICIT_VR_LE), dict(preamble=False),
+        dict(pixels=b"\x01\x02\x03\x04", transfer_syntax=RLE_LOSSLESS,
+             encapsulated=True),
+        dict(PatientAge=None, BodyPartExamined=None, SliceThickness=None),
+        dict(PatientAge="006M", Modality="", SeriesDescription=""),
+    ], ids=["explicit", "implicit", "bare", "rle", "sparse", "empty"])
+    def test_matches_reference_on_files(self, kwargs):
+        kwargs.setdefault("pixels", np.arange(64, dtype="<u2"))
+        data = make_dicom(**kwargs)
+        assert outcome(parse_dicom, data) == outcome(reference_parse_dicom,
+                                                     data)
+
+    @pytest.mark.parametrize("vr,raw,rows", [
+        (b"DS", b"12\\13 ", 12),   # multi-valued: the first value
+        (b"LO", b"12", 12),        # numeric text under a text VR
+        (b"LO", b"twelve", 0),     # unconvertible: the default
+        (b"DS", b"", 0),           # empty: the default
+        (b"DS", b"inf ", 0),       # does not fit an integer: the default
+    ])
+    def test_lenient_integer_field(self, vr, raw, rows):
+        _, data = with_element(element(ROWS, vr, raw), Rows=None)
+        parsed = parse_dicom(data)
+        assert parsed.image.rows == rows
+        assert parsed.image.cols == 8
+
+    @pytest.mark.parametrize("raw", [b"inf ", b"1e400 ", b"1\\-inf"])
+    def test_non_finite_is_value_is_malformed(self, raw):
+        _, data = with_element(element(INSTANCE_NUMBER, b"IS", raw),
+                               InstanceNumber=None)
+        with pytest.raises(Malformed, match="bad IS value"):
+            parse_dicom(data)
+
+    def test_non_finite_is_value_is_a_skip_row(self, tmp_path, capsys):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        _, bad = with_element(element(INSTANCE_NUMBER, b"IS", b"inf "),
+                              InstanceNumber=None, SOPInstanceUID="1.9")
+        (tree / "a_good.dcm").write_bytes(
+            make_dicom(pixels=np.arange(64, dtype="<u2")))
+        (tree / "b_bad.dcm").write_bytes(bad)
+        out = tmp_path / "ing"
+        assert main(["ingest", "--dicom", str(tree), "--out", str(out)]) == 0
+        rows = (out / "metadata.ndjson").read_text().splitlines()
+        assert [json.loads(r)["sop_uid"] for r in rows] == ["1.2.3.4.1"]
+        skips = (out / "skip_report.csv").read_text().splitlines()
+        assert len(skips) == 2 and skips[1].startswith(str(tree / "b_bad.dcm"))
+        assert "bad IS value" in skips[1]

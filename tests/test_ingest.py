@@ -1,13 +1,21 @@
 """Directory ingestion and the NDJSON metadata sidecar."""
 
 import json
+import os
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bodyregion.cli import main
 from bodyregion.errors import SchemaError
-from bodyregion.ingest import (ingest_tree, read_metadata_ndjson,
+from bodyregion.ingest import (ingest_tree, read_metadata_ndjson, tree_files,
                                write_metadata_ndjson)
+from bodyregion.records import (SIDECAR_FIELDS, ImageRecord, SeriesRecord,
+                                StudyRecord, sidecar_row)
 
 from conftest import make_dicom
 
@@ -63,6 +71,14 @@ class TestIngestTree:
         a, _ = ingest_tree(tmp_path)
         b, _ = ingest_tree(tmp_path)
         assert [s.study_uid for s in a] == [s.study_uid for s in b]
+
+    def test_tree_files_sorted_walk(self, tmp_path):
+        for rel in ("b/2", "b/10", "a/z/1", "a/y", "c"):
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("")
+        assert [os.path.relpath(p, tmp_path) for p in tree_files(tmp_path)] == [
+            "c", "a/y", "a/z/1", "b/10", "b/2"]
 
 
 class TestNdjsonRoundTrip:
@@ -152,3 +168,62 @@ class TestNdjsonSchema:
         row = json.dumps({"sop_uid": "1", "series_uid": "2", "study_uid": "3"})
         path = self._write(tmp_path, [row, "", row.replace('"1"', '"4"')])
         assert read_metadata_ndjson(path)[0].image_count() == 2
+
+
+def _values(cls):
+    """Values valid for each metadata field of `cls`, None included where
+    the field is Optional; the UID is a non-empty string."""
+    strategies = {}
+    for f in fields(cls):
+        if f.name not in {spec[0] for spec in SIDECAR_FIELDS[cls]}:
+            continue
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        floats = st.floats(allow_nan=False)
+        value = {"str": st.text(), "int": st.integers(), "float": floats,
+                 "tuple": st.tuples(*[floats] * f.metadata.get("length", 0))
+                 }[kind]
+        if f.type.startswith("Optional["):
+            value = st.none() | value
+        strategies[f.name] = value
+    uid = SIDECAR_FIELDS[cls][0][0]
+    strategies[uid] = st.text(min_size=1)
+    return st.fixed_dictionaries(strategies)
+
+
+class TestNdjsonFields:
+    @settings(max_examples=200, deadline=None)
+    @given(study=_values(StudyRecord), series=_values(SeriesRecord),
+           images=st.lists(_values(ImageRecord), min_size=1, max_size=3,
+                           unique_by=lambda v: v["sop_uid"]))
+    def test_every_field_round_trips(self, study, series, images):
+        record = StudyRecord(**study)
+        record.series = [SeriesRecord(**series)]
+        record.series[0].images = [ImageRecord(**v) for v in images]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "meta.ndjson")
+            write_metadata_ndjson([record], path)
+            [reread] = read_metadata_ndjson(path)
+        [series_back] = reread.series
+        assert sidecar_row(reread) == study
+        assert sidecar_row(series_back) == series
+        assert [sidecar_row(im) for im in series_back.images] == images
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("rows", 1e400, "rows must be an integer, got inf"),
+        ("instance_number", "7.5", "instance_number must be an integer"),
+        ("series_description", 5, "series_description must be a string"),
+        ("patient_sex", ["F"], "patient_sex must be a string"),
+        ("image_orientation_patient", [1, 0, 0, 0, 1, "z"],
+         "image_orientation_patient must be a 6-element array of numbers"),
+        ("study_uid", 3, "study_uid must be a non-empty string, got 3"),
+    ])
+    def test_wrong_type_is_a_data_error(self, tmp_path, capsys, key, value,
+                                        message):
+        good = {"sop_uid": "1", "series_uid": "2", "study_uid": "3"}
+        bad = {"sop_uid": "4", "series_uid": "5", "study_uid": "6", key: value}
+        path = tmp_path / "meta.ndjson"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        assert main(["filter", "--in", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: line 2: {message}")

@@ -71,14 +71,6 @@ class TestGoldenLayout:
         emit_region_report(rows, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_markdown_format(self, tmp_path):
-        rows = region_rows(cohort_with_rare_class(), CLASSES, resamples=20)
-        path = tmp_path / "by_region.md"
-        emit_region_report(rows, path, fmt="markdown")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("| region |")
-        assert set(lines[1]) <= {"|", "-"}
-
     def test_factor_csv_na_row(self, tmp_path):
         studies, evals = [], {}
         for i in range(8):
