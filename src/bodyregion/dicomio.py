@@ -1,9 +1,14 @@
 """Minimal DICOM reader/writer for the tags this pipeline needs.
 
 Reads Part-10 files (128-byte preamble + "DICM" + file meta group) and bare
-explicit/implicit VR little-endian datasets. Unknown elements are skipped by
-length, sequences are stepped over item by item, and the pixel data element
-is located but never decoded here (see pixels.decode_pixels).
+explicit/implicit VR little-endian datasets. One top-level walk (`_walk`)
+reads the file meta group and then the dataset, one header unpack per
+element: it fills the record fields of the TAG_TABLE elements, skips every
+other element by length, and leaves an undefined-length value (a sequence
+or encapsulated pixel data) to `_skip_undefined`, the one nested walker.
+The pixel data element is located but never decoded here (see
+pixels.decode_pixels). The walk also records where BodyPartExamined is, or
+would go, so that tag-write splices without walking the file again.
 
 Every structural fault raises Malformed with the byte offset of the fault;
 no input byte string may crash the reader or trigger unbounded allocation.
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import NamedTuple, Optional
 
 from .errors import Malformed
 from .records import SIDECAR_FIELDS, ImageRecord, SeriesRecord, StudyRecord
@@ -55,6 +60,7 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
 TAG_PIXEL_DATA = (0x7FE0, 0x0010)
+TAG_BODY_PART = (0x0018, 0x0015)
 TAG_ITEM = (0xFFFE, 0xE000)
 TAG_ITEM_DELIM = (0xFFFE, 0xE00D)
 TAG_SEQ_DELIM = (0xFFFE, 0xE0DD)
@@ -75,7 +81,7 @@ TAG_TABLE = {
     (0x0010, 0x1010): ("PatientAge", "AS", "patient_age"),
     (0x0010, 0x0040): ("PatientSex", "CS", "patient_sex"),
     (0x0018, 0x0010): ("ContrastBolusAgent", "LO", "contrast_agent"),
-    (0x0018, 0x0015): ("BodyPartExamined", "CS", "body_part_examined"),
+    TAG_BODY_PART: ("BodyPartExamined", "CS", "body_part_examined"),
     (0x0018, 0x0050): ("SliceThickness", "DS", "slice_thickness"),
     (0x0018, 0x1210): ("ConvolutionKernel", "SH", "convolution_kernel"),
     (0x0020, 0x000D): ("StudyInstanceUID", "UI", "study_uid"),
@@ -98,16 +104,14 @@ _TAG_BY_KEYWORD = {kw: tag for tag, (kw, _, _) in TAG_TABLE.items()}
 
 @dataclass
 class ElementRef:
-    """One data element located in a byte buffer (value not copied)."""
+    """One element or item header located in a byte buffer (value not
+    copied)."""
 
     tag: tuple
     vr: Optional[str]
     element_start: int
     value_start: int
     value_length: int  # UNDEFINED_LENGTH for encapsulated/undefined
-    # Position just past the element, its delimiters included; set by
-    # iter_elements, which has stepped over an undefined-length value.
-    end: Optional[int] = None
 
     @property
     def value_end(self) -> int:
@@ -187,32 +191,10 @@ def _skip_undefined(data: bytes, ref: ElementRef, explicit: bool) -> int:
             pos = head.value_end
 
 
-def iter_elements(data: bytes, start: int, explicit: bool,
-                  stop_before_group: Optional[int] = None) -> Iterator[ElementRef]:
-    """Iterate top-level data elements from `start` to the end of `data`.
-
-    An undefined-length element (a sequence or encapsulated pixel data) is
-    yielded with value_length == UNDEFINED_LENGTH after its value has been
-    stepped over; the walk resumes past its sequence delimiter. Each
-    yielded element's `end` is where the walk resumes.
-    """
-    stop = stop_before_group is not None and _U16.pack(stop_before_group)
-    pos = start
-    n = len(data)
-    while pos < n:
-        if n - pos < 8:
-            raise Malformed("trailing garbage shorter than an element", offset=pos)
-        if stop and data[pos:pos + 2] != stop:
-            return
-        ref = _read_header(data, pos, explicit)
-        if ref.value_length == UNDEFINED_LENGTH:
-            pos = _skip_undefined(data, ref, explicit)
-        elif ref.value_length > n - ref.value_start:
-            raise Malformed("element length past end of file", offset=pos)
-        else:
-            pos = ref.value_end
-        ref.end = pos
-        yield ref
+# VRs whose value is text.
+_STRING_VR_NAMES = {"UI", "CS", "LO", "SH", "AS", "AE", "PN", "ST", "LT",
+                    "DA", "TM"}
+_STRING_VRS = {vr.encode() for vr in _STRING_VR_NAMES}
 
 
 def _decode_string(raw: bytes) -> str:
@@ -221,7 +203,7 @@ def _decode_string(raw: bytes) -> str:
 
 def _decode_value(vr: str, raw: bytes, offset: int):
     """Decode a value by VR into python types. Multi-valued DS/IS -> list."""
-    if vr in ("UI", "CS", "LO", "SH", "AS", "AE", "PN", "ST", "LT", "DA", "TM"):
+    if vr in _STRING_VR_NAMES:
         return _decode_string(raw)
     if vr == "US":
         if len(raw) < 2:
@@ -263,13 +245,151 @@ def _parse_age(text: str) -> Optional[float]:
 _RECORDS = (ImageRecord, SeriesRecord, StudyRecord)
 _DEFAULTS = tuple({name: default for name, _, _, _, default
                    in SIDECAR_FIELDS[cls]} for cls in _RECORDS)
-# Tag -> (table VR, index into _RECORDS, field spec) for each tag that fills
-# a record field.
-_TAG_FIELDS = {tag: (vr, i, spec)
+
+
+def _int_tag(tag: tuple) -> int:
+    return tag[0] << 16 | tag[1]
+
+
+# Tag as one int -> (table VR, index into _RECORDS, field name, type,
+# conversion, default) for each tag that fills a record field.
+_TAG_FIELDS = {_int_tag(tag): (vr.encode(), i, name, typ, convert, default)
                for i, cls in enumerate(_RECORDS)
-               for spec in SIDECAR_FIELDS[cls]
-               for tag, (_, vr, name) in TAG_TABLE.items()
-               if name == spec[0]}
+               for name, typ, convert, _, default in SIDECAR_FIELDS[cls]
+               for tag, (_, vr, field_name) in TAG_TABLE.items()
+               if field_name == name}
+# A value in one of these VRs is decoded by the table's VR.
+_TABLE_DECODED_VRS = {b"UN", b"OB", b"OW"}
+
+# The top-level walk reads an explicit-VR header as tag + VR + 2-byte
+# length; a long VR's 4-byte length follows at +8.
+_EXPLICIT_HEADER = struct.Struct("<HH2sH")
+_PIXEL_DATA = _int_tag(TAG_PIXEL_DATA)
+_TRANSFER_SYNTAX = _int_tag((0x0002, 0x0010))
+_BODY_PART = _int_tag(TAG_BODY_PART)
+
+
+def _field_value(vr: bytes, raw: bytes, offset: int, table_vr: bytes, typ,
+                 convert, default):
+    """A record field's value from its element's value bytes `raw`, by the
+    general rule: decode by VR, then convert leniently."""
+    value = _decode_value(vr.decode(), raw, offset)
+    if table_vr == b"AS":
+        value = _parse_age(value) if isinstance(value, str) else None
+    # A corrupted VR can turn any tag into arbitrary data, so the policy is
+    # lenient: a multi-valued scalar gives its first value, and an empty or
+    # unconvertible value gives the field's default.
+    if value is None or value == "":
+        return default
+    if value.__class__ is list and typ is not None:
+        value = value[0]  # a scalar field; a number, never empty
+    try:
+        return value if value.__class__ is typ else convert(value)
+    except (TypeError, ValueError, OverflowError):
+        return default
+
+
+class _Walk(NamedTuple):
+    """What a top-level walk found, as byte offsets into the data."""
+
+    end: int  # where the walk stopped
+    pixel_data: Optional[tuple]  # last (7FE0,0010): (value start, length)
+    # Last (0002,0010): (value start, value end).
+    transfer_syntax: Optional[tuple]
+    # First (0018,0015): (element start, value start, value end).
+    body_part: Optional[tuple]
+    # Start of the first element with a larger tag than (0018,0015), or
+    # the end of the data.
+    insert_at: int
+
+
+def _walk(data: bytes, pos: int, explicit: bool, records=None,
+          keep_group: Optional[int] = None) -> _Walk:
+    """Walk the top-level elements from `pos` to the end of `data`, or with
+    `keep_group` to the first element of another group.
+
+    This is the one top-level walk: of the file meta group and of the
+    dataset. A dataset element costs one header unpack (a second for a
+    long VR's length) and builds no object. An undefined-length value (a sequence or encapsulated
+    pixel data) is stepped over by `_skip_undefined`. Each element whose
+    tag fills a field of `records` (a field dict per record of _RECORDS)
+    sets that field; sequences and undefined-length values fill nothing.
+    """
+    n = len(data)
+    get_field = (_TAG_FIELDS if records is not None else {}).get
+    unpack_explicit = _EXPLICIT_HEADER.unpack_from
+    unpack_implicit = _IMPLICIT_HEADER.unpack_from
+    u16 = _U16.unpack_from
+    u32 = _U32.unpack_from
+    pixel_data = transfer_syntax = body_part = insert_at = None
+    while pos < n:
+        if n - pos < 8:
+            raise Malformed("trailing garbage shorter than an element",
+                            offset=pos)
+        if keep_group is not None and u16(data, pos)[0] != keep_group:
+            break
+        if explicit:
+            group, element, vr, length = unpack_explicit(data, pos)
+            if group == 0xFFFE:  # an item or delimiter header: implicit
+                vr = None
+                length = u32(data, pos + 4)[0]
+                value_start = pos + 8
+            elif vr in _LONG_VRS:
+                if pos + 12 > n:
+                    raise Malformed("truncated long-VR header", offset=pos)
+                length = u32(data, pos + 8)[0]
+                value_start = pos + 12
+            elif vr in _KNOWN_VRS:
+                value_start = pos + 8
+            else:
+                raise Malformed(f"unknown VR {vr!r}", offset=pos + 4)
+        else:
+            group, element, length = unpack_implicit(data, pos)
+            vr = None
+            value_start = pos + 8
+        tag = group << 16 | element
+
+        if length == UNDEFINED_LENGTH:
+            end = _skip_undefined(data, _read_header(data, pos, explicit),
+                                  explicit)
+        elif length > n - value_start:
+            raise Malformed("element length past end of file", offset=pos)
+        else:
+            end = value_start + length
+            entry = get_field(tag)
+            if entry is not None and vr != b"SQ":
+                table_vr, i, name, typ, convert, default = entry
+                if vr is None or vr in _TABLE_DECODED_VRS:
+                    vr = table_vr
+                # Fast paths for the common cases; the same values as
+                # _field_value gives.
+                if typ is str and vr in _STRING_VRS:
+                    value = data[value_start:end].decode("latin-1").strip(
+                        "\x00 ") or default
+                elif typ is int and vr == b"US":
+                    if length < 2:
+                        raise Malformed("US value shorter than 2 bytes",
+                                        offset=value_start)
+                    value = u16(data, value_start)[0]
+                else:
+                    value = _field_value(vr, data[value_start:end],
+                                         value_start, table_vr, typ, convert,
+                                         default)
+                records[i][name] = value
+
+        if tag > _BODY_PART:
+            if tag == _PIXEL_DATA:
+                pixel_data = (value_start, length)
+            if insert_at is None:
+                insert_at = pos
+        elif tag == _BODY_PART:
+            if body_part is None:
+                body_part = (pos, value_start, value_start + length)
+        elif tag == _TRANSFER_SYNTAX:
+            transfer_syntax = (value_start, value_start + length)
+        pos = end
+    return _Walk(pos, pixel_data, transfer_syntax, body_part,
+                 n if insert_at is None else insert_at)
 
 
 @dataclass
@@ -281,6 +401,13 @@ class ParsedFile:
     study_attrs: dict = field(default_factory=dict)
     explicit: bool = True
     dataset_start: int = 0
+    # Where tag-write puts (0018,0015), as the walk found it: the first
+    # top-level one's (element start, value start, value end), or None;
+    # and the start of the first top-level element with a larger tag, or
+    # the end of the data.
+    body_part_span: Optional[tuple] = field(default=None, compare=False,
+                                            repr=False)
+    body_part_insert_at: int = field(default=0, compare=False, repr=False)
 
 
 def _sniff_explicit(data: bytes, pos: int) -> bool:
@@ -293,18 +420,16 @@ def _sniff_explicit(data: bytes, pos: int) -> bool:
 def _find_dataset_start(data: bytes):
     """Locate the dataset and its encoding. Returns (start, explicit, tsuid)."""
     if len(data) >= 132 and data[128:132] == b"DICM":
-        pos = 132
-        tsuid = ""
         # File meta group is always explicit VR LE, group 0002.
-        last = pos
-        for ref in iter_elements(data, pos, explicit=True, stop_before_group=0x0002):
-            if ref.tag == (0x0002, 0x0010):
-                tsuid = _decode_string(data[ref.value_start:ref.value_end])
-            last = ref.end
+        meta = _walk(data, 132, explicit=True, keep_group=0x0002)
+        tsuid = ""
+        if meta.transfer_syntax is not None:
+            value_start, value_end = meta.transfer_syntax
+            tsuid = _decode_string(data[value_start:value_end])
         if not tsuid:
-            raise Malformed("file meta group missing TransferSyntaxUID", offset=pos)
-        explicit = tsuid != IMPLICIT_VR_LE
-        return last, explicit, tsuid
+            raise Malformed("file meta group missing TransferSyntaxUID",
+                            offset=132)
+        return meta.end, tsuid != IMPLICIT_VR_LE, tsuid
     # Bare dataset: no preamble, no declared transfer syntax.
     if len(data) < 8:
         raise Malformed("input shorter than one element", offset=0)
@@ -312,7 +437,7 @@ def _find_dataset_start(data: bytes):
     tsuid = EXPLICIT_VR_LE if explicit else IMPLICIT_VR_LE
     # Sanity: the first tag must look like a plausible group number,
     # otherwise reject early with a clear error (bad magic).
-    group = _read_header(data, 0, explicit=False).tag[0]
+    (group,) = _U16.unpack_from(data)
     if group == 0x0000 or group > 0x7FE0:
         raise Malformed("not a DICOM file (no DICM magic, implausible first tag)",
                         offset=0)
@@ -326,56 +451,25 @@ def parse_dicom(data: bytes, source_path: Optional[str] = None) -> ParsedFile:
     skipped by length. Pixel data is located (offset/length) but not decoded.
     """
     start, explicit, tsuid = _find_dataset_start(data)
-
     # Field values of each record in _RECORDS; a missing tag leaves the
     # field at its default.
     records = [dict(defaults) for defaults in _DEFAULTS]
-    pixel_ref = None
-    for ref in iter_elements(data, start, explicit=explicit):
-        if ref.tag == TAG_PIXEL_DATA:
-            pixel_ref = ref
-            continue
-        if ref.vr == "SQ" or ref.value_length == UNDEFINED_LENGTH:
-            continue  # sequences carry nothing the pipeline needs
-        entry = _TAG_FIELDS.get(ref.tag)
-        if entry is None:
-            continue
-        table_vr, i, (name, typ, convert, _, default) = entry
-        vr = ref.vr if ref.vr is not None else table_vr
-        if vr in ("UN", "OB", "OW"):
-            vr = table_vr
-        value = _decode_value(vr, data[ref.value_start:ref.value_end],
-                              ref.value_start)
-        if table_vr == "AS":
-            value = _parse_age(value) if isinstance(value, str) else None
-        # A corrupted VR can turn any tag into arbitrary data, so the
-        # policy is lenient: a multi-valued scalar gives its first value,
-        # and an empty or unconvertible value gives the field's default.
-        if value is None or value == "":
-            value = default
-        else:
-            if value.__class__ is list and typ is not None:
-                value = value[0]  # a scalar field; a number, never empty
-            try:
-                if value.__class__ is not typ:
-                    value = convert(value)
-            except (TypeError, ValueError, OverflowError):
-                value = default
-        records[i][name] = value
-
+    walk = _walk(data, start, explicit, records)
     image_attrs, series_attrs, study_attrs = records
-    image = ImageRecord(**image_attrs)
     # The file meta group, not the dataset, declares the transfer syntax.
-    image.transfer_syntax_uid = tsuid
-    image.source_path = source_path
-    if pixel_ref is not None:
-        image.pixel_data_offset = pixel_ref.value_start
-        image.pixel_data_length = (len(data) - pixel_ref.value_start
-                                   if pixel_ref.value_length == UNDEFINED_LENGTH
-                                   else pixel_ref.value_length)
-    return ParsedFile(image=image, series_attrs=series_attrs,
-                      study_attrs=study_attrs,
-                      explicit=explicit, dataset_start=start)
+    image_attrs["transfer_syntax_uid"] = tsuid
+    image_attrs["source_path"] = source_path
+    if walk.pixel_data is not None:
+        offset, length = walk.pixel_data
+        image_attrs["pixel_data_offset"] = offset
+        image_attrs["pixel_data_length"] = (len(data) - offset
+                                            if length == UNDEFINED_LENGTH
+                                            else length)
+    return ParsedFile(image=ImageRecord(**image_attrs),
+                      series_attrs=series_attrs, study_attrs=study_attrs,
+                      explicit=explicit, dataset_start=start,
+                      body_part_span=walk.body_part,
+                      body_part_insert_at=walk.insert_at)
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,16 @@ _UID_FIELDS = tuple(SIDECAR_FIELDS[cls][0][0]
 def read_ndjson(path) -> Iterator[Tuple[int, dict]]:
     """(line number, object) for each non-blank line of an NDJSON file.
 
-    A line that is not a JSON object raises SchemaError with its number.
+    Lines end at "\n". A line that is not UTF-8, or not a JSON object,
+    raises SchemaError with its number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"invalid UTF-8 at byte {exc.start + 1}: "
+                                  f"{exc.reason}", line=lineno)
             if not line:
                 continue
             try:

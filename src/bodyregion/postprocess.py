@@ -11,12 +11,12 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .classify import Prediction
-from .errors import EmptySeries
+from .errors import EmptySeries, SchemaError
 from .ingest import read_ndjson
 from .taxonomy import BodyRegion
 
@@ -216,5 +216,38 @@ def write_series_results(results: Sequence[SeriesResult], path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+_STATUS_NAMES = tuple(s.value for s in SeriesStatus)
+_REGION_NAMES = tuple(r.value for r in BodyRegion)
+
+
+def _results_row_problem(row: dict) -> Optional[str]:
+    """What is wrong with a results row, or None."""
+    uid, status = row.get("series_uid"), row.get("status")
+    images, regions = row.get("images"), row.get("series_regions")
+    if not isinstance(uid, str):
+        return f"series_uid must be a string, got {uid!r}"
+    if status not in _STATUS_NAMES:
+        return (f"status must be one of {', '.join(_STATUS_NAMES)}, "
+                f"got {status!r}")
+    if not isinstance(images, list):
+        return f"images must be a list, got {images!r}"
+    if not (isinstance(regions, list)
+            and all(r in _REGION_NAMES for r in regions)):
+        return f"series_regions must be a list of body regions, got {regions!r}"
+    return None
+
+
 def read_series_results(path) -> List[dict]:
-    return [row for _, row in read_ndjson(path)]
+    """The rows of a results NDJSON file, as write_series_results wrote them.
+
+    Each row must hold `series_uid` (a string), `status` (a SeriesStatus
+    value), `images` (a list) and `series_regions` (a list of BodyRegion
+    values); SchemaError names the line of the first row that does not.
+    """
+    rows = []
+    for lineno, row in read_ndjson(path):
+        problem = _results_row_problem(row)
+        if problem is not None:
+            raise SchemaError(problem, line=lineno)
+        rows.append(row)
+    return rows

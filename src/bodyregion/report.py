@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .dicomio import ParsedFile, encode_element, iter_elements, parse_dicom
+from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
 from .errors import BodyRegionError
 from .records import SeriesRecord
 from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
@@ -138,8 +138,6 @@ def _emit_table(header: List[str], rows: List[List[str]], path) -> None:
 # ---------------------------------------------------------------------------
 # BodyPartExamined write-back
 
-_BODY_PART_TAG = (0x0018, 0x0015)
-
 
 @dataclass
 class TagChange:
@@ -150,28 +148,33 @@ class TagChange:
     detail: str = ""
 
 
-def _splice_body_part(data: bytes, parsed: ParsedFile,
-                      region: BodyRegion) -> Tuple[bytes, str]:
-    """Replace or insert (0018,0015), preserving every other byte.
+def _old_body_part(data: bytes, parsed: ParsedFile) -> str:
+    """The value of the first top-level (0018,0015), "" when absent.
 
     `parsed` is `parse_dicom(data)`.
     """
-    new_value = CANONICAL_TAG_STRINGS[region]
-    element = encode_element(_BODY_PART_TAG, "CS", new_value,
+    if parsed.body_part_span is None:
+        return ""
+    _, value_start, value_end = parsed.body_part_span
+    return data[value_start:value_end].decode("latin-1").strip("\x00 ")
+
+
+def _splice_body_part(data: bytes, parsed: ParsedFile,
+                      region: BodyRegion) -> bytes:
+    """Replace the first top-level (0018,0015), or insert one before the
+    first top-level element with a larger tag, preserving every other byte.
+
+    `parsed` is `parse_dicom(data)`, whose walk recorded both positions;
+    the file is not walked again.
+    """
+    element = encode_element(TAG_BODY_PART, "CS",
+                             CANONICAL_TAG_STRINGS[region],
                              explicit=parsed.explicit)
-    old = ""
-    insert_at = None
-    for ref in iter_elements(data, parsed.dataset_start, parsed.explicit):
-        if ref.tag == _BODY_PART_TAG:
-            old = data[ref.value_start:ref.value_end].decode(
-                "latin-1").strip("\x00 ")
-            return (data[:ref.element_start] + element + data[ref.value_end:],
-                    old)
-        if ref.tag > _BODY_PART_TAG and insert_at is None:
-            insert_at = ref.element_start
-    if insert_at is None:
-        insert_at = len(data)
-    return data[:insert_at] + element + data[insert_at:], old
+    if parsed.body_part_span is None:
+        cut = parsed.body_part_insert_at
+        return data[:cut] + element + data[cut:]
+    element_start, _, value_end = parsed.body_part_span
+    return data[:element_start] + element + data[value_end:]
 
 
 def write_body_part_tags(files: Sequence[str],
@@ -201,12 +204,12 @@ def write_body_part_tags(files: Sequence[str],
             changes.append(TagChange(path, "skipped",
                                      detail="series rejected as uncertain"))
             continue
-        new_data, old = _splice_body_part(data, parsed, region)
-        changes.append(TagChange(path, "rewritten", old_value=old,
+        changes.append(TagChange(path, "rewritten",
+                                 old_value=_old_body_part(data, parsed),
                                  new_value=CANONICAL_TAG_STRINGS[region]))
         if not dry_run:
             with open(path, "wb") as fh:
-                fh.write(new_data)
+                fh.write(_splice_body_part(data, parsed, region))
     return changes
 
 

@@ -298,12 +298,13 @@ class TestExitCodes:
         rc = main(["filter", "--in", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("stage", ["tag-write", "evaluate"])
-    def test_bad_results_line_is_data_error(self, pipeline_dirs, tmp_path,
-                                            capsys, stage):
+    @staticmethod
+    def _run_on_results(stage, pipeline_dirs, tmp_path, bad_line):
+        """Run `stage` on the pipeline's results with `bad_line` inserted
+        as line 3."""
         results = tmp_path / "results.ndjson"
         lines = (pipeline_dirs / "results.ndjson").read_text().splitlines()
-        lines.insert(2, '{"series_uid": ')
+        lines.insert(2, bad_line)
         results.write_text("\n".join(lines) + "\n")
         if stage == "tag-write":
             argv = ["--dicom", str(pipeline_dirs / "ph"), "--dry-run",
@@ -312,10 +313,54 @@ class TestExitCodes:
             argv = ["--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
                     "--truth", str(pipeline_dirs / "truth.csv"),
                     "--out", str(tmp_path / "eval")]
+        return main([stage, "--results", str(results)] + argv)
+
+    @pytest.mark.parametrize("stage", ["tag-write", "evaluate"])
+    def test_bad_results_line_is_data_error(self, pipeline_dirs, tmp_path,
+                                            capsys, stage):
         capsys.readouterr()
-        assert main([stage, "--results", str(results)] + argv) == 2
+        assert self._run_on_results(stage, pipeline_dirs, tmp_path,
+                                    '{"series_uid": ') == 2
         assert capsys.readouterr().err.startswith(
             "data error: line 3: invalid JSON: ")
+
+    @pytest.mark.parametrize("stage,regions,message", [
+        ("tag-write", None, "series_uid must be a string, got None"),
+        ("evaluate", None, "series_uid must be a string, got None"),
+        ("tag-write", ["Nope"],
+         "series_regions must be a list of body regions, got ['Nope']"),
+    ], ids=["tag_write_empty_row", "evaluate_empty_row",
+            "tag_write_unknown_region"])
+    def test_bad_results_row_is_data_error(self, pipeline_dirs, tmp_path,
+                                           capsys, stage, regions, message):
+        # A JSON object that is not a results row: {} (was KeyError), or
+        # an accepted row naming an unknown region (was ValueError).
+        row = {}
+        if regions is not None:
+            with open(pipeline_dirs / "results.ndjson") as fh:
+                row = next(r for r in map(json.loads, fh)
+                           if r["status"] == "Accepted")
+            row["series_regions"] = regions
+        capsys.readouterr()
+        assert self._run_on_results(stage, pipeline_dirs, tmp_path,
+                                    json.dumps(row)) == 2
+        assert capsys.readouterr().err == f"data error: line 3: {message}\n"
+
+    def test_non_utf8_sidecar_line_is_data_error(self, pipeline_dirs,
+                                                 tmp_path, capsys):
+        # A byte that is not UTF-8 in line 2 (was UnicodeDecodeError).
+        lines = (pipeline_dirs / "ing" / "metadata.ndjson").read_bytes(
+        ).splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"CT"', b'"C\xff"', 1)
+        bad = tmp_path / "metadata.ndjson"
+        bad.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["filter", "--in", str(bad),
+                     "--out", str(tmp_path / "filt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2: invalid UTF-8 at byte ")
+        column = int(err.split("at byte ")[1].split(":")[0])
+        assert lines[1][column - 1:column] == b"\xff"
 
     def _assert_missing(self, capsys, argv, path):
         capsys.readouterr()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bodyregion.dicomio import parse_dicom
-from bodyregion.report import (emit_factor_report, emit_region_report,
-                               region_rows, write_body_part_tags,
-                               write_change_log)
+from bodyregion.report import (TagChange, emit_factor_report,
+                               emit_region_report, region_rows,
+                               write_body_part_tags, write_change_log)
 from bodyregion.stats import EvalSeries, EvalStudy, factor_report
 from bodyregion.taxonomy import BodyRegion
 
@@ -138,6 +138,50 @@ class TestTagWriteBack:
                                        {"1.2.3.2": BodyRegion.HEAD})
         assert [c.action for c in changes] == ["rewritten", "rewritten"]
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_each_file_walked_once(self, tmp_path, monkeypatch, dry_run):
+        # Tag-write parses each file once and splices from the positions
+        # that parse recorded: every walk of a file is inside its parse.
+        import bodyregion.dicomio as dicomio_mod
+        import bodyregion.report as report_mod
+        parses, walks, open_parses = [], [], []
+        walk = dicomio_mod._walk
+
+        def counting_parse(data):
+            parses.append(len(data))
+            open_parses.append(data)
+            try:
+                return parse_dicom(data)
+            finally:
+                open_parses.pop()
+
+        def counting_walk(*args, **kwargs):
+            walks.append(bool(open_parses))
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(report_mod, "parse_dicom", counting_parse)
+        monkeypatch.setattr(dicomio_mod, "_walk", counting_walk)
+        values = {"present": "CHEST", "absent": None, "empty": ""}
+        originals = {name: self._write_file(tmp_path / f"{name}.dcm",
+                                            BodyPartExamined=value)
+                     for name, value in values.items()}
+        paths = [str(tmp_path / f"{name}.dcm") for name in values]
+        changes = write_body_part_tags(paths, {"1.2.3.2": BodyRegion.HEAD},
+                                       dry_run=dry_run)
+        assert changes == [
+            TagChange(paths[0], "rewritten", "CHEST", "HEAD"),
+            TagChange(paths[1], "rewritten", "", "HEAD"),
+            TagChange(paths[2], "rewritten", "", "HEAD")]
+        assert len(parses) == 3
+        assert walks == [True] * 6  # the file meta group, then the dataset
+        for name in values:
+            data = (tmp_path / f"{name}.dcm").read_bytes()
+            if dry_run:
+                assert data == originals[name]
+            else:
+                parsed = parse_dicom(data)
+                assert parsed.study_attrs["body_part_examined"] == "HEAD"
 
     def test_dry_run_leaves_file(self, tmp_path):
         path = tmp_path / "a.dcm"
