@@ -251,22 +251,29 @@ def cmd_evaluate(args):
 
     os.makedirs(args.out, exist_ok=True)
     k = len(class_names)
-    # Every resample pass of this run shares the seed's streams, so each
-    # stream is built once per run.
-    streams = stats_mod.ResampleStreams(cfg.seed)
+    # Every CI of the run is read from one resample pass over its unit
+    # sets: all evaluable studies, and each factor category with enough
+    # units to be reported.
+    sampled = []
+    for factor in args.factors:
+        by_cat = stats_mod.factor_units(studies, evals, factor)
+        sampled.append({cat: u for cat, u in by_cat.items()
+                        if len(u) >= stats_mod.MIN_CATEGORY_COUNT})
+    counts = iter(stats_mod.bootstrap_counts(
+        [units] + [u for cats in sampled for u in cats.values()], k,
+        cfg.bootstrap_resamples, cfg.seed, cfg.step_mm))
     rows = report_mod.region_rows(units, class_names,
                                   resamples=cfg.bootstrap_resamples,
                                   level=cfg.ci_level, seed=cfg.seed,
-                                  step_mm=cfg.step_mm, streams=streams)
+                                  step_mm=cfg.step_mm, counts=next(counts))
     report_mod.emit_region_report(rows, os.path.join(args.out, "by_region.csv"))
 
-    factor_reports = []
-    for factor in args.factors:
-        fr = stats_mod.factor_report(studies, evals, factor, k, class_names,
-                                     resamples=cfg.bootstrap_resamples,
-                                     level=cfg.ci_level, seed=cfg.seed,
-                                     step_mm=cfg.step_mm, streams=streams)
-        factor_reports.append(fr)
+    for factor, cats in zip(args.factors, sampled):
+        fr = stats_mod.factor_report(
+            studies, evals, factor, k, class_names,
+            resamples=cfg.bootstrap_resamples, level=cfg.ci_level,
+            seed=cfg.seed, step_mm=cfg.step_mm,
+            counts={cat: next(counts) for cat in cats})
         report_mod.emit_factor_report(
             fr, os.path.join(args.out, f"by_{factor}.csv"))
 

@@ -18,7 +18,7 @@ import numpy as np
 from .classify import Prediction
 from .errors import EmptySeries, SchemaError
 from .ingest import read_ndjson
-from .taxonomy import BodyRegion
+from .taxonomy import FINAL_REGIONS, BodyRegion
 
 DEFAULT_MIN_RUN = 3
 DEFAULT_WINDOW = 3
@@ -217,7 +217,7 @@ def write_series_results(results: Sequence[SeriesResult], path) -> None:
 
 
 _STATUS_NAMES = tuple(s.value for s in SeriesStatus)
-_REGION_NAMES = tuple(r.value for r in BodyRegion)
+_REGION_NAMES = tuple(r.value for r in FINAL_REGIONS)
 
 
 def _results_row_problem(row: dict) -> Optional[str]:
@@ -234,6 +234,17 @@ def _results_row_problem(row: dict) -> Optional[str]:
     if not (isinstance(regions, list)
             and all(r in _REGION_NAMES for r in regions)):
         return f"series_regions must be a list of body regions, got {regions!r}"
+    # An accepted series carries the labels of its non-empty image list.
+    if status == SeriesStatus.ACCEPTED.value and not regions:
+        return "an Accepted row must name at least one series region"
+    for image in images:
+        if not (isinstance(image, dict)
+                and isinstance(image.get("sop_uid"), str)):
+            return (f"images entries must be objects with a string sop_uid, "
+                    f"got {image!r}")
+        label = image.get("label")
+        if label is not None and label not in _REGION_NAMES:
+            return f"image label must be null or a body region, got {label!r}"
     return None
 
 
@@ -241,8 +252,10 @@ def read_series_results(path) -> List[dict]:
     """The rows of a results NDJSON file, as write_series_results wrote them.
 
     Each row must hold `series_uid` (a string), `status` (a SeriesStatus
-    value), `images` (a list) and `series_regions` (a list of BodyRegion
-    values); SchemaError names the line of the first row that does not.
+    value), `images` (a list of objects with a string `sop_uid` and a
+    `label` that is null or a final region) and `series_regions` (a list of
+    final regions, non-empty when Accepted); SchemaError names the line of
+    the first row that does not.
     """
     rows = []
     for lineno, row in read_ndjson(path):

@@ -18,7 +18,7 @@ from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
 from .errors import BodyRegionError
 from .records import SeriesRecord
 from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
-                    ResampleStreams, bootstrap_counts, ci_from_counts,
+                    ResampleCounts, bootstrap_counts, ci_from_counts,
                     full_confusion, ratio_or_nan, weighted_sensitivity,
                     weighted_specificity)
 # Kept importable from this module: callers resolve it through here.
@@ -62,19 +62,21 @@ def region_rows(evals: Sequence[EvalStudy], class_names: Sequence[str],
                 resamples: int = 1000, level: float = 0.95, seed: int = 0,
                 step_mm: float = 10.0,
                 min_count: int = MIN_REGION_COUNT,
-                streams: Optional[ResampleStreams] = None) -> List[RegionRow]:
+                counts: Optional[ResampleCounts] = None) -> List[RegionRow]:
     """Overall row plus one row per region with bootstrap CIs.
 
-    Every CI is read from one resample pass over `evals`, drawn from
-    `streams` (see `bootstrap_counts`), so each equals
+    Every CI is read from `counts`, the `bootstrap_counts` of `evals`
+    (computed here when not given), so each equals
     `bootstrap_ci(evals, metric, ...)` with the same arguments.
     """
     k = len(class_names)
     cm = full_confusion(evals, k, class_names)
-    counts = bootstrap_counts(evals, k, resamples, seed, step_mm, streams)
+    if counts is None:
+        [counts] = bootstrap_counts([evals], k, resamples, seed, step_mm)
+    tensor = counts.expand()
 
     def ci(metric) -> CIResult:
-        return ci_from_counts(counts, metric, class_names, level, seed)
+        return ci_from_counts(tensor, metric, class_names, level, seed)
 
     rows = [RegionRow("Overall", cm.total,
                       weighted_sensitivity(cm), ci(weighted_sensitivity),

@@ -7,14 +7,16 @@ one uniformly chosen series, subsampled at the configured physical step
 with an iteration-derived seed, so resamples are independent of execution
 order and bit-reproducible for a fixed seed.
 
-Each unit set is resampled once: `bootstrap_counts` returns the pooled
-(R, K, K) count tensor, and every CI of that unit set is read from it by
-`ci_from_counts`. Resample i always draws from the `default_rng([seed, i])`
-stream. The passes of one evaluate run share a `ResampleStreams`, which
-builds each stream once and restores it from its start state for every
-later pass, so the draws, and the CIs, are those of a new generator. Each
-metric is a `CountMetric`, implemented once over (..., K, K) counts, so a
-point estimate is the one-matrix case of the same code. The floats are
+One call of `bootstrap_counts` resamples every unit set of an evaluate
+run (the cohort, and each factor category reported with a CI), and every
+CI of a set is read from its counts by `ci_from_counts`. Resample i always
+draws from the `default_rng([seed, i])` stream, and its draws depend only
+on the set's size, so the call builds each stream once and restores it
+from its start state for each further size; all sets of one size gather
+from the same draws, which are those of a new generator.
+
+Each metric is a `CountMetric`, implemented once over (..., K, K) counts,
+so a point estimate is the one-matrix case of the same code. The floats are
 exact: a ratio of int64 counts below 2^53 divides with correct rounding,
 and weighted specificity sums its per-class rationals on one common
 denominator in Python ints before a single int / int division, which
@@ -30,7 +32,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -170,12 +173,18 @@ def weighted_specificity(counts: np.ndarray) -> np.ndarray:
     # are alive at a time.
     used = weight.any(axis=0)
     m = int(used.sum())
-    rows, inverse = np.unique(
-        np.concatenate([weight[:, used], tn[:, used], negatives[:, used]],
-                       axis=1),
-        axis=0, return_inverse=True)
-    values = np.empty(len(rows))
-    for j, row in enumerate(rows):
+    if m == 0:
+        return np.full(counts.shape[:-2], np.nan)
+    table = np.ascontiguousarray(np.concatenate(
+        [weight[:, used], tn[:, used], negatives[:, used]], axis=1))
+    # Each row as one opaque byte string: a 1-D unique finds the distinct
+    # rows faster than unique(axis=0); the order it sorts them in does not
+    # matter, as every value maps back through the inverse.
+    _, first, inverse = np.unique(
+        table.view(np.dtype((np.void, table.itemsize * 3 * m))).ravel(),
+        return_index=True, return_inverse=True)
+    values = np.empty(len(first))
+    for j, row in enumerate(table[first]):
         row = row.tolist()
         values[j] = _exact_weighted_ratio(row[:m], row[m:2 * m], row[2 * m:])
     return values[inverse.reshape(-1)].reshape(counts.shape[:-2])
@@ -391,69 +400,48 @@ def full_confusion(studies: Sequence[EvalStudy], k: int,
 _GATHER_ELEMENTS = 1 << 15
 
 
-class ResampleStreams:
-    """The random streams of one bootstrap seed, each built once.
+@dataclass
+class ResampleCounts:
+    """Pooled confusion counts of every bootstrap resample of one unit set.
 
-    Resample i draws from `default_rng([seed, i])`. The first request for
-    stream i builds that generator and keeps its PCG64 start state (two
-    ints); every later request restores the state into one reused
-    generator, which yields the same draws for a fraction of the cost of
-    building a new one. One object serves every `bootstrap_counts` pass of
-    a run; it holds only R pairs of ints and dies with the run.
+    Only the (truth, pred) cells that some sampling start of the set fills
+    can be non-zero, so `values` holds those flat K x K cells alone, one row
+    per resample; `expand()` gives the (R, K, K) tensor.
     """
 
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._starts: List[Tuple[int, int]] = []
-        self._bit_generator = np.random.PCG64()
-        self._generator = np.random.Generator(self._bit_generator)
+    k: int
+    cells: np.ndarray   # flat truth * K + pred indices
+    values: np.ndarray  # (R, len(cells)) int64
 
-    def generator(self, i: int) -> np.random.Generator:
-        """A generator at the start of stream `[seed, i]`, valid until the
-        next call (a restored stream reuses one generator)."""
-        if i < len(self._starts):
-            state, inc = self._starts[i]
-            self._bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0}
-            return self._generator
-        rng = np.random.default_rng([self.seed, i])
-        if i == len(self._starts):
-            start = rng.bit_generator.state["state"]
-            self._starts.append((start["state"], start["inc"]))
-        return rng
+    def expand(self) -> np.ndarray:
+        out = np.zeros((len(self.values), self.k * self.k), dtype=np.int64)
+        out[:, self.cells] = self.values
+        return out.reshape(-1, self.k, self.k)
 
 
-def bootstrap_counts(studies: Sequence[EvalStudy], k: int,
-                     resamples: int = 1000, seed: int = 0,
-                     step_mm: float = 10.0,
-                     streams: Optional[ResampleStreams] = None) -> np.ndarray:
-    """Pooled confusion counts of every bootstrap resample, shape (R, K, K).
+class _GatherTables(NamedTuple):
+    """One unit set's count rows and the indices that find a draw's row."""
 
-    Resample i uses its own stream `default_rng([seed, i])`: it draws n
-    studies with replacement, then one uniform series per drawn study, then
-    one uniform sampling start in that series' first step_mm window, and
-    pools the counts of the images the greedy subsample keeps. Passes that
-    share `streams` (made for the same seed) build each stream once and
-    restore it from its start state afterwards; the draws, and so the
-    counts, are the same either way.
+    cells: np.ndarray         # occupied flat K x K cells
+    combos: np.ndarray        # per (study, series, start): counts in cells
+    first_combo: np.ndarray   # per series: row of its start-0 combo
+    windows: np.ndarray       # per series: number of starts
+    first_series: np.ndarray  # per study: index of its first series
+    n_series: np.ndarray      # per study
+
+
+def _gather_tables(studies: List[EvalStudy], k: int, step_mm: float,
+                   start_counts: Dict[int, np.ndarray]) -> _GatherTables:
+    """The `_GatherTables` of one unit set.
+
+    `start_counts` maps id(series) to its `_series_start_counts`, so a
+    series shared by several unit sets is counted once.
     """
-    studies = list(studies)
     if not studies:
         raise EmptyCohort("no studies to bootstrap")
-    if streams is None:
-        streams = ResampleStreams(seed)
-    elif streams.seed != seed:
-        raise ValueError(f"streams are for seed {streams.seed}, not {seed}")
-
     # One combo row per (study, series, start); each series' rows are
     # contiguous, and each study's series are numbered contiguously.
-    blocks = []
-    first_combo = []   # per series: id of its start-0 combo
-    windows = []       # per series: number of starts
-    first_series = []  # per study: index of its first series
-    n_series = []      # per study
+    blocks, first_combo, windows, first_series, n_series = [], [], [], [], []
     n_combos = 0
     for study in studies:
         if not study.series:
@@ -461,40 +449,70 @@ def bootstrap_counts(studies: Sequence[EvalStudy], k: int,
         first_series.append(len(windows))
         n_series.append(len(study.series))
         for s in study.series:
-            block = _series_start_counts(s, k, step_mm)
+            block = start_counts.get(id(s))
+            if block is None:
+                block = start_counts[id(s)] = _series_start_counts(
+                    s, k, step_mm)
             first_combo.append(n_combos)
             windows.append(len(block))
             n_combos += len(block)
             blocks.append(block)
     combos = np.concatenate(blocks)
-    # Only the (truth, pred) cells some combo fills can be non-zero.
-    occupied = np.flatnonzero(combos.any(axis=0))
-    combos = combos[:, occupied]
-    first_combo, windows, first_series, n_series = (
+    cells = np.flatnonzero(combos.any(axis=0))
+    return _GatherTables(cells, combos[:, cells], *(
         np.asarray(a, dtype=np.int64)
-        for a in (first_combo, windows, first_series, n_series))
+        for a in (first_combo, windows, first_series, n_series)))
 
-    n = len(studies)
-    out = np.zeros((resamples, k * k), dtype=np.int64)
-    # Resamples run in chunks so the (chunk, n, occupied) gather stays
+
+def bootstrap_counts(unit_sets: Sequence[Sequence[EvalStudy]], k: int,
+                     resamples: int = 1000, seed: int = 0,
+                     step_mm: float = 10.0) -> List[ResampleCounts]:
+    """The `ResampleCounts` of each unit set, in order.
+
+    Resample i of a set of n studies uses the stream `default_rng([seed,
+    i])`: it draws n studies with replacement, then one uniform series per
+    drawn study, then one uniform sampling start in that series' first
+    step_mm window, and pools the counts of the images the greedy subsample
+    keeps. Those draws depend on (seed, i, n) alone, so all sets of one
+    size gather from the same draws: stream i is built once per call and
+    restored from its start state for each further set size. Each set's
+    counts equal those of a call with that set alone.
+    """
+    start_counts: Dict[int, np.ndarray] = {}
+    tables = [_gather_tables(list(studies), k, step_mm, start_counts)
+              for studies in unit_sets]
+    if not tables:
+        return []
+    sizes = sorted({len(t.first_series) for t in tables})
+    values = [np.empty((resamples, len(t.cells)), dtype=np.int64)
+              for t in tables]
+    # Resamples run in chunks so each set's (chunk, n, cells) gather stays
     # bounded.
-    chunk = max(1, _GATHER_ELEMENTS // (n * max(1, len(occupied))))
+    chunk = max(1, _GATHER_ELEMENTS // max(
+        len(t.first_series) * max(1, len(t.cells)) for t in tables))
     for lo in range(0, resamples, chunk):
         hi = min(lo + chunk, resamples)
-        drawn = np.empty((hi - lo, n), dtype=np.int64)
-        # Per resample: n uniforms picking the series, then n picking the
-        # start, drawn by one call in stream order.
-        uniforms = np.empty((hi - lo, 2, n))
+        # Per resample and set size: n study indices, then n uniforms
+        # picking the series and n picking the start, in stream order.
+        draws = {n: (np.empty((hi - lo, n), dtype=np.int64),
+                     np.empty((hi - lo, 2, n))) for n in sizes}
         for row, i in enumerate(range(lo, hi)):
-            rng = streams.generator(i)
-            drawn[row] = rng.integers(0, n, size=n)
-            rng.random(out=uniforms[row])
-        u_series, u_start = uniforms[:, 0], uniforms[:, 1]
-        series = first_series[drawn] + \
-            (u_series * n_series[drawn]).astype(np.int64)
-        starts = (u_start * windows[series]).astype(np.int64)
-        out[lo:hi, occupied] = combos[first_combo[series] + starts].sum(axis=1)
-    return out.reshape(resamples, k, k)
+            rng = np.random.default_rng([seed, i])
+            start = rng.bit_generator.state
+            for j, n in enumerate(sizes):
+                if j:
+                    rng.bit_generator.state = start
+                drawn, uniforms = draws[n]
+                drawn[row] = rng.integers(0, n, size=n)
+                rng.random(out=uniforms[row])
+        for (_, combos, first_combo, windows, first_series, n_series), out \
+                in zip(tables, values):
+            drawn, uniforms = draws[len(first_series)]
+            series = first_series[drawn] + \
+                (uniforms[:, 0] * n_series[drawn]).astype(np.int64)
+            starts = (uniforms[:, 1] * windows[series]).astype(np.int64)
+            out[lo:hi] = combos[first_combo[series] + starts].sum(axis=1)
+    return [ResampleCounts(k, t.cells, v) for t, v in zip(tables, values)]
 
 
 def ci_from_counts(counts: np.ndarray, metric: CountMetric,
@@ -535,13 +553,13 @@ def bootstrap_ci(studies: Sequence[EvalStudy],
     Each resample draws studies with replacement, keeps one random series
     per drawn study, subsamples it at step_mm, and evaluates the metric on
     the pooled confusion matrix (see `bootstrap_counts`). Callers needing
-    several metrics of one unit set run `bootstrap_counts` once and call
-    `ci_from_counts` per metric; the results are identical.
+    several metrics of one unit set expand its `bootstrap_counts` once and
+    call `ci_from_counts` per metric; the results are identical.
     """
     if class_names is None:
         class_names = [str(i) for i in range(k)]
-    counts = bootstrap_counts(studies, k, resamples, seed, step_mm)
-    return ci_from_counts(counts, metric, class_names, level, seed)
+    [counts] = bootstrap_counts([studies], k, resamples, seed, step_mm)
+    return ci_from_counts(counts.expand(), metric, class_names, level, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -656,30 +674,17 @@ class FactorReport:
     p_value: Optional[float]
 
 
-def factor_report(studies: Sequence[StudyRecord],
-                  evals: Dict[str, EvalStudy],
-                  factor: str,
-                  k: int,
-                  class_names: Sequence[str],
-                  min_count: int = MIN_CATEGORY_COUNT,
-                  resamples: int = 1000,
-                  level: float = 0.95,
-                  seed: int = 0,
-                  step_mm: float = 10.0,
-                  streams: Optional[ResampleStreams] = None) -> FactorReport:
-    """Stratified performance table for one confounding factor.
+def factor_units(studies: Sequence[StudyRecord], evals: Dict[str, EvalStudy],
+                 factor: str) -> Dict[str, List[EvalStudy]]:
+    """The bootstrap units of each category of one confounding factor.
 
-    Categories with fewer units than min_count get NA metrics. The
-    chi-squared test runs on the correct/incorrect contingency across
-    categories when at least two categories have images. Each category's
-    resample pass draws from `streams` (see `bootstrap_counts`).
+    Units are whole studies for study-level factors, otherwise per-study
+    pseudo-units restricted to the matching series (which they share with
+    `evals`).
     """
     if factor not in FACTORS:
         raise UnknownFactor(factor)
     level_kind, extract = FACTORS[factor]
-
-    # Units per category: whole studies for study-level factors, otherwise
-    # per-study pseudo-units restricted to matching series.
     units: Dict[str, List[EvalStudy]] = {}
     for study in studies:
         ev = evals.get(study.study_uid)
@@ -698,6 +703,34 @@ def factor_report(studies: Sequence[StudyRecord],
             for cat, series_list in by_cat.items():
                 units.setdefault(cat, []).append(
                     EvalStudy(study.study_uid, series_list))
+    return units
+
+
+def factor_report(studies: Sequence[StudyRecord],
+                  evals: Dict[str, EvalStudy],
+                  factor: str,
+                  k: int,
+                  class_names: Sequence[str],
+                  min_count: int = MIN_CATEGORY_COUNT,
+                  resamples: int = 1000,
+                  level: float = 0.95,
+                  seed: int = 0,
+                  step_mm: float = 10.0,
+                  counts: Optional[Dict[str, ResampleCounts]] = None
+                  ) -> FactorReport:
+    """Stratified performance table for one confounding factor.
+
+    Categories with fewer units than min_count get NA metrics. The
+    chi-squared test runs on the correct/incorrect contingency across
+    categories when at least two categories have images. The CIs of the
+    other categories are read from `counts`, keyed by category: their
+    `bootstrap_counts` over `factor_units`, computed here when not given.
+    """
+    units = factor_units(studies, evals, factor)
+    if counts is None:
+        sampled = [cat for cat in units if len(units[cat]) >= min_count]
+        counts = dict(zip(sampled, bootstrap_counts(
+            [units[cat] for cat in sampled], k, resamples, seed, step_mm)))
 
     rows = []
     correct = []
@@ -714,15 +747,14 @@ def factor_report(studies: Sequence[StudyRecord],
             rows.append(FactorRow(cat, len(cat_units), n_images,
                                   None, None, None, None))
             continue
-        counts = bootstrap_counts(cat_units, k, resamples, seed, step_mm,
-                                  streams)
+        tensor = counts[cat].expand()
         rows.append(FactorRow(
             cat, len(cat_units), n_images,
             weighted_sensitivity(cm),
-            ci_from_counts(counts, weighted_sensitivity, class_names, level,
+            ci_from_counts(tensor, weighted_sensitivity, class_names, level,
                            seed),
             weighted_specificity(cm),
-            ci_from_counts(counts, weighted_specificity, class_names, level,
+            ci_from_counts(tensor, weighted_specificity, class_names, level,
                            seed)))
 
     table = FactorTable(factor, categories,

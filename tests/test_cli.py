@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bodyregion import cli, stats
+from bodyregion import cli
 from bodyregion.cli import build_parser, main
 from bodyregion.dicomio import EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1, encode_element
 from bodyregion.ingest import tree_files
@@ -23,6 +23,40 @@ from conftest import make_series, make_study
 # sha256 of the pipeline_dirs phantom's scores.csv. Changes to how classify
 # decodes, preprocesses and reduces images must keep it byte-identical.
 SCORES_SHA256 = "c2d327cff53883845ef33c2fc22d9f3a87d03be93dc34de6f80d71b8c6eaaf2b"
+
+# sha256 of every file the pipeline_dirs evaluate runs write: the default
+# factors (eval/) and `--factors kernel contrast` (eval_kernel_contrast/),
+# where the cohort and the kernel category have the same number of studies
+# and so gather from the same draws. Changes to how evaluate resamples must
+# keep them byte-identical.
+EVAL_SHA256 = {
+    "eval": {
+        "by_age.csv": "6113176424d17d5c45cc583861a61c06"
+                      "65ad88be8571ab6d4b2f4d56b671f3b5",
+        "by_gender.csv": "6501ce57095035a499d2b3b767c50b3c"
+                         "eddec2d19858224e3cda65181bcd78c4",
+        "by_institution.csv": "daf6ada9613ffce1dac5155b3ff23bcf"
+                              "74391a6b5058dcd1bc41777f32bc6112",
+        "by_manufacturer.csv": "544ab78daf2cd97f7590f6a5feb40d4b"
+                               "4e2a53523038e6690f232998a7669d5d",
+        "by_region.csv": "9de73266a41e88e83c0d3e710433dd61"
+                         "6a96a2dc5e5a90cd0a4a58848c346d56",
+        "summary.json": "ea86b6d79f1e16ecd6b810e394cee8c0"
+                        "602130949a6202d310320e7db3a1addc",
+    },
+    "eval_kernel_contrast": {
+        "by_contrast.csv": "8a724082663765f5e48ccf793e1828c7"
+                           "5d43d1e4e86341d2f06e16d2ab100704",
+        "by_kernel.csv": "de0d8c6e2ede77021fe081820cf9a2a4"
+                         "87627cbe5dcc57bed0c49ce7d8d7ab27",
+        "by_region.csv": "9de73266a41e88e83c0d3e710433dd61"
+                         "6a96a2dc5e5a90cd0a4a58848c346d56",
+        "summary.json": "ea86b6d79f1e16ecd6b810e394cee8c0"
+                        "602130949a6202d310320e7db3a1addc",
+    },
+}
+EVALUATE_KERNEL_CONTRAST = ["--bootstrap", "50", "--factors", "kernel",
+                            "contrast"]
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +84,12 @@ def pipeline_dirs(tmp_path_factory):
     results = str(root / "results.ndjson")
     assert main(["postprocess", "--in", filtered, "--scores", scores,
                  "--out", results]) == 0
-    out = root / "eval"
-    assert main(["evaluate", "--in", filtered, "--results", results,
-                 "--truth", truth, "--out", str(out),
-                 "--bootstrap", "50"]) == 0
+    evaluate = ["evaluate", "--in", filtered, "--results", results,
+                "--truth", truth]
+    assert main(evaluate + ["--out", str(root / "eval"),
+                            "--bootstrap", "50"]) == 0
+    assert main(evaluate + ["--out", str(root / "eval_kernel_contrast")]
+                + EVALUATE_KERNEL_CONTRAST) == 0
     return root
 
 
@@ -146,42 +182,64 @@ class TestClassify:
 
 
 class TestEvaluate:
-    def test_builds_each_resample_stream_once_per_run(self, pipeline_dirs,
-                                                      tmp_path, monkeypatch):
-        built, requested = Counter(), Counter()
+    @pytest.mark.parametrize("run", sorted(EVAL_SHA256))
+    def test_outputs_unchanged(self, pipeline_dirs, run):
+        out = pipeline_dirs / run
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            EVAL_SHA256[run])
+        for name, digest in EVAL_SHA256[run].items():
+            data = (out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_draws_each_resample_once_per_set_size(self, pipeline_dirs,
+                                                   tmp_path, monkeypatch):
+        built, draws = Counter(), Counter()
         default_rng = np.random.default_rng
-        generator = stats.ResampleStreams.generator
+
+        class CountingGenerator:
+            """Counts `integers` draws by (stream, n); the rest passes
+            through."""
+
+            def __init__(self, seed):
+                self.stream, self._rng = tuple(seed), default_rng(seed)
+                self.bit_generator = self._rng.bit_generator
+
+            def integers(self, low, high, **kwargs):
+                draws[self.stream, high] += 1
+                return self._rng.integers(low, high, **kwargs)
+
+            def random(self, **kwargs):
+                return self._rng.random(**kwargs)
 
         def counting_rng(seed=None):
             built[tuple(seed)] += 1
-            return default_rng(seed)
-
-        def counting_generator(self, i):
-            requested[i] += 1
-            return generator(self, i)
+            return CountingGenerator(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        monkeypatch.setattr(stats.ResampleStreams, "generator",
-                            counting_generator)
         root = pipeline_dirs
         argv = ["evaluate", "--in", str(root / "filt" / "filtered.ndjson"),
                 "--results", str(root / "results.ndjson"),
-                "--truth", str(root / "truth.csv"), "--bootstrap", "50",
-                # Two factors with a category of at least five studies.
-                "--factors", "kernel", "contrast"]
+                "--truth", str(root / "truth.csv")] + EVALUATE_KERNEL_CONTRAST
+        # Resampled sets: the 8 studies, the kernel's Soft tissue category
+        # (all 8) and the contrast's Without contrast category (5 studies;
+        # With contrast has 3, too few for a CI): two distinct sizes.
+        sizes = (5, 8)
         for run in (1, 2):
-            assert main(argv + ["--out", str(tmp_path / f"eval{run}")]) == 0
-            # Three passes per run (regions, kernel, contrast), each stream
-            # built once per run: a second run in the same process builds
-            # them all again.
-            assert set(requested.values()) == {3 * run}
+            out = tmp_path / f"eval{run}"
+            assert main(argv + ["--out", str(out)]) == 0
+            # Each stream is built once per run, and each of its draws is
+            # made once per set size: a second run in the same process
+            # builds and draws them all again.
             assert built == Counter({(0, i): run for i in range(50)})
-        for name in ("by_region.csv", "summary.json"):
-            assert (tmp_path / "eval1" / name).read_bytes() == (
-                root / "eval" / name).read_bytes()
-        for name in ("by_kernel.csv", "by_contrast.csv"):
-            assert (tmp_path / "eval1" / name).read_bytes() == (
-                tmp_path / "eval2" / name).read_bytes()
+            assert draws == Counter({((0, i), n): run for i in range(50)
+                                     for n in sizes})
+            for name in EVAL_SHA256["eval_kernel_contrast"]:
+                assert (out / name).read_bytes() == (
+                    root / "eval_kernel_contrast" / name).read_bytes()
+        with open(tmp_path / "eval1" / "by_contrast.csv") as fh:
+            assert [int(r["n"]) for r in csv.DictReader(fh)] == [3, 5]
+        with open(tmp_path / "eval1" / "by_kernel.csv") as fh:
+            assert [int(r["n"]) for r in csv.DictReader(fh)] == [8]
 
 
 class TestLabelsProject:
@@ -324,23 +382,44 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "data error: line 3: invalid JSON: ")
 
-    @pytest.mark.parametrize("stage,regions,message", [
+    @staticmethod
+    def _set_label(row, label):
+        row["images"][0]["label"] = label
+
+    @pytest.mark.parametrize("stage,edit,message", [
         ("tag-write", None, "series_uid must be a string, got None"),
         ("evaluate", None, "series_uid must be a string, got None"),
-        ("tag-write", ["Nope"],
+        ("tag-write", lambda row: row.update(series_regions=["Nope"]),
          "series_regions must be a list of body regions, got ['Nope']"),
+        ("tag-write", lambda row: row.update(series_regions=[]),
+         "an Accepted row must name at least one series region"),
+        ("tag-write", lambda row: TestExitCodes._set_label(row, "Nope"),
+         "image label must be null or a body region, got 'Nope'"),
+        ("evaluate", lambda row: TestExitCodes._set_label(row, "Nope"),
+         "image label must be null or a body region, got 'Nope'"),
+        ("evaluate",
+         lambda row: TestExitCodes._set_label(row, "AbdomenChest"),
+         "image label must be null or a body region, got 'AbdomenChest'"),
+        ("evaluate", lambda row: row["images"].append("1.2.3"),
+         "images entries must be objects with a string sop_uid, "
+         "got '1.2.3'"),
     ], ids=["tag_write_empty_row", "evaluate_empty_row",
-            "tag_write_unknown_region"])
+            "tag_write_unknown_region", "tag_write_accepted_no_region",
+            "tag_write_unknown_label", "evaluate_unknown_label",
+            "evaluate_internal_label", "evaluate_bare_image_entry"])
     def test_bad_results_row_is_data_error(self, pipeline_dirs, tmp_path,
-                                           capsys, stage, regions, message):
-        # A JSON object that is not a results row: {} (was KeyError), or
-        # an accepted row naming an unknown region (was ValueError).
+                                           capsys, stage, edit, message):
+        # A JSON object that is not a results row: {} (was KeyError), an
+        # accepted row naming an unknown region (was ValueError) or no
+        # region (was ValueError from max()), or whose images hold an
+        # unknown label or the internal AbdomenChest class, which postprocess
+        # merges away (both were KeyError), or a bare string.
         row = {}
-        if regions is not None:
+        if edit is not None:
             with open(pipeline_dirs / "results.ndjson") as fh:
                 row = next(r for r in map(json.loads, fh)
                            if r["status"] == "Accepted")
-            row["series_regions"] = regions
+            edit(row)
         capsys.readouterr()
         assert self._run_on_results(stage, pipeline_dirs, tmp_path,
                                     json.dumps(row)) == 2
@@ -425,8 +504,9 @@ class TestCollectEvals:
         evals = cli._collect_evals([make_study(series=[series])], truth,
                                    labels, class_names)
         [ev] = evals.values()
-        return ev.series[0], bootstrap_counts([ev], len(class_names),
-                                              resamples=40, seed=0)
+        [counts] = bootstrap_counts([[ev]], len(class_names),
+                                    resamples=40, seed=0)
+        return ev.series[0], counts.expand()
 
     def test_descending_series_keeps_labels_with_positions(self):
         zs = sorted(self.TRUTH)

@@ -434,6 +434,12 @@ def uneven_cohort(n=14, k=3, seed=0):
     return studies
 
 
+def one_set_counts(studies, k, resamples, seed, step_mm):
+    """The (R, K, K) counts of one unit set's pass."""
+    [counts] = bootstrap_counts([studies], k, resamples, seed, step_mm)
+    return counts.expand()
+
+
 class TestSharedResamplePass:
     def test_counts_match_reference_loop(self, monkeypatch):
         studies = uneven_cohort()
@@ -442,7 +448,7 @@ class TestSharedResamplePass:
         assert len(windows) >= 3
         # Small gather chunks, so chunk boundaries fall inside the run.
         monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 500)
-        got = bootstrap_counts(studies, 3, 57, 11, 10.0)
+        got = one_set_counts(studies, 3, 57, 11, 10.0)
         assert got.dtype == np.int64
         assert np.array_equal(
             got, reference_bootstrap_counts(studies, 3, 57, 11, 10.0))
@@ -455,28 +461,64 @@ class TestSharedResamplePass:
             for s in st.series:
                 s.pred = np.where(s.truth == 2, 2, s.pred % 2)
         monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 120)
-        got = bootstrap_counts(studies, 5, 90, 3, 10.0)
+        [counts] = bootstrap_counts([studies], 5, 90, 3, 10.0)
+        got = counts.expand()
+        assert len(counts.cells) == 5
         assert (got.reshape(90, -1) == 0).all(axis=0).sum() == 20
         assert np.array_equal(
             got, reference_bootstrap_counts(studies, 5, 90, 3, 10.0))
 
-    def test_shared_streams_equal_separate_passes(self, monkeypatch):
-        cohort = uneven_cohort(n=16, seed=2)
-        first, second, other = cohort[:8], cohort[8:], cohort[:5]
-        monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 400)
-        streams = stats.ResampleStreams(9)
-        # Two unit sets of the same n, one of another n, then a longer run
-        # that restores the first 60 streams and builds the rest.
-        for units, r in ((first, 60), (second, 60), (other, 60),
-                         (first, 75)):
-            got = bootstrap_counts(units, 3, r, 9, 10.0, streams)
-            assert np.array_equal(
-                got, reference_bootstrap_counts(units, 3, r, 9, 10.0))
+    @staticmethod
+    def _series_factor_sets(cohort):
+        """Per-study pseudo-units of a series-level factor: each study's
+        first series, and its other series, sharing the cohort's
+        EvalSeries objects."""
+        first = [EvalStudy(st.study_uid, st.series[:1]) for st in cohort]
+        rest = [EvalStudy(st.study_uid, st.series[1:]) for st in cohort
+                if len(st.series) > 1]
+        return first, rest
 
-    def test_streams_of_another_seed_are_refused(self):
-        with pytest.raises(ValueError):
-            bootstrap_counts(uneven_cohort(n=3), 3, 5, 1, 10.0,
-                             stats.ResampleStreams(2))
+    @pytest.mark.parametrize("gather", [150, 400, 1 << 15])
+    def test_many_sets_equal_separate_passes(self, monkeypatch, gather):
+        cohort = uneven_cohort(n=16, seed=2)
+        first, rest = self._series_factor_sets(cohort)
+        # Two sets of 8 studies, two sets of 16 (the cohort and its first
+        # series), one of 5, one of 10 (the studies with further series),
+        # and the first set again; small gathers put chunk edges inside
+        # the run.
+        sets = [cohort[:8], cohort[8:], cohort, first, cohort[:5], rest,
+                cohort[:8]]
+        assert sorted({len(u) for u in sets}) == [5, 8, 10, 16]
+        monkeypatch.setattr(stats, "_GATHER_ELEMENTS", gather)
+        got = bootstrap_counts(sets, 3, 75, 9, 10.0)
+        assert len(got) == len(sets)
+        for units, counts in zip(sets, got):
+            assert np.array_equal(
+                counts.expand(),
+                reference_bootstrap_counts(units, 3, 75, 9, 10.0))
+
+    def test_each_series_counted_once_per_call(self, monkeypatch):
+        cohort = uneven_cohort(n=9, seed=5)
+        first, rest = self._series_factor_sets(cohort)
+        calls = []
+        start_counts = stats._series_start_counts
+
+        def counting(series, k, step):
+            calls.append(id(series))
+            return start_counts(series, k, step)
+
+        monkeypatch.setattr(stats, "_series_start_counts", counting)
+        bootstrap_counts([cohort, first, rest, cohort[:4]], 3, 20, 0, 10.0)
+        assert sorted(calls) == sorted(
+            id(s) for st in cohort for s in st.series)
+
+    def test_empty_set_or_study_is_refused(self):
+        cohort = uneven_cohort(n=3)
+        with pytest.raises(EmptyCohort):
+            bootstrap_counts([cohort, []], 3, 5, 1, 10.0)
+        with pytest.raises(EmptyCohort):
+            bootstrap_counts([cohort + [EvalStudy("bare")]], 3, 5, 1, 10.0)
+        assert bootstrap_counts([], 3, 5, 1, 10.0) == []
 
     def test_region_rows_cis_equal_bootstrap_ci(self):
         studies = uneven_cohort()
@@ -513,7 +555,7 @@ class TestSharedResamplePass:
         # neither of the two mixed studies, class a has no negatives.
         studies = [eval_study(f"A{i}", [0, 0], [0, 0]) for i in range(10)]
         studies += [eval_study(f"M{i}", [0, 1], [0, 1]) for i in range(2)]
-        counts = bootstrap_counts(studies, 2, 400, 0, 10.0)
+        counts = one_set_counts(studies, 2, 400, 0, 10.0)
         lone = int((counts[:, 1].sum(axis=1) == 0).sum())
         assert 20 < lone < 400
         with caplog.at_level("WARNING", logger="bodyregion.stats"):
