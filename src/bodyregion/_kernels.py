@@ -14,8 +14,6 @@ and tests/test_pixels.py against an independent byte-at-a-time oracle.
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
 # Read by perfbench/run.py's machine record; there is only the numpy build.
@@ -44,7 +42,7 @@ def packbits_decode(src, out):
     n = len(data)
     cap = out.shape[0]
     # Step 1: the header positions. Only the last advance can pass `n`.
-    heads = array("q")
+    heads = []
     append = heads.append
     advance = _ADVANCE
     i = 0
@@ -56,7 +54,7 @@ def packbits_decode(src, out):
 
     # Step 2: runs that start at or after `cap` never execute; only the
     # last one that does can overflow `out` or be cut short by the input.
-    pos = np.frombuffer(heads, dtype=np.int64)
+    pos = np.fromiter(heads, dtype=np.int64, count=len(heads))
     header = src[pos]
     counts = _COUNT[header]
     ends = counts.cumsum()

@@ -105,6 +105,9 @@ _ENCODER = json.JSONEncoder(sort_keys=True)
 # The name of each record's UID, its first field.
 _UID_FIELDS = tuple(SIDECAR_FIELDS[cls][0][0]
                     for cls in (StudyRecord, SeriesRecord, ImageRecord))
+# The field names a study's and a series' rows must agree on.
+_SHARED_FIELDS = {cls: tuple(spec[0] for spec in SIDECAR_FIELDS[cls])
+                  for cls in (StudyRecord, SeriesRecord)}
 
 
 def read_ndjson(path) -> Iterator[Tuple[int, dict]]:
@@ -172,24 +175,51 @@ def _record(cls, row: dict, lineno: int):
     return cls(**kwargs)
 
 
+def _check_agrees(names: tuple, values: tuple, first: tuple, record: str,
+                  lineno: int) -> None:
+    """Raise SchemaError unless `values`, the raw values of the fields
+    `names` in the row at `lineno`, equal `first`: (line, values) of the
+    first row naming the same `record`. Equal objects agree: json.loads
+    returns one NaN object, so NaN fields agree as tuple items do."""
+    if values == first[1]:
+        return
+    for name, value, was in zip(names, values, first[1]):
+        if value is not was and value != was:
+            raise SchemaError(f"{record}: {name} is {value!r}, but line "
+                              f"{first[0]} gives {was!r}", line=lineno)
+
+
 def read_metadata_ndjson(path) -> List[StudyRecord]:
     """Rebuild the record hierarchy from an NDJSON sidecar (pixels absent).
 
     A study's and a series' fields are read from the first row that names
-    it.
+    it; every later row naming it must carry the same raw values there.
     """
     studies: dict = {}  # study uid -> StudyRecord, in first-seen order
     series_by_uid: dict = {}  # (study uid, series uid) -> SeriesRecord
+    first_rows: dict = {}  # study or series key -> (line, raw field values)
+    study_names = _SHARED_FIELDS[StudyRecord]
+    series_names = _SHARED_FIELDS[SeriesRecord]
     for lineno, row in read_ndjson(path):
         study_uid, series_uid = _uids(row, lineno)
         image = _record(ImageRecord, row, lineno)
+        study_values = tuple(map(row.get, study_names))
         study = studies.get(study_uid)
         if study is None:
             study = studies[study_uid] = _record(StudyRecord, row, lineno)
-        series = series_by_uid.get((study_uid, series_uid))
+            first_rows[study_uid] = lineno, study_values
+        else:
+            _check_agrees(study_names, study_values, first_rows[study_uid],
+                          f"study {study_uid}", lineno)
+        key = study_uid, series_uid
+        series_values = tuple(map(row.get, series_names))
+        series = series_by_uid.get(key)
         if series is None:
-            series = _record(SeriesRecord, row, lineno)
-            series_by_uid[study_uid, series_uid] = series
+            series = series_by_uid[key] = _record(SeriesRecord, row, lineno)
+            first_rows[key] = lineno, series_values
             study.series.append(series)
+        else:
+            _check_agrees(series_names, series_values, first_rows[key],
+                          f"series {series_uid}", lineno)
         series.images.append(image)
     return list(studies.values())

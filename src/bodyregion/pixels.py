@@ -2,8 +2,10 @@
 
 JPEG lossless is on the study-inclusion codec whitelist but is recognized
 only at the metadata level; asking for an actual decode raises
-UnsupportedCodec. The RLE encoder writes fixtures, phantoms and benchmark
-cohorts; like the decoder it leaves the per-byte work to numpy.
+UnsupportedCodec. The RLE decoder writes each PackBits segment straight into
+its byte lane of the little-endian output matrix. The RLE encoder writes
+fixtures, phantoms and benchmark cohorts: numpy finds the runs and writes
+every output byte, and Python loops over neither runs nor pieces.
 """
 
 from __future__ import annotations
@@ -50,23 +52,20 @@ def _decode_rle_frame(frame: bytes, rows: int, cols: int, bits_allocated: int):
             f"RLE frame has {n_segments} segments, expected {bytes_per_sample}")
     plane = rows * cols
     offsets = list(header[1:1 + n_segments]) + [len(frame)]
-    segments = []
     src = np.frombuffer(frame, dtype=np.uint8)
+    matrix = np.empty((rows, cols), dtype=np.dtype(f"<u{n_segments}"))
+    # Segments are ordered most-significant byte first; segment k is byte
+    # lane n_segments - 1 - k of each little-endian sample.
+    lanes = matrix.view(np.uint8).reshape(plane, n_segments)
     for k in range(n_segments):
         lo, hi = offsets[k], offsets[k + 1]
         if not (_RLE_HEADER_LEN <= lo <= hi <= len(frame)):
             raise Malformed(f"RLE segment {k} offsets out of range", offset=4 * (k + 1))
-        out = np.empty(plane, dtype=np.uint8)
-        written = packbits_decode(src[lo:hi], out)
+        written = packbits_decode(src[lo:hi], lanes[:, n_segments - 1 - k])
         if written != plane:
             raise LengthMismatch(
                 f"RLE segment {k} decoded {written} bytes, expected {plane}")
-        segments.append(out)
-    if n_segments == 1:
-        return segments[0].reshape(rows, cols)
-    # Segments are ordered most-significant byte first.
-    value = segments[0].astype(np.uint16) << 8 | segments[1]
-    return value.reshape(rows, cols)
+    return matrix
 
 
 def decode_pixels(image: ImageRecord, raw: bytes) -> np.ndarray:
@@ -136,41 +135,52 @@ def decode_pixels_from_file(image: ImageRecord) -> np.ndarray:
 def packbits_encode(data: bytes) -> bytes:
     """PackBits-encode one byte string, greedily.
 
-    Every maximal run of 3 or more equal bytes becomes replicate runs of at
-    most 128; a leftover of 1-2 bytes joins the literal bytes after it. The
-    literal bytes between long runs are cut into literals of 128 and a
-    shorter last one. numpy finds the runs, so Python loops only over the
-    long runs and the 128-byte literal pieces.
+    Every maximal run of 3 or more equal bytes becomes replicate pieces of
+    128 and a last one of 3-127; a rest of 1-2 bytes joins the literal
+    bytes after it. The literal bytes between long runs are cut into pieces
+    of 128 and a shorter last one. numpy builds every output byte; Python
+    loops over nothing.
     """
     n = len(data)
     if n == 0:
         return b""
     a = np.frombuffer(data, dtype=np.uint8)
-    bounds = np.flatnonzero(a[1:] != a[:-1]) + 1
-    run_starts = np.concatenate(([0], bounds))
-    run_ends = np.concatenate((bounds, [n]))
-    long_runs = run_ends - run_starts >= 3
-    out = bytearray()
-
-    def literals(lo, hi):
-        for k in range(lo, hi, 128):
-            piece = data[k:min(k + 128, hi)]
-            out.append(len(piece) - 1)
-            out.extend(piece)
-
-    gap = 0
-    for start, stop in zip(run_starts[long_runs].tolist(),
-                           run_ends[long_runs].tolist()):
-        literals(gap, start)
-        full, rest = divmod(stop - start, 128)
-        value = data[start]
-        out.extend(bytes((129, value)) * full)
-        if rest >= 3:
-            out.extend((257 - rest, value))
-            rest = 0
-        gap = stop - rest
-    literals(gap, n)
-    return bytes(out)
+    # triple[i + 1] is set where a[i] == a[i+1] == a[i+2]: on every byte of
+    # a long run but its last two. triple[0] and triple[n - 1:] stay clear.
+    triple = np.zeros(n + 1, dtype=np.bool_)
+    equal = a[1:] == a[:-1]
+    np.logical_and(equal[1:], equal[:-1], out=triple[1:n - 1])
+    edges = np.flatnonzero(triple[1:] != triple[:-1])
+    starts, stops = edges[0::2], edges[1::2] + 2
+    rest = (stops - starts) % 128
+    stops -= np.where(rest < 3, rest, 0)
+    # [0, n) in segments literal, run, literal, ..., run, literal (a
+    # literal segment may be empty), each cut into pieces of at most 128.
+    bounds = np.empty(2 * starts.size + 2, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, n
+    bounds[1:-1:2], bounds[2:-1:2] = starts, stops
+    seg_len = np.diff(bounds)
+    is_run = np.arange(seg_len.size) % 2 == 1
+    seg_pieces = (seg_len + 127) // 128
+    seg = np.repeat(np.arange(seg_len.size), seg_pieces)
+    src = bounds[seg] + 128 * (np.arange(seg.size)
+                               - (np.cumsum(seg_pieces) - seg_pieces)[seg])
+    size = np.minimum(bounds[seg + 1] - src, 128)
+    replicate = is_run[seg]
+    # A piece is its header, then its one replicate byte or its literal
+    # bytes. One scatter writes the headers and replicate bytes, one mask
+    # copy every literal byte in source order.
+    out_size = np.where(replicate, 2, size + 1)
+    ends = np.cumsum(out_size)
+    heads = ends - out_size
+    fixed = np.concatenate((heads, heads[replicate] + 1))
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    out[fixed] = np.concatenate((np.where(replicate, 257 - size, size - 1),
+                                 a[src[replicate]]))
+    literal = np.ones(out.size, dtype=np.bool_)
+    literal[fixed] = False
+    out[literal] = a[np.repeat(~is_run, seg_len)]
+    return out.tobytes()
 
 
 def rle_encode_frame(matrix: np.ndarray, bits_allocated: int) -> bytes:

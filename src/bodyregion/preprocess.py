@@ -40,17 +40,23 @@ def clip_normalize(pixels: np.ndarray) -> np.ndarray:
     """Clip to mean +/- 4 std, then map by (v - mean) / (2 std).
 
     Statistics come from the raw matrix (population std, computed once and
-    reused for both steps). A constant image maps to all zeros.
+    reused for both steps). A constant image maps to all zeros. One float64
+    buffer holds the squared deviations, then the result. The float64 mean
+    of integer pixels is exact in any summation order, so it equals the
+    mean of their float64 copy.
     """
     pixels = np.asarray(pixels)
     if pixels.size == 0:
         raise EmptyImage("cannot normalize an empty matrix")
-    values = pixels.astype(np.float64)
-    mean = float(values.mean())
-    std = float(values.std(mean=mean))
+    if pixels.dtype.kind == "f" and pixels.dtype != np.float64:
+        pixels = pixels.astype(np.float64)
+    mean = float(pixels.mean(dtype=np.float64))
+    values = np.subtract(pixels, mean, dtype=np.float64)
+    np.multiply(values, values, out=values)
+    std = math.sqrt(values.sum() / values.size)
     if std == 0.0:
         return np.zeros_like(values)
-    np.clip(values, mean - 4.0 * std, mean + 4.0 * std, out=values)
+    np.clip(pixels, mean - 4.0 * std, mean + 4.0 * std, out=values)
     values -= mean
     values /= 2.0 * std
     # Round-off at the clip boundary can poke a few ulp past the bound.

@@ -58,6 +58,36 @@ EVAL_SHA256 = {
 EVALUATE_KERNEL_CONTRAST = ["--bootstrap", "50", "--factors", "kernel",
                             "contrast"]
 
+# sha256 of every file of the `--factors kernel contrast` evaluate run on
+# scores that misclassify every fifth slice (see `misclassified_scores`).
+# Its CIs are not all 100.0, so these pins change when the resample draws
+# do, for both set sizes (5 and 8).
+EVAL_MISCLASSIFIED_SHA256 = {
+    "by_contrast.csv": "22ce62f082252e74865ef6d64062ba09"
+                       "22043cbd068878dfe3be6e90761079bd",
+    "by_kernel.csv": "c869f18d721822901febcd4832778725"
+                     "1597be7a750dc397b5c3da14833caf0b",
+    "by_region.csv": "e92b25e8bd016b9eaf676f9991b55014"
+                     "482c22ad1c289567c055c03edcef3a7e",
+    "summary.json": "6fd221815795cafe57c951b107163168"
+                    "203e1346a8f52b2058539c2ed1569e24",
+}
+
+
+def misclassified_scores(scores, out):
+    """Copy scores.csv with the scores of every fifth image (rows 2, 7, 12,
+    ...) rotated one class over, so that the top score names another
+    region."""
+    with open(scores) as fh:
+        lines = fh.read().splitlines()
+    with open(out, "w") as fh:
+        fh.write(lines[0] + "\n")
+        for i, line in enumerate(lines[1:]):
+            uid, *values = line.split(",")
+            if i % 5 == 2:
+                values = values[-1:] + values[:-1]
+            fh.write(",".join([uid] + values) + "\n")
+
 
 @pytest.fixture(scope="module")
 def pipeline_dirs(tmp_path_factory):
@@ -89,6 +119,14 @@ def pipeline_dirs(tmp_path_factory):
     assert main(evaluate + ["--out", str(root / "eval"),
                             "--bootstrap", "50"]) == 0
     assert main(evaluate + ["--out", str(root / "eval_kernel_contrast")]
+                + EVALUATE_KERNEL_CONTRAST) == 0
+    misclassified = str(root / "scores_misclassified.csv")
+    misclassified_scores(scores, misclassified)
+    results = str(root / "results_misclassified.ndjson")
+    assert main(["postprocess", "--in", filtered, "--scores", misclassified,
+                 "--out", results]) == 0
+    assert main(["evaluate", "--in", filtered, "--results", results,
+                 "--truth", truth, "--out", str(root / "eval_misclassified")]
                 + EVALUATE_KERNEL_CONTRAST) == 0
     return root
 
@@ -190,6 +228,18 @@ class TestEvaluate:
         for name, digest in EVAL_SHA256[run].items():
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_misclassified_outputs_unchanged(self, pipeline_dirs):
+        out = pipeline_dirs / "eval_misclassified"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            EVAL_MISCLASSIFIED_SHA256)
+        for name, digest in EVAL_MISCLASSIFIED_SHA256.items():
+            data = (out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+        # The pins see the draws only while some CI is not 100.0 wide.
+        with open(out / "by_region.csv") as fh:
+            cis = [r["sensitivity_95ci"] for r in csv.DictReader(fh)]
+        assert all("100.0 - 100.0" not in ci for ci in cis)
 
     def test_draws_each_resample_once_per_set_size(self, pipeline_dirs,
                                                    tmp_path, monkeypatch):

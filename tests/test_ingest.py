@@ -164,6 +164,50 @@ class TestNdjsonSchema:
             read_metadata_ndjson(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("key, value, record", [
+        ("series_description", 5, "series 2"),
+        ("slice_thickness", 2.5, "series 2"),
+        ("patient_sex", "F", "study 3"),
+        ("patient_age", None, "study 3"),
+    ])
+    def test_disagreeing_row_is_a_data_error(self, tmp_path, capsys, key,
+                                             value, record):
+        """A later row of a series or study must carry the first row's
+        values for that record's fields."""
+        first = {"sop_uid": "1", "series_uid": "2", "study_uid": "3",
+                 "series_description": "AX", "slice_thickness": 5.0,
+                 "patient_sex": "M", "patient_age": 40.0}
+        other = {**first, "sop_uid": "4", "series_uid": "5"}
+        later = {**first, "sop_uid": "6", key: value}
+        path = self._write(tmp_path, [json.dumps(r)
+                                      for r in (first, other, later)])
+        with pytest.raises(SchemaError) as err:
+            read_metadata_ndjson(path)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"line 3: {record}: {key} is")
+        assert main(["filter", "--in", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: line 3: {record}: {key} is {value!r}, but line 1 ")
+
+    def test_agreeing_rows_with_nan_are_accepted(self, tmp_path):
+        row = {"sop_uid": "1", "series_uid": "2", "study_uid": "3",
+               "slice_thickness": float("nan")}
+        path = self._write(tmp_path, [json.dumps(row),
+                                      json.dumps({**row, "sop_uid": "4"})])
+        [study] = read_metadata_ndjson(path)
+        assert study.image_count() == 2
+
+    def test_same_series_uid_in_two_studies_is_two_series(self, tmp_path):
+        row = {"sop_uid": "1", "series_uid": "2", "study_uid": "3",
+               "series_description": "AX"}
+        other = {**row, "sop_uid": "4", "study_uid": "5",
+                 "series_description": "COR"}
+        studies = read_metadata_ndjson(
+            self._write(tmp_path, [json.dumps(row), json.dumps(other)]))
+        assert [s.series[0].series_description for s in studies] == [
+            "AX", "COR"]
+
     def test_blank_lines_skipped(self, tmp_path):
         row = json.dumps({"sop_uid": "1", "series_uid": "2", "study_uid": "3"})
         path = self._write(tmp_path, [row, "", row.replace('"1"', '"4"')])

@@ -121,6 +121,29 @@ class TestPackBits:
     def test_encoder_matches_greedy_reference_on_mixes(self, payload):
         assert packbits_encode(payload) == greedy_packbits_encode(payload)
 
+    # Run lengths around each multiple of 128, where a run splits into
+    # replicate pieces and a rest of 1-2 bytes joins the literals after it.
+    @given(st.lists(st.sampled_from([1, 2, 3, *range(126, 132),
+                                     *range(255, 260), *range(384, 388)]),
+                    max_size=12),
+           st.integers(0, 255), st.integers(0, 255),
+           st.binary(min_size=1, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_encoder_matches_greedy_reference_on_run_lengths(
+            self, lengths, a, b, rest):
+        """Runs alternate between two values (equal ones merge), and the
+        stream ends in a 1-2 byte rest."""
+        payload = b"".join(bytes([(a, b)[k % 2]]) * n
+                           for k, n in enumerate(lengths)) + rest
+        assert packbits_encode(payload) == greedy_packbits_encode(payload)
+
+    @pytest.mark.parametrize("payload", [b"", b"\x00", b"\xff", b"\x07\x07",
+                                         b"\x07\x08"])
+    def test_encoder_on_streams_under_three_bytes(self, payload):
+        encoded = packbits_encode(payload)
+        assert encoded == greedy_packbits_encode(payload)
+        assert oracle_packbits_decode(encoded) == payload
+
     def test_encoder_matches_greedy_reference_on_ct_planes(self):
         rng = np.random.default_rng(11)
         matrix = np.clip(1040 + rng.normal(0, 20, (128, 128)), 0,
@@ -181,10 +204,39 @@ class TestRLE:
                          + rng.normal(0, 20, (512, 512)), 0,
                          4095).astype(np.uint16)
         frame = rle_encode_frame(matrix, 16)
+        # Each segment is the greedy encoding of its byte plane, padded to
+        # an even length with the no-op byte.
+        n_segments, *offsets = struct.unpack_from("<16I", frame, 0)
+        assert n_segments == 2
+        bounds = offsets[:2] + [len(frame)]
+        for k, plane in enumerate((matrix >> 8, matrix & 0xFF)):
+            expected = greedy_packbits_encode(plane.astype(np.uint8).tobytes())
+            expected += b"\x80" * (len(expected) % 2)
+            assert frame[bounds[k]:bounds[k + 1]] == expected
         image = make_image(rows=512, cols=512, bits_allocated=16,
                            bits_stored=12, transfer_syntax_uid=RLE_LOSSLESS,
                            pixels=None)
         assert np.array_equal(decode_pixels(image, frame), matrix)
+
+    @pytest.mark.parametrize("bits, stored", [(16, 12), (16, 9), (8, 6)])
+    def test_bits_stored_mask(self, bits, stored):
+        """Samples above bits_stored are masked in the decoded matrix, which
+        is a fresh, writable, C-contiguous array of the sample width."""
+        rng = np.random.default_rng(stored)
+        dtype = np.uint16 if bits == 16 else np.uint8
+        matrix = rng.integers(0, 1 << bits, (24, 20)).astype(dtype)
+        matrix[:, :8] = matrix[0, 0]  # a long run in every plane
+        frame = rle_encode_frame(matrix, bits)
+        image = make_image(rows=24, cols=20, bits_allocated=bits,
+                           bits_stored=stored, transfer_syntax_uid=RLE_LOSSLESS,
+                           pixels=None)
+        decoded = decode_pixels(image, frame)
+        mask = (1 << stored) - 1
+        assert decoded.dtype == dtype
+        assert decoded.flags.c_contiguous and decoded.flags.writeable
+        assert np.array_equal(decoded, matrix & mask)
+        assert np.array_equal(decoded, oracle_rle_decode(frame, 24, 20, bits)
+                              & mask)
 
     def test_8bit_round_trip(self):
         matrix = np.arange(64, dtype=np.uint8).reshape(8, 8)
@@ -226,6 +278,13 @@ class TestNative:
         matrix = np.full((8, 8), 0xF123, dtype="<u2")
         image = make_image(rows=8, cols=8, bits_stored=12, pixels=None)
         assert np.all(decode_pixels(image, matrix.tobytes()) == 0x123)
+
+    def test_bits_stored_mask_leaves_caller_buffer(self):
+        """Masking writes a new matrix, never the caller's writable buffer."""
+        buf = bytearray(np.full((8, 8), 0xF123, dtype="<u2").tobytes())
+        image = make_image(rows=8, cols=8, bits_stored=12, pixels=None)
+        assert np.all(decode_pixels(image, memoryview(buf)) == 0x123)
+        assert np.all(np.frombuffer(buf, dtype="<u2") == 0xF123)
 
     def test_short_payload(self):
         image = make_image(rows=8, cols=8, pixels=None)

@@ -90,6 +90,26 @@ class TestClipNormalize:
         pixels = np.full((16, 24), 200, dtype=dtype)
         assert np.array_equal(clip_normalize(pixels), self._reference(pixels))
 
+    def test_ct_sized_equals_reference(self):
+        """A 512x512 12-bit CT-like matrix: the integer mean is exact."""
+        rng = np.random.default_rng(5)
+        yy, xx = np.mgrid[:512, :512]
+        body = (yy - 256) ** 2 + (xx - 256) ** 2 < 200 ** 2
+        pixels = np.clip(np.where(body, 1040, 24)
+                         + rng.normal(0, 20, (512, 512)), 0,
+                         4095).astype(np.uint16)
+        assert np.array_equal(clip_normalize(pixels), self._reference(pixels))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32,
+                                       np.float64])
+    def test_signed_and_float_equal_reference(self, dtype):
+        rng = np.random.default_rng(6)
+        pixels = rng.normal(-200.0, 300.0, (70, 90)).astype(dtype)
+        pixels[3, 4] = 30000  # an outlier to clip
+        out = clip_normalize(pixels)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, self._reference(pixels))
+
     def test_input_untouched(self):
         pixels = np.arange(64.0).reshape(8, 8)
         before = pixels.copy()
