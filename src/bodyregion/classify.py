@@ -86,15 +86,16 @@ def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
         try:
             header = next(reader)
         except StopIteration:
-            raise SchemaError("score file is empty")
+            raise SchemaError("score file is empty", line=1)
         if not header or header[0] != "sop_uid":
-            raise SchemaError("first column must be sop_uid")
+            raise SchemaError("first column must be sop_uid", line=1)
         try:
             file_classes = tuple(BodyRegion(name) for name in header[1:])
         except ValueError as exc:
-            raise SchemaError(f"unknown class in header: {exc}")
+            raise SchemaError(f"unknown class in header: {exc}", line=1)
         if classes is not None and tuple(classes) != file_classes:
-            raise SchemaError("score file classes do not match expected set")
+            raise SchemaError("score file classes do not match expected set",
+                              line=1)
 
         scores: Dict[str, np.ndarray] = {}
         for lineno, row in enumerate(reader, start=2):

@@ -51,13 +51,33 @@ def _write_truth(rows, path):
         writer.writerows(rows)
 
 
-def _read_truth(path) -> Dict[str, BodyRegion]:
+def _read_truth(path, final_only=False) -> Dict[str, BodyRegion]:
+    """Truth region by sop_uid; a row with an empty region is unlabelled.
+
+    A missing `sop_uid` or `region` column, an unknown region, or (with
+    `final_only`) the internal AbdomenChest class is a SchemaError naming
+    its line.
+    """
     truth = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        for column in ("sop_uid", "region"):
+            if column not in (reader.fieldnames or ()):
+                raise SchemaError(f"truth file has no {column} column",
+                                  line=1)
         for row in reader:
-            if row.get("region"):
-                truth[row["sop_uid"]] = BodyRegion(row["region"])
+            name = row["region"]
+            if not name:
+                continue
+            try:
+                region = BodyRegion(name)
+            except ValueError:
+                raise SchemaError(f"unknown region {name!r}",
+                                  line=reader.line_num) from None
+            if final_only and region not in FINAL_REGIONS:
+                raise SchemaError(f"{name!r} is not a final region",
+                                  line=reader.line_num)
+            truth[row["sop_uid"]] = region
     return truth
 
 
@@ -227,7 +247,7 @@ def cmd_evaluate(args):
                       ci_level=args.level, seed=args.seed,
                       step_mm=args.step_mm)
     studies = read_metadata_ndjson(args.input)
-    truth = _read_truth(args.truth)
+    truth = _read_truth(args.truth, final_only=True)
     result_rows = post_mod.read_series_results(args.results)
     label_by_sop = {}
     regions_by_study: Dict[str, set] = {}
@@ -250,30 +270,25 @@ def cmd_evaluate(args):
         raise BodyRegionError("no evaluable images (need truth and results)")
 
     os.makedirs(args.out, exist_ok=True)
-    k = len(class_names)
     # Every CI of the run is read from one resample pass over its unit
     # sets: all evaluable studies, and each factor category with enough
     # units to be reported.
-    sampled = []
-    for factor in args.factors:
-        by_cat = stats_mod.factor_units(studies, evals, factor)
-        sampled.append({cat: u for cat, u in by_cat.items()
-                        if len(u) >= stats_mod.MIN_CATEGORY_COUNT})
+    by_factor = [stats_mod.factor_units(studies, evals, factor)
+                 for factor in args.factors]
+    sampled = [{cat: u for cat, u in units_by_cat.items()
+                if len(u) >= stats_mod.MIN_CATEGORY_COUNT}
+               for units_by_cat in by_factor]
     counts = iter(stats_mod.bootstrap_counts(
-        [units] + [u for cats in sampled for u in cats.values()], k,
-        cfg.bootstrap_resamples, cfg.seed, cfg.step_mm))
-    rows = report_mod.region_rows(units, class_names,
-                                  resamples=cfg.bootstrap_resamples,
-                                  level=cfg.ci_level, seed=cfg.seed,
-                                  step_mm=cfg.step_mm, counts=next(counts))
+        [units] + [u for cats in sampled for u in cats.values()],
+        len(class_names), cfg.bootstrap_resamples, cfg.seed, cfg.step_mm))
+    rows = report_mod.region_rows(units, next(counts), class_names,
+                                  level=cfg.ci_level, seed=cfg.seed)
     report_mod.emit_region_report(rows, os.path.join(args.out, "by_region.csv"))
 
-    for factor, cats in zip(args.factors, sampled):
+    for factor, units_by_cat, cats in zip(args.factors, by_factor, sampled):
         fr = stats_mod.factor_report(
-            studies, evals, factor, k, class_names,
-            resamples=cfg.bootstrap_resamples, level=cfg.ci_level,
-            seed=cfg.seed, step_mm=cfg.step_mm,
-            counts={cat: next(counts) for cat in cats})
+            factor, units_by_cat, {cat: next(counts) for cat in cats},
+            class_names, level=cfg.ci_level, seed=cfg.seed)
         report_mod.emit_factor_report(
             fr, os.path.join(args.out, f"by_{factor}.csv"))
 
@@ -286,7 +301,7 @@ def cmd_evaluate(args):
 
     summary = {
         "n_studies": len(units),
-        "n_images": int(stats_mod.full_confusion(units, k, class_names).total),
+        "n_images": rows[0].n_images,
         "overall_sensitivity": rows[0].sensitivity,
         "overall_specificity": rows[0].specificity,
         "tag_agreement": agreement,

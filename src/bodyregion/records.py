@@ -42,10 +42,6 @@ class ImageRecord:
     def has_pixel_data(self) -> bool:
         return self.pixels is not None or self.pixel_data_offset is not None
 
-    def metadata_dict(self) -> dict:
-        """Flat metadata view used by the NDJSON sidecar format."""
-        return sidecar_row(self)
-
 
 @dataclass
 class SeriesRecord:

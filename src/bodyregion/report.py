@@ -18,9 +18,8 @@ from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
 from .errors import BodyRegionError
 from .records import SeriesRecord
 from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
-                    ResampleCounts, bootstrap_counts, ci_from_counts,
-                    full_confusion, ratio_or_nan, weighted_sensitivity,
-                    weighted_specificity)
+                    ResampleCounts, ci_from_counts, full_confusion,
+                    ratio_or_nan, weighted_sensitivity, weighted_specificity)
 # Kept importable from this module: callers resolve it through here.
 from .stats import bootstrap_ci  # noqa: F401
 from .taxonomy import CANONICAL_TAG_STRINGS, BodyRegion
@@ -58,21 +57,16 @@ def class_specificity(idx: int) -> CountMetric:
     return specificity
 
 
-def region_rows(evals: Sequence[EvalStudy], class_names: Sequence[str],
-                resamples: int = 1000, level: float = 0.95, seed: int = 0,
-                step_mm: float = 10.0,
-                min_count: int = MIN_REGION_COUNT,
-                counts: Optional[ResampleCounts] = None) -> List[RegionRow]:
+def region_rows(evals: Sequence[EvalStudy], counts: ResampleCounts,
+                class_names: Sequence[str], level: float = 0.95,
+                seed: int = 0) -> List[RegionRow]:
     """Overall row plus one row per region with bootstrap CIs.
 
-    Every CI is read from `counts`, the `bootstrap_counts` of `evals`
-    (computed here when not given), so each equals
-    `bootstrap_ci(evals, metric, ...)` with the same arguments.
+    Every CI is read from `counts`, the `bootstrap_counts` of `evals`, so
+    each equals `bootstrap_ci(evals, metric, ...)` with the same arguments.
+    A region with fewer than MIN_REGION_COUNT images gets NA metrics.
     """
-    k = len(class_names)
-    cm = full_confusion(evals, k, class_names)
-    if counts is None:
-        [counts] = bootstrap_counts([evals], k, resamples, seed, step_mm)
+    cm = full_confusion(evals, len(class_names), class_names)
     tensor = counts.expand()
 
     def ci(metric) -> CIResult:
@@ -85,7 +79,7 @@ def region_rows(evals: Sequence[EvalStudy], class_names: Sequence[str],
         support = int(cm.counts[idx].sum())
         if support == 0:
             continue
-        if support < min_count:
+        if support < MIN_REGION_COUNT:
             rows.append(RegionRow(name, support, None, None, None, None))
             continue
         recall, tnr = class_recall(idx), class_specificity(idx)

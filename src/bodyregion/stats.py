@@ -259,29 +259,12 @@ def chi2_sf(x: float, df: int) -> float:
     return _gammainc_q_contfrac(a, half)
 
 
-@dataclass
-class FactorTable:
-    """Per-category correct/incorrect contingency table for one factor."""
-
-    factor: str
-    categories: List[str]
-    correct: np.ndarray     # per category
-    incorrect: np.ndarray
-
-    def contingency(self) -> np.ndarray:
-        return np.stack([np.asarray(self.correct, dtype=np.int64),
-                         np.asarray(self.incorrect, dtype=np.int64)])
-
-
 def chi_square(table) -> Tuple[float, float]:
-    """Pearson chi-squared test of independence on an r x c table.
+    """Pearson chi-squared test of independence on an r x c count array.
 
-    Accepts a FactorTable or a 2-D count array. Any zero expected count is
-    degenerate rather than silently corrected.
+    Any zero expected count is degenerate rather than silently corrected.
     """
-    observed = table.contingency() if isinstance(table, FactorTable) else \
-        np.asarray(table, dtype=np.float64)
-    observed = np.asarray(observed, dtype=np.float64)
+    observed = np.asarray(table, dtype=np.float64)
     if observed.ndim != 2 or min(observed.shape) < 2:
         raise DegenerateTable("need at least a 2x2 table")
     n = observed.sum()
@@ -310,10 +293,9 @@ def association_bucket(v: float) -> str:
 
 def cramers_v(table) -> Tuple[float, str]:
     """Cramer's V in [0, 1] plus its qualitative bucket."""
-    observed = table.contingency() if isinstance(table, FactorTable) else \
-        np.asarray(table, dtype=np.float64)
+    observed = np.asarray(table, dtype=np.float64)
     stat, _ = chi_square(observed)
-    n = float(np.asarray(observed, dtype=np.float64).sum())
+    n = float(observed.sum())
     k = min(observed.shape[0] - 1, observed.shape[1] - 1)
     v = math.sqrt(stat / (n * k))
     v = min(1.0, v)
@@ -669,8 +651,6 @@ class FactorRow:
 class FactorReport:
     factor: str
     rows: List[FactorRow]
-    table: FactorTable
-    chi2: Optional[float]
     p_value: Optional[float]
 
 
@@ -680,7 +660,7 @@ def factor_units(studies: Sequence[StudyRecord], evals: Dict[str, EvalStudy],
 
     Units are whole studies for study-level factors, otherwise per-study
     pseudo-units restricted to the matching series (which they share with
-    `evals`).
+    `evals`); each EvalSeries finds its record by `series_uid`.
     """
     if factor not in FACTORS:
         raise UnknownFactor(factor)
@@ -695,61 +675,42 @@ def factor_units(studies: Sequence[StudyRecord], evals: Dict[str, EvalStudy],
         else:
             by_uid = {s.series_uid: s for s in study.series}
             by_cat: Dict[str, List[EvalSeries]] = {}
-            for pos, ev_series in enumerate(ev.series):
-                rec_series = by_uid.get(ev_series.series_uid)
-                if rec_series is None:
-                    rec_series = study.series[pos]
-                by_cat.setdefault(extract(rec_series), []).append(ev_series)
+            for ev_series in ev.series:
+                by_cat.setdefault(extract(by_uid[ev_series.series_uid]),
+                                  []).append(ev_series)
             for cat, series_list in by_cat.items():
                 units.setdefault(cat, []).append(
                     EvalStudy(study.study_uid, series_list))
     return units
 
 
-def factor_report(studies: Sequence[StudyRecord],
-                  evals: Dict[str, EvalStudy],
-                  factor: str,
-                  k: int,
-                  class_names: Sequence[str],
-                  min_count: int = MIN_CATEGORY_COUNT,
-                  resamples: int = 1000,
-                  level: float = 0.95,
-                  seed: int = 0,
-                  step_mm: float = 10.0,
-                  counts: Optional[Dict[str, ResampleCounts]] = None
-                  ) -> FactorReport:
+def factor_report(factor: str, units: Dict[str, List[EvalStudy]],
+                  counts: Dict[str, ResampleCounts],
+                  class_names: Sequence[str], level: float = 0.95,
+                  seed: int = 0) -> FactorReport:
     """Stratified performance table for one confounding factor.
 
-    Categories with fewer units than min_count get NA metrics. The
-    chi-squared test runs on the correct/incorrect contingency across
-    categories when at least two categories have images. The CIs of the
-    other categories are read from `counts`, keyed by category: their
-    `bootstrap_counts` over `factor_units`, computed here when not given.
+    `units` is the factor's `factor_units`, and `counts` the
+    `bootstrap_counts` of each category reported with CIs, keyed by
+    category; a category not in `counts` gets NA metrics. The chi-squared
+    test runs on the correct/incorrect contingency across categories when
+    at least two categories have images.
     """
-    units = factor_units(studies, evals, factor)
-    if counts is None:
-        sampled = [cat for cat in units if len(units[cat]) >= min_count]
-        counts = dict(zip(sampled, bootstrap_counts(
-            [units[cat] for cat in sampled], k, resamples, seed, step_mm)))
-
-    rows = []
-    correct = []
-    incorrect = []
+    k = len(class_names)
     categories = sorted(units)
-    for cat in categories:
-        cat_units = units[cat]
-        cm = full_confusion(cat_units, k, class_names)
-        n_images = cm.total
+    rows = []
+    contingency = np.zeros((2, len(categories)), dtype=np.int64)
+    for j, cat in enumerate(categories):
+        cm = full_confusion(units[cat], k, class_names)
         n_correct = int(np.trace(cm.counts))
-        correct.append(n_correct)
-        incorrect.append(n_images - n_correct)
-        if len(cat_units) < min_count:
-            rows.append(FactorRow(cat, len(cat_units), n_images,
+        contingency[:, j] = n_correct, cm.total - n_correct
+        if cat not in counts:
+            rows.append(FactorRow(cat, len(units[cat]), cm.total,
                                   None, None, None, None))
             continue
         tensor = counts[cat].expand()
         rows.append(FactorRow(
-            cat, len(cat_units), n_images,
+            cat, len(units[cat]), cm.total,
             weighted_sensitivity(cm),
             ci_from_counts(tensor, weighted_sensitivity, class_names, level,
                            seed),
@@ -757,13 +718,10 @@ def factor_report(studies: Sequence[StudyRecord],
             ci_from_counts(tensor, weighted_specificity, class_names, level,
                            seed)))
 
-    table = FactorTable(factor, categories,
-                        np.asarray(correct, dtype=np.int64),
-                        np.asarray(incorrect, dtype=np.int64))
-    stat = p = None
+    p = None
     if len(categories) >= 2:
         try:
-            stat, p = chi_square(table)
+            _, p = chi_square(contingency)
         except DegenerateTable:
             pass
-    return FactorReport(factor, rows, table, stat, p)
+    return FactorReport(factor, rows, p)

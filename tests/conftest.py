@@ -1,4 +1,5 @@
-"""Shared fixture builders: in-memory DICOM files and tiny record trees."""
+"""Shared fixture builders: in-memory DICOM files, tiny record trees, and
+the evaluation tables built the way `evaluate` builds them."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ import pytest
 
 from bodyregion.dicomio import EXPLICIT_VR_LE, build_dicom
 from bodyregion.records import ImageRecord, SeriesRecord, StudyRecord
+from bodyregion.report import region_rows
+from bodyregion.stats import (MIN_CATEGORY_COUNT, bootstrap_counts,
+                              factor_report, factor_units)
 from bodyregion.taxonomy import BodyRegion
 
 AXIAL = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
@@ -82,6 +86,28 @@ def make_study(study_uid="ST1", patient_id="P001", series=None,
     study = StudyRecord(study_uid=study_uid, patient_id=patient_id, **overrides)
     study.series = list(series) if series is not None else [make_series()]
     return study
+
+
+def region_table(evals, class_names, resamples=1000, level=0.95, seed=0,
+                 step_mm=10.0):
+    """`region_rows` of `evals`, read from their `bootstrap_counts`."""
+    [counts] = bootstrap_counts([evals], len(class_names), resamples, seed,
+                                step_mm)
+    return region_rows(evals, counts, class_names, level, seed)
+
+
+def factor_table(studies, evals, factor, class_names, resamples=1000,
+                 level=0.95, seed=0, step_mm=10.0):
+    """`factor_report` of one factor as `evaluate` builds it: the
+    categories with at least MIN_CATEGORY_COUNT units are resampled, and
+    the others print NA."""
+    units = factor_units(studies, evals, factor)
+    sampled = [cat for cat, u in units.items()
+               if len(u) >= MIN_CATEGORY_COUNT]
+    counts = bootstrap_counts([units[cat] for cat in sampled],
+                              len(class_names), resamples, seed, step_mm)
+    return factor_report(factor, units, dict(zip(sampled, counts)),
+                         class_names, level, seed)
 
 
 @pytest.fixture

@@ -32,14 +32,16 @@ from bodyregion.postprocess import (SeriesStatus, apply_breast_rule,
                                     reject_uncertain, remove_outlier_runs,
                                     run_pipeline, smooth_labels)
 from bodyregion.preprocess import clip_normalize
-from bodyregion.report import emit_factor_report, emit_region_report, region_rows
+from bodyregion.records import sidecar_row
+from bodyregion.report import emit_factor_report, emit_region_report
 from bodyregion.stats import (ConfusionMatrix, EvalSeries, EvalStudy,
                               bootstrap_ci, chi_square, cramers_v,
-                              factor_report, sample_size,
-                              weighted_sensitivity, weighted_sensitivity_exact)
+                              sample_size, weighted_sensitivity,
+                              weighted_sensitivity_exact)
 from bodyregion.taxonomy import CANONICAL_ORDER, BodyRegion
 
-from conftest import base_dataset, make_dicom, make_image, make_study
+from conftest import (base_dataset, factor_table, make_dicom, make_image,
+                      make_study, region_table)
 from test_pixels import oracle_rle_decode
 
 
@@ -405,7 +407,7 @@ def test_criterion_8_parser_robustness(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
     def flatten(cohort):
-        return [(st.study_uid, se.series_uid, im.metadata_dict())
+        return [(st.study_uid, se.series_uid, sidecar_row(im))
                 for st in cohort for se in st.series for im in se.images]
 
     assert flatten(studies) == flatten(reread)
@@ -457,8 +459,8 @@ def test_criterion_9_report_layout(tmp_path):
             pred = pred + [2]
         studies.append(EvalStudy(f"S{i:02d}", [EvalSeries(
             np.arange(len(truth)) * 10.0, truth, pred)]))
-    rows = region_rows(studies, ["Abdomen", "Chest", "Head"],
-                       resamples=200, seed=0)
+    rows = region_table(studies, ["Abdomen", "Chest", "Head"],
+                        resamples=200, seed=0)
     region_path = tmp_path / "by_region.csv"
     emit_region_report(rows, region_path)
     assert region_path.read_text() == GOLDEN_REGION
@@ -472,8 +474,8 @@ def test_criterion_9_report_layout(tmp_path):
         evals[st.study_uid] = EvalStudy(st.study_uid, [EvalSeries(
             np.arange(4) * 10.0, [0, 1, 0, 1], pred)])
         records.append(st)
-    report = factor_report(records, evals, "manufacturer", 2,
-                           ["Abdomen", "Chest"], resamples=100, seed=0)
+    report = factor_table(records, evals, "manufacturer",
+                          ["Abdomen", "Chest"], resamples=100, seed=0)
     factor_path = tmp_path / "by_manufacturer.csv"
     emit_factor_report(report, factor_path)
     assert factor_path.read_text() == GOLDEN_FACTOR

@@ -93,6 +93,17 @@ class TestScoreFile:
         with pytest.raises(SchemaError):
             load_scores(path)
 
+    @pytest.mark.parametrize("body,classes", [
+        ("", None), ("uid,Abdomen\n1.1,1.0\n", None),
+        ("sop_uid,NotARegion\n1.1,1.0\n", None),
+        ("sop_uid,Abdomen\n1.1,1.0\n", [BodyRegion.CHEST])])
+    def test_header_errors_name_line_one(self, tmp_path, body, classes):
+        path = tmp_path / "scores.csv"
+        path.write_text(body)
+        with pytest.raises(SchemaError) as err:
+            load_scores(path, classes)
+        assert err.value.line == 1
+
     @pytest.mark.parametrize("row", ["1.2,nan,0.5", "1.2,inf,0.0",
                                      "1.2,-0.5,1.5"])
     def test_non_finite_or_negative_names_its_line(self, tmp_path, row):

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bodyregion import cli
+from bodyregion import cli, stats
 from bodyregion.cli import build_parser, main
 from bodyregion.dicomio import EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1, encode_element
 from bodyregion.ingest import tree_files
@@ -291,6 +291,28 @@ class TestEvaluate:
         with open(tmp_path / "eval1" / "by_kernel.csv") as fh:
             assert [int(r["n"]) for r in csv.DictReader(fh)] == [8]
 
+    def test_factor_units_once_per_factor(self, pipeline_dirs, tmp_path,
+                                          monkeypatch):
+        calls = Counter()
+        factor_units = stats.factor_units
+
+        def counting(studies, evals, factor):
+            calls[factor] += 1
+            return factor_units(studies, evals, factor)
+
+        monkeypatch.setattr(stats, "factor_units", counting)
+        root = pipeline_dirs
+        out = tmp_path / "eval"
+        assert main(["evaluate",
+                     "--in", str(root / "filt" / "filtered.ndjson"),
+                     "--results", str(root / "results.ndjson"),
+                     "--truth", str(root / "truth.csv"), "--out", str(out)]
+                    + EVALUATE_KERNEL_CONTRAST) == 0
+        assert calls == Counter({"kernel": 1, "contrast": 1})
+        for name in EVAL_SHA256["eval_kernel_contrast"]:
+            assert (out / name).read_bytes() == (
+                root / "eval_kernel_contrast" / name).read_bytes()
+
 
 class TestLabelsProject:
     def test_one_frame_of_reference_warning_per_run(self, pipeline_dirs,
@@ -490,6 +512,68 @@ class TestExitCodes:
         assert err.startswith("data error: line 2: invalid UTF-8 at byte ")
         column = int(err.split("at byte ")[1].split(":")[0])
         assert lines[1][column - 1:column] == b"\xff"
+
+    @staticmethod
+    def _run_on_truth(stage, pipeline_dirs, tmp_path, edit):
+        """Run `stage` on the pipeline's truth.csv with `edit` applied to
+        its list of lines."""
+        lines = (pipeline_dirs / "truth.csv").read_text().splitlines()
+        edit(lines)
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        root = pipeline_dirs
+        if stage == "classify":
+            argv = ["--dicom", str(root / "ph"),
+                    "--out", str(tmp_path / "scores.csv")]
+        else:
+            argv = ["--in", str(root / "filt" / "filtered.ndjson"),
+                    "--results", str(root / "results.ndjson"),
+                    "--out", str(tmp_path / "eval")]
+        return main([stage, "--truth", str(truth)] + argv)
+
+    @staticmethod
+    def _set_region(lines, region):
+        uid, series, study, _ = lines[2].split(",")
+        lines[2] = ",".join([uid, series, study, region])
+
+    @staticmethod
+    def _rename_column(lines, column):
+        lines[0] = lines[0].replace(column, "x")
+
+    @pytest.mark.parametrize("stage", ["classify", "evaluate"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: TestExitCodes._set_region(lines, "Nope"),
+         "line 3: unknown region 'Nope'"),
+        (lambda lines: TestExitCodes._rename_column(lines, "sop_uid"),
+         "line 1: truth file has no sop_uid column"),
+        (lambda lines: TestExitCodes._rename_column(lines, "region"),
+         "line 1: truth file has no region column"),
+    ], ids=["unknown_region", "no_sop_uid_column", "no_region_column"])
+    def test_bad_truth_is_data_error(self, pipeline_dirs, tmp_path, capsys,
+                                     stage, edit, message):
+        # The first two ended in a traceback (ValueError from
+        # BodyRegion('Nope'), KeyError: 'sop_uid'); without a region
+        # column, every image was read as unlabelled.
+        capsys.readouterr()
+        assert self._run_on_truth(stage, pipeline_dirs, tmp_path, edit) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
+    def test_internal_truth_region_is_evaluate_data_error(
+            self, pipeline_dirs, tmp_path, capsys):
+        # AbdomenChest is a training-time class, which postprocess merges
+        # away; evaluate ended in KeyError: 'AbdomenChest'.
+        capsys.readouterr()
+        assert self._run_on_truth(
+            "evaluate", pipeline_dirs, tmp_path,
+            lambda lines: self._set_region(lines, "AbdomenChest")) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 3: 'AbdomenChest' is not a final region\n")
+
+    def test_internal_truth_region_is_a_classify_label(self, pipeline_dirs,
+                                                       tmp_path):
+        assert self._run_on_truth(
+            "classify", pipeline_dirs, tmp_path,
+            lambda lines: self._set_region(lines, "AbdomenChest")) == 0
 
     def _assert_missing(self, capsys, argv, path):
         capsys.readouterr()

@@ -1,5 +1,5 @@
 """Source hygiene: no module-level import goes unused, and no public
-top-level name in the package is defined for nothing to load."""
+top-level name or method in the package is defined for nothing to load."""
 
 import ast
 import pathlib
@@ -86,10 +86,10 @@ def _defined_names(node):
     return [n for n in names if not n.startswith("_")]
 
 
-def _loaded_names(node):
-    """Identifiers a statement loads, as a bare name or an attribute."""
+def _loaded_names(*nodes):
+    """Identifiers the statements load, as a bare name or an attribute."""
     loaded = set()
-    for n in ast.walk(node):
+    for n in (n for node in nodes for n in ast.walk(node)):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             loaded.add(n.id)
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
@@ -97,22 +97,42 @@ def _loaded_names(node):
     return loaded
 
 
+def _units(node):
+    """(defined names, loaded names) of a top-level statement; each method
+    of a top-level class is a unit of its own, defining `Class.method`
+    when public, and the class's unit is the rest of the class."""
+    if not isinstance(node, ast.ClassDef):
+        return [(_defined_names(node), _loaded_names(node))]
+    methods = [n for n in node.body
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    rest = [n for n in node.body if n not in methods]
+    return [(_defined_names(node), _loaded_names(
+        *node.decorator_list, *node.bases, *node.keywords, *rest))] + [
+        ([f"{node.name}.{m.name}"] if not m.name.startswith("_") else [],
+         _loaded_names(m)) for m in methods]
+
+
 def unreached_names(package):
-    """(module, name) of each public top-level definition in `package`
-    that no statement of it loads, outside the definition itself and
-    `__init__.py`."""
-    statements = []  # (module, defined names, loaded names)
+    """(module, name) of each public top-level definition, or public method
+    of a top-level class (as `Class.method`), in `package` that no statement
+    of it loads, outside the definition itself and `__init__.py`. A class
+    loaded only inside its own methods counts as unreached."""
+    units = []  # (module, top-level statement index, defined, loaded)
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        statements.extend((path.stem, _defined_names(node),
-                           _loaded_names(node)) for node in tree.body)
+        units.extend((path.stem, (path.stem, i), defined, loaded)
+                     for i, node in enumerate(tree.body)
+                     for defined, loaded in _units(node))
     unreached = []
-    for i, (module, defined, _) in enumerate(statements):
+    for i, (module, statement, defined, _) in enumerate(units):
         for name in defined:
-            if not any(name in loaded for j, (_, _, loaded)
-                       in enumerate(statements) if j != i):
+            method = "." in name
+            attr = name.rsplit(".", 1)[-1]
+            if not any(attr in loaded for j, (_, other, _, loaded)
+                       in enumerate(units)
+                       if (j != i if method else other != statement)):
                 unreached.append((module, name))
     return unreached
 
@@ -121,7 +141,7 @@ def test_every_public_name_is_reached_or_listed():
     # A traced name is exempt in the module that defines it, too.
     traced = {name for _, name in TRACED}
     assert [(module, name) for module, name in unreached_names(PACKAGE)
-            if name not in traced
+            if name.rsplit(".", 1)[-1] not in traced
             and (module, name) not in LIBRARY_API | READ_BY_BENCHMARK] == []
 
 
@@ -142,6 +162,21 @@ def test_scan_flags_an_unreached_definition(tmp_path):
                                           "y = SPARE\n")
     assert unreached_names(tmp_path) == [("a", "SPARE"), ("a", "used"),
                                          ("b", "x")]
+
+
+def test_scan_flags_an_unreached_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n        return self._size()\n\n"
+        "    def spare(self):\n        return Box()\n\n"
+        "    def again(self, n):\n        return self.again(n - 1)\n\n"
+        "    def _size(self):\n        return 0\n\n\n"
+        "class Lone:\n"
+        "    def make(self):\n        return Lone()\n")
+    (tmp_path / "b.py").write_text("from .a import Box\n\nx = Box().used()\n")
+    assert unreached_names(tmp_path) == [
+        ("a", "Box.spare"), ("a", "Box.again"), ("a", "Lone"),
+        ("a", "Lone.make"), ("b", "x")]
 
 
 def test_every_traced_binding_resolves():

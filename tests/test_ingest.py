@@ -94,7 +94,7 @@ class TestNdjsonRoundTrip:
             for st in cohort:
                 for se in st.series:
                     for im in se.images:
-                        row = im.metadata_dict()
+                        row = sidecar_row(im)
                         row["series_uid"] = se.series_uid
                         row["study_uid"] = st.study_uid
                         row["modality"] = se.modality

@@ -5,12 +5,12 @@ import pytest
 
 from bodyregion.dicomio import parse_dicom
 from bodyregion.report import (TagChange, emit_factor_report,
-                               emit_region_report, region_rows,
-                               write_body_part_tags, write_change_log)
-from bodyregion.stats import EvalSeries, EvalStudy, factor_report
+                               emit_region_report, write_body_part_tags,
+                               write_change_log)
+from bodyregion.stats import EvalSeries, EvalStudy
 from bodyregion.taxonomy import BodyRegion
 
-from conftest import make_dicom, make_study
+from conftest import factor_table, make_dicom, make_study, region_table
 
 CLASSES = ["Abdomen", "Chest", "Head"]
 
@@ -32,12 +32,12 @@ def cohort_with_rare_class():
 
 class TestRegionRows:
     def test_overall_first_then_regions(self):
-        rows = region_rows(cohort_with_rare_class(), CLASSES, resamples=50)
+        rows = region_table(cohort_with_rare_class(), CLASSES, resamples=50)
         assert rows[0].name == "Overall"
         assert [r.name for r in rows[1:]] == CLASSES
 
     def test_small_class_has_na_metrics(self):
-        rows = region_rows(cohort_with_rare_class(), CLASSES, resamples=50)
+        rows = region_table(cohort_with_rare_class(), CLASSES, resamples=50)
         head = next(r for r in rows if r.name == "Head")
         assert head.n_images == 3
         assert head.sensitivity is None and head.specificity is None
@@ -45,14 +45,14 @@ class TestRegionRows:
     def test_absent_class_omitted(self):
         studies = [EvalStudy("S", [EvalSeries(np.arange(4) * 10.0,
                                               [0, 0, 1, 1], [0, 0, 1, 1])])]
-        rows = region_rows(studies, CLASSES, resamples=20)
+        rows = region_table(studies, CLASSES, resamples=20)
         assert "Head" not in [r.name for r in rows]
 
 
 class TestGoldenLayout:
     def test_region_csv_golden(self, tmp_path):
-        rows = region_rows(cohort_with_rare_class(), CLASSES,
-                           resamples=200, seed=0)
+        rows = region_table(cohort_with_rare_class(), CLASSES,
+                            resamples=200, seed=0)
         path = tmp_path / "by_region.csv"
         emit_region_report(rows, path)
         text = path.read_text()
@@ -65,7 +65,7 @@ class TestGoldenLayout:
         assert "(" in lines[2] and "-" in lines[2]
 
     def test_emission_deterministic(self, tmp_path):
-        rows = region_rows(cohort_with_rare_class(), CLASSES, resamples=100)
+        rows = region_table(cohort_with_rare_class(), CLASSES, resamples=100)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_region_report(rows, p1)
         emit_region_report(rows, p2)
@@ -80,8 +80,8 @@ class TestGoldenLayout:
             evals[st.study_uid] = EvalStudy(st.study_uid, [EvalSeries(
                 np.arange(4) * 10.0, [0, 1, 0, 1], [0, 1, 0, 1])])
             studies.append(st)
-        report = factor_report(studies, evals, "manufacturer", 2,
-                               ["a", "b"], resamples=20)
+        report = factor_table(studies, evals, "manufacturer", ["a", "b"],
+                              resamples=20)
         path = tmp_path / "by_manufacturer.csv"
         emit_factor_report(report, path)
         lines = path.read_text().strip().splitlines()

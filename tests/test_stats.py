@@ -12,11 +12,11 @@ from bodyregion.errors import (DegenerateTable, EmptyCohort, EmptyMatrix,
                                InvalidParams, UnknownFactor)
 from bodyregion import stats
 from bodyregion.geometry import first_window_size
-from bodyregion.report import class_recall, class_specificity, region_rows
+from bodyregion.report import class_recall, class_specificity
 from bodyregion.stats import (CIResult, ConfusionMatrix, EvalSeries,
-                              EvalStudy, FactorTable, association_bucket,
-                              bootstrap_ci, bootstrap_counts, chi2_sf,
-                              chi_square, cramers_v, factor_report,
+                              EvalStudy, association_bucket, bootstrap_ci,
+                              bootstrap_counts, chi2_sf, chi_square,
+                              cramers_v, factor_report, factor_units,
                               full_confusion, normalize_tag_value,
                               sample_size,
                               tag_agreement, weighted_sensitivity,
@@ -24,7 +24,7 @@ from bodyregion.stats import (CIResult, ConfusionMatrix, EvalSeries,
                               weighted_specificity)
 from bodyregion.taxonomy import BodyRegion
 
-from conftest import make_study
+from conftest import factor_table, make_series, make_study, region_table
 
 
 def mpmath_chi2_sf(x: float, df: int) -> float:
@@ -274,11 +274,6 @@ class TestChiSquared:
         with pytest.raises(DegenerateTable):
             chi_square(np.array([[1, 2]]))
 
-    def test_factor_table_input(self):
-        ft = FactorTable("f", ["x", "y"], np.array([10, 0]), np.array([0, 10]))
-        stat, _ = chi_square(ft)
-        assert stat == pytest.approx(20.0)
-
 
 class TestCramersV:
     def test_independence_is_zero(self):
@@ -332,9 +327,12 @@ class TestSampleSize:
             sample_size(**args)
 
 
-def eval_study(uid, truth, pred, spacing=10.0):
+def eval_study(uid, truth, pred, spacing=10.0, series_uid="S1"):
+    """One study of one series; the series UID is make_series' default, so
+    that factor_units finds the series of a make_study record."""
     positions = np.arange(len(truth), dtype=float) * spacing
-    return EvalStudy(uid, [EvalSeries(positions, truth, pred)])
+    return EvalStudy(uid, [EvalSeries(positions, truth, pred,
+                                      series_uid=series_uid)])
 
 
 class TestBootstrap:
@@ -523,7 +521,7 @@ class TestSharedResamplePass:
     def test_region_rows_cis_equal_bootstrap_ci(self):
         studies = uneven_cohort()
         names = ["a", "b", "c"]
-        rows = region_rows(studies, names, resamples=150, seed=5)
+        rows = region_table(studies, names, resamples=150, seed=5)
         metrics = [(weighted_sensitivity, weighted_specificity)] + [
             (class_recall(i), class_specificity(i)) for i in range(3)]
         assert len(rows) == len(metrics)
@@ -540,8 +538,8 @@ class TestSharedResamplePass:
                               institution="AB"[i % 2])
                    for i, st in enumerate(studies)]
         evals = {st.study_uid: st for st in studies}
-        report = factor_report(records, evals, "institution", 3, names,
-                               resamples=150, seed=5, step_mm=8.0)
+        report = factor_table(records, evals, "institution", names,
+                              resamples=150, seed=5, step_mm=8.0)
         for inst, row in zip("AB", report.rows):
             units = studies[inst == "B"::2]
             for ci, metric in ((row.sensitivity_ci, weighted_sensitivity),
@@ -624,8 +622,8 @@ class TestFactorReport:
 
     def test_categories_and_chi2(self):
         studies, evals = self._setup()
-        report = factor_report(studies, evals, "institution", 2, ["a", "b"],
-                               resamples=50)
+        report = factor_table(studies, evals, "institution", ["a", "b"],
+                              resamples=50)
         assert [r.category for r in report.rows] == ["Alpha", "Beta"]
         alpha = report.rows[0]
         assert alpha.sensitivity == pytest.approx(1.0)
@@ -634,14 +632,43 @@ class TestFactorReport:
     def test_small_category_gets_na(self):
         studies, evals = self._setup(n_per_cat=6)
         studies[0].institution = "Gamma"  # now a 1-study category
-        report = factor_report(studies, evals, "institution", 2, ["a", "b"],
-                               resamples=50)
+        report = factor_table(studies, evals, "institution", ["a", "b"],
+                              resamples=50)
         gamma = next(r for r in report.rows if r.category == "Gamma")
         assert gamma.sensitivity is None and gamma.n_units == 1
 
+    def test_na_exactly_when_not_in_counts(self):
+        # factor_report leaves the count rule to its caller: a category
+        # gets CIs when it has counts, whatever its size.
+        studies, evals = self._setup(n_per_cat=6)
+        studies[0].institution = "Gamma"
+        units = factor_units(studies, evals, "institution")
+        [alpha, gamma] = bootstrap_counts(
+            [units["Alpha"], units["Gamma"]], 2, 30, 0, 10.0)
+        report = factor_report("institution", units,
+                               {"Alpha": alpha, "Gamma": gamma}, ["a", "b"])
+        rows = {r.category: r for r in report.rows}
+        assert rows["Beta"].n_units == 6
+        assert rows["Beta"].sensitivity is None
+        assert rows["Beta"].sensitivity_ci is None
+        assert rows["Gamma"].n_units == 1
+        assert rows["Gamma"].sensitivity_ci.resamples == 30
+        assert rows["Alpha"].specificity_ci.resamples == 30
+
+    def test_series_found_by_uid(self):
+        # The study's first series has no evaluable image, so its one
+        # EvalSeries is the record's second series.
+        record = make_study(series=[
+            make_series(series_uid="A", slice_thickness=1.0),
+            make_series(series_uid="B", slice_thickness=6.0)])
+        evals = {record.study_uid: eval_study(record.study_uid, [0, 1],
+                                              [0, 1], series_uid="B")}
+        units = factor_units([record], evals, "slice_thickness")
+        assert list(units) == [">=5 mm"]
+
     def test_unknown_factor(self):
         with pytest.raises(UnknownFactor):
-            factor_report([], {}, "zodiac", 2, ["a", "b"])
+            factor_table([], {}, "zodiac", ["a", "b"])
 
     @pytest.mark.parametrize("age,bucket", [
         (None, "Unknown"), (math.nan, "Unknown"), (-5.0, "Unknown"),
@@ -656,6 +683,6 @@ class TestFactorReport:
         for st in studies:
             for se in st.series:
                 se.slice_thickness = 1.0
-        report = factor_report(studies, evals, "slice_thickness", 2,
-                               ["a", "b"], resamples=50)
+        report = factor_table(studies, evals, "slice_thickness", ["a", "b"],
+                              resamples=50)
         assert [r.category for r in report.rows] == ["<=2 mm"]
