@@ -214,9 +214,9 @@ def cmd_postprocess(args):
     return 0
 
 
-def _collect_evals(studies, truth, label_by_sop, class_names):
+def _collect_evals(studies, truth, label_by_sop):
     """Per-study truth/pred arrays for every image with both labels."""
-    code = {name: i for i, name in enumerate(class_names)}
+    code = {region: i for i, region in enumerate(FINAL_REGIONS)}
     evals = {}
     for study in studies:
         ev = EvalStudy(study.study_uid)
@@ -227,7 +227,7 @@ def _collect_evals(studies, truth, label_by_sop, class_names):
                 label = label_by_sop.get(image.sop_uid)
                 if region is None or label is None:
                     continue
-                t.append(code[region.value])
+                t.append(code[region])
                 p.append(code[label])
                 keep_idx.append(i)
             if not t:
@@ -248,23 +248,21 @@ def cmd_evaluate(args):
                       step_mm=args.step_mm)
     studies = read_metadata_ndjson(args.input)
     truth = _read_truth(args.truth, final_only=True)
-    result_rows = post_mod.read_series_results(args.results)
     label_by_sop = {}
     regions_by_study: Dict[str, set] = {}
     series_to_study = {s.series_uid: st.study_uid
                        for st in studies for s in st.series}
-    for row in result_rows:
-        region_set = set()
-        for img in row["images"]:
-            if img["label"]:
-                label_by_sop[img["sop_uid"]] = img["label"]
-                region_set.add(img["label"])
-        study_uid = series_to_study.get(row["series_uid"])
+    for row in post_mod.read_series_results(args.results):
+        labelled = [(sop, label) for sop, label in row.labels
+                    if label is not None]
+        label_by_sop.update(labelled)
+        study_uid = series_to_study.get(row.series_uid)
         if study_uid:
-            regions_by_study.setdefault(study_uid, set()).update(region_set)
+            regions_by_study.setdefault(study_uid, set()).update(
+                label for _, label in labelled)
 
     class_names = [r.value for r in FINAL_REGIONS]
-    evals = _collect_evals(studies, truth, label_by_sop, class_names)
+    evals = _collect_evals(studies, truth, label_by_sop)
     units = [evals[uid] for uid in sorted(evals)]
     if not units:
         raise BodyRegionError("no evaluable images (need truth and results)")
@@ -293,10 +291,8 @@ def cmd_evaluate(args):
             fr, os.path.join(args.out, f"by_{factor}.csv"))
 
     synonyms = load_synonym_map(cfg.synonym_map_path)
-    predicted = {uid: {BodyRegion(n) for n in names}
-                 for uid, names in regions_by_study.items()}
     agreement = {
-        tag: stats_mod.tag_agreement(studies, predicted, tag, synonyms)
+        tag: stats_mod.tag_agreement(studies, regions_by_study, tag, synonyms)
         for tag in ("body_part", "procedure")}
 
     summary = {
@@ -333,15 +329,13 @@ def cmd_phantom(args):
 
 
 def cmd_tag_write(args):
-    result_rows = post_mod.read_series_results(args.results)
+    # The region most images carry, first by name on a tie; None if rejected.
     region_by_series = {}
-    for row in result_rows:
-        if row["status"] != "Accepted":
-            region_by_series[row["series_uid"]] = None
-            continue
-        region_by_series[row["series_uid"]] = BodyRegion(max(
-            row["series_regions"], key=lambda r: sum(
-                1 for img in row["images"] if img["label"] == r)))
+    for row in post_mod.read_series_results(args.results):
+        counts = Counter(label for _, label in row.labels)
+        region_by_series[row.series_uid] = (
+            max(row.series_regions, key=counts.__getitem__)
+            if row.status is post_mod.SeriesStatus.ACCEPTED else None)
     changes = report_mod.write_body_part_tags(tree_files(args.dicom),
                                               region_by_series,
                                               dry_run=args.dry_run)
@@ -354,7 +348,16 @@ def cmd_tag_write(args):
 
 def cmd_report(args):
     with open(args.summary, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+        try:
+            summary = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc.msg}",
+                              line=exc.lineno) from None
+    for key in ("n_studies", "n_images", "overall_sensitivity",
+                "overall_specificity"):
+        value = summary.get(key) if isinstance(summary, dict) else None
+        if not isinstance(value, (int, float)):
+            raise SchemaError(f"summary {key} must be a number, got {value!r}")
     lines = [f"# Evaluation summary", "",
              f"- studies: {summary['n_studies']}",
              f"- images: {summary['n_images']}",

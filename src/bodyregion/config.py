@@ -16,6 +16,11 @@ import yaml
 from .errors import ConfigError
 
 
+# Value types by field annotation; only a bool field takes a bool (an int).
+_FIELD_TYPES = {"str": (str,), "Optional[str]": (str, type(None)),
+                "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
 @dataclass
 class PipelineConfig:
     uncertainty_metric: str = "margin"       # "margin" or "entropy"
@@ -30,6 +35,12 @@ class PipelineConfig:
     synonym_map_path: Optional[str] = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or isinstance(value, bool) != (f.type == "bool")):
+                raise ConfigError(f"{f.name} must be of type {f.type}, "
+                                  f"got {value!r}")
         if self.uncertainty_metric not in ("margin", "entropy"):
             raise ConfigError(f"uncertainty_metric {self.uncertainty_metric!r}")
         if not (0.0 <= self.uncertainty_threshold <= 1.0):

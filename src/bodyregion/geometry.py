@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateOrientation, EmptySeries, MissingGeometry
+from .errors import (DegenerateOrientation, EmptySeries, MissingGeometry,
+                     SchemaError)
 from .records import SeriesRecord
 from .taxonomy import BodyRegion
 
@@ -38,6 +39,10 @@ class BoundingBox3D:
     max_corner: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.frame_of_reference_uid, str)
+                and len(self.min_corner) == len(self.max_corner) == 3):
+            raise ValueError("a box needs a string frame_of_reference_uid "
+                             "and corners of 3 coordinates")
         if any(a > b for a, b in zip(self.min_corner, self.max_corner)):
             raise ValueError("min_corner must be <= max_corner componentwise")
 
@@ -191,13 +196,27 @@ def warn_foreign_frames(boxes: Sequence[BoundingBox3D],
 
 
 def load_boxes(path) -> List[BoundingBox3D]:
+    """The boxes of a JSON list as save_boxes writes it. Invalid JSON, or an
+    entry that is not a box, is a SchemaError; the latter names its index."""
     with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
-    return [BoundingBox3D(frame_of_reference_uid=e["frame_of_reference_uid"],
-                          region=BodyRegion(e["region"]),
-                          min_corner=tuple(e["min_corner"]),
-                          max_corner=tuple(e["max_corner"]))
-            for e in entries]
+        try:
+            entries = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc.msg}",
+                              line=exc.lineno) from None
+    if not isinstance(entries, list):
+        raise SchemaError("a boxes file must hold a JSON list")
+    boxes = []
+    for i, e in enumerate(entries):
+        try:
+            boxes.append(BoundingBox3D(
+                e["frame_of_reference_uid"], BodyRegion(e["region"]),
+                *(tuple(map(float, e[k])) for k in ("min_corner", "max_corner"))))
+        except KeyError as exc:
+            raise SchemaError(f"box {i} has no {exc} key") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"box {i}: {exc}") from None
+    return boxes
 
 
 def save_boxes(boxes: Sequence[BoundingBox3D], path) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -216,51 +216,61 @@ def write_series_results(results: Sequence[SeriesResult], path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-_STATUS_NAMES = tuple(s.value for s in SeriesStatus)
-_REGION_NAMES = tuple(r.value for r in FINAL_REGIONS)
+@dataclass(frozen=True)
+class ResultRow:
+    """One row of a results NDJSON file, as read back."""
+    series_uid: str
+    status: SeriesStatus
+    series_regions: Tuple[BodyRegion, ...]  # in file order: sorted by name
+    labels: Tuple[Tuple[str, Optional[BodyRegion]], ...]  # (sop_uid, label)
 
 
-def _results_row_problem(row: dict) -> Optional[str]:
-    """What is wrong with a results row, or None."""
-    uid, status = row.get("series_uid"), row.get("status")
-    images, regions = row.get("images"), row.get("series_regions")
+def _member(enum_cls, value):
+    """The member of `enum_cls` whose value is `value`, or None."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        return None
+
+
+def _result_row(row: dict, line: int) -> ResultRow:
+    """A results row, checked and typed; SchemaError names `line`."""
+    uid, images = row.get("series_uid"), row.get("images")
+    status = _member(SeriesStatus, row.get("status"))
+    regions = row.get("series_regions")
     if not isinstance(uid, str):
-        return f"series_uid must be a string, got {uid!r}"
-    if status not in _STATUS_NAMES:
-        return (f"status must be one of {', '.join(_STATUS_NAMES)}, "
-                f"got {status!r}")
+        raise SchemaError(f"series_uid must be a string, got {uid!r}", line)
+    if status is None:
+        raise SchemaError(
+            f"status must be one of {', '.join(s.value for s in SeriesStatus)}"
+            f", got {row.get('status')!r}", line)
     if not isinstance(images, list):
-        return f"images must be a list, got {images!r}"
-    if not (isinstance(regions, list)
-            and all(r in _REGION_NAMES for r in regions)):
-        return f"series_regions must be a list of body regions, got {regions!r}"
+        raise SchemaError(f"images must be a list, got {images!r}", line)
+    series_regions = (tuple(_member(BodyRegion, r) for r in regions)
+                      if isinstance(regions, list) else (None,))
+    if not all(r in FINAL_REGIONS for r in series_regions):
+        raise SchemaError("series_regions must be a list of body regions, "
+                          f"got {regions!r}", line)
     # An accepted series carries the labels of its non-empty image list.
-    if status == SeriesStatus.ACCEPTED.value and not regions:
-        return "an Accepted row must name at least one series region"
+    if status is SeriesStatus.ACCEPTED and not series_regions:
+        raise SchemaError(
+            "an Accepted row must name at least one series region", line)
+    labels = []
     for image in images:
         if not (isinstance(image, dict)
                 and isinstance(image.get("sop_uid"), str)):
-            return (f"images entries must be objects with a string sop_uid, "
-                    f"got {image!r}")
+            raise SchemaError("images entries must be objects with a string "
+                              f"sop_uid, got {image!r}", line)
         label = image.get("label")
-        if label is not None and label not in _REGION_NAMES:
-            return f"image label must be null or a body region, got {label!r}"
-    return None
+        region = _member(BodyRegion, label)
+        if label is not None and region not in FINAL_REGIONS:
+            raise SchemaError("image label must be null or a body region, "
+                              f"got {label!r}", line)
+        labels.append((image["sop_uid"], region))
+    return ResultRow(uid, status, series_regions, tuple(labels))
 
 
-def read_series_results(path) -> List[dict]:
-    """The rows of a results NDJSON file, as write_series_results wrote them.
-
-    Each row must hold `series_uid` (a string), `status` (a SeriesStatus
-    value), `images` (a list of objects with a string `sop_uid` and a
-    `label` that is null or a final region) and `series_regions` (a list of
-    final regions, non-empty when Accepted); SchemaError names the line of
-    the first row that does not.
-    """
-    rows = []
-    for lineno, row in read_ndjson(path):
-        problem = _results_row_problem(row)
-        if problem is not None:
-            raise SchemaError(problem, line=lineno)
-        rows.append(row)
-    return rows
+def read_series_results(path) -> List[ResultRow]:
+    """The rows of a results NDJSON file, as write_series_results wrote them;
+    SchemaError names the line of the first row `_result_row` rejects."""
+    return [_result_row(row, lineno) for lineno, row in read_ndjson(path)]

@@ -16,7 +16,6 @@ import numpy as np
 
 from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
 from .errors import BodyRegionError
-from .records import SeriesRecord
 from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
                     ResampleCounts, ci_from_counts, full_confusion,
                     ratio_or_nan, weighted_sensitivity, weighted_specificity)
@@ -190,7 +189,7 @@ def write_body_part_tags(files: Sequence[str],
         except (BodyRegionError, OSError) as exc:
             changes.append(TagChange(path, "error", detail=str(exc)))
             continue
-        series_uid = SeriesRecord(**parsed.series_attrs).series_uid
+        series_uid = parsed.series_attrs["series_uid"]
         if series_uid not in region_by_series:
             changes.append(TagChange(path, "skipped",
                                      detail="series not in results"))

@@ -326,10 +326,11 @@ def test_criterion_7_end_to_end(tmp_path):
                     for st in records for se in st.series for im in se.images}
     n = correct = 0
     for row in read_series_results(results):
-        for img in row["images"]:
-            if sop_to_study[img["sop_uid"]] in val:
+        for sop_uid, label in row.labels:
+            if sop_to_study[sop_uid] in val:
                 n += 1
-                correct += img["label"] == truth_map[img["sop_uid"]]
+                correct += (label is not None
+                            and label.value == truth_map[sop_uid])
     accuracy = correct / n
 
     scores2 = str(tmp_path / "scores2.csv")

@@ -18,7 +18,7 @@ from bodyregion.phantom import (PhantomSpec, RegionSpec, generate_phantom)
 from bodyregion.stats import bootstrap_counts
 from bodyregion.taxonomy import FINAL_REGIONS, BodyRegion
 
-from conftest import make_series, make_study
+from conftest import make_dicom, make_series, make_study
 
 # sha256 of the pipeline_dirs phantom's scores.csv. Changes to how classify
 # decodes, preprocesses and reduces images must keep it byte-identical.
@@ -332,6 +332,44 @@ class TestLabelsProject:
         assert truth.read_bytes() == (pipeline_dirs / "truth.csv").read_bytes()
 
 
+class TestTagWrite:
+    # Image labels per series; None marks a series rejected as uncertain.
+    SERIES = {"1.2.3.2.1": ["Head", "Head", "Arm"],
+              "1.2.3.2.2": ["Head", "Arm", "Head", "Arm"],
+              "1.2.3.2.3": [None, None]}
+
+    def test_region_rule(self, tmp_path):
+        # A series takes the region most of its images carry; a tie goes
+        # to the first region by name (Arm, though Head comes first in the
+        # taxonomy); a rejected series is skipped.
+        dicom, rows = tmp_path / "dicom", []
+        dicom.mkdir()
+        for uid, labels in self.SERIES.items():
+            sops = [f"{uid}.{i}" for i in range(len(labels))]
+            for sop in sops:
+                (dicom / f"{sop}.dcm").write_bytes(make_dicom(
+                    pixels=np.zeros(64, dtype="<u2"), SeriesInstanceUID=uid,
+                    SOPInstanceUID=sop))
+            regions = sorted({label for label in labels if label})
+            rows.append({"series_uid": uid, "series_regions": regions,
+                         "status": "Accepted" if regions
+                         else "RejectedUncertain",
+                         "images": [{"sop_uid": sop, "label": label}
+                                    for sop, label in zip(sops, labels)]})
+        results = tmp_path / "results.ndjson"
+        results.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        log = tmp_path / "tags.csv"
+        assert main(["tag-write", "--dicom", str(dicom), "--results",
+                     str(results), "--out", str(log), "--dry-run"]) == 0
+        with open(log) as fh:
+            actions = {(r["path"].rsplit("/", 1)[1].rsplit(".", 2)[0],
+                        r["action"], r["new_value"])
+                       for r in csv.DictReader(fh)}
+        assert actions == {("1.2.3.2.1", "rewritten", "HEAD"),
+                           ("1.2.3.2.2", "rewritten", "ARM"),
+                           ("1.2.3.2.3", "skipped", "")}
+
+
 def _file_meta(syntax):
     meta = encode_element((0x0002, 0x0010), "UI", syntax)
     return (b"\x00" * 128 + b"DICM"
@@ -497,6 +535,78 @@ class TestExitCodes:
                                     json.dumps(row)) == 2
         assert capsys.readouterr().err == f"data error: line 3: {message}\n"
 
+    BOX = {"frame_of_reference_uid": "1.2.3.3", "region": "Chest",
+           "min_corner": [0, 0, 0], "max_corner": [10, 10, 10]}
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda box: box.pop("frame_of_reference_uid"),
+         "box 1 has no 'frame_of_reference_uid' key"),
+        (lambda box: box.update(region="Nope"),
+         "box 1: 'Nope' is not a valid BodyRegion"),
+        (lambda box: box.update(min_corner=[0, 0, 20]),
+         "box 1: min_corner must be <= max_corner componentwise"),
+        (None, "line 1: invalid JSON: Expecting value"),
+    ], ids=["no_frame", "unknown_region", "min_past_max", "not_json"])
+    def test_bad_boxes_are_data_error(self, pipeline_dirs, tmp_path, capsys,
+                                      edit, message):
+        # Each ended in a traceback: KeyError, ValueError (twice) and
+        # JSONDecodeError.
+        boxes = tmp_path / "boxes.json"
+        if edit is None:
+            boxes.write_text("labels\n")
+        else:
+            bad = dict(self.BOX)
+            edit(bad)
+            boxes.write_text(json.dumps([self.BOX, bad]))
+        capsys.readouterr()
+        assert main(["labels-project",
+                     "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
+                     "--boxes", str(boxes),
+                     "--out", str(tmp_path / "truth.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {message}")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: text.replace('"n_images"', '"images"'),
+         "summary n_images must be a number, got None\n"),
+        (lambda text: "n_images: 96\n",
+         "line 1: invalid JSON: Expecting value\n"),
+    ], ids=["no_n_images", "not_json"])
+    def test_bad_summary_is_data_error(self, pipeline_dirs, tmp_path, capsys,
+                                       edit, message):
+        # These ended in KeyError: 'n_images' and JSONDecodeError.
+        summary = tmp_path / "summary.json"
+        summary.write_text(edit(
+            (pipeline_dirs / "eval" / "summary.json").read_text()))
+        capsys.readouterr()
+        assert main(["report", "--summary", str(summary)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}"
+
+    @pytest.mark.parametrize("stage,value,message", [
+        ("postprocess", 'uncertainty_threshold: "0.3"',
+         "uncertainty_threshold must be of type float, got '0.3'"),
+        ("evaluate", "seed: x", "seed must be of type int, got 'x'"),
+        ("evaluate", "bootstrap_resamples: 2.5",
+         "bootstrap_resamples must be of type int, got 2.5"),
+        ("filter", "strict_geometry: maybe",
+         "strict_geometry must be of type bool, got 'maybe'"),
+    ], ids=["threshold_string", "seed_string", "resamples_float",
+            "strict_geometry_string"])
+    def test_mistyped_config_value_is_data_error(self, tmp_path, capsys,
+                                                 stage, value, message):
+        # The first ended in a TypeError; the others loaded silently.
+        config = tmp_path / "config.yaml"
+        config.write_text(value + "\n")
+        nope = str(tmp_path / "nope")
+        argv = {"filter": ["--in", nope, "--out", nope],
+                "postprocess": ["--in", nope, "--scores", nope,
+                                "--out", nope],
+                "evaluate": ["--in", nope, "--results", nope,
+                             "--truth", nope, "--out", nope]}[stage]
+        capsys.readouterr()
+        assert main([stage, "--config", str(config)] + argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: ConfigError: {message}\n")
+
     def test_non_utf8_sidecar_line_is_data_error(self, pipeline_dirs,
                                                  tmp_path, capsys):
         # A byte that is not UTF-8 in line 2 (was UnicodeDecodeError).
@@ -632,13 +742,12 @@ class TestCollectEvals:
         for image in series.images:
             z = image.image_position_patient[2]
             truth[image.sop_uid] = self.TRUTH[z]
-            labels[image.sop_uid] = ("Abdomen" if z == 0.0
-                                     else self.TRUTH[z].value)
-        class_names = [r.value for r in FINAL_REGIONS]
+            labels[image.sop_uid] = (BodyRegion.ABDOMEN if z == 0.0
+                                     else self.TRUTH[z])
         evals = cli._collect_evals([make_study(series=[series])], truth,
-                                   labels, class_names)
+                                   labels)
         [ev] = evals.values()
-        [counts] = bootstrap_counts([[ev]], len(class_names),
+        [counts] = bootstrap_counts([[ev]], len(FINAL_REGIONS),
                                     resamples=40, seed=0)
         return ev.series[0], counts.expand()
 

@@ -60,6 +60,8 @@ class TestLoadConfig:
         {"uncertainty_metric": "sigma"}, {"uncertainty_threshold": 1.5},
         {"smoothing_window": 2}, {"smoothing_window": 0}, {"min_run": 0},
         {"step_mm": 0.0}, {"bootstrap_resamples": 0}, {"ci_level": 1.0},
+        {"uncertainty_threshold": "0.3"}, {"seed": 1.5}, {"min_run": True},
+        {"strict_geometry": "maybe"}, {"synonym_map_path": 3},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):

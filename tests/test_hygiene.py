@@ -179,6 +179,14 @@ def test_scan_flags_an_unreached_method(tmp_path):
         ("a", "Lone.make"), ("b", "x")]
 
 
+def test_package_root_imports_nothing():
+    """Each name has one import path, its own module's: the package root
+    holds a docstring and __version__, and re-exports nothing."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
 def test_every_traced_binding_resolves():
     """perfbench/run.py --trace 1 patches each binding through its owner's
     __dict__; a missing one would end the run with a KeyError."""

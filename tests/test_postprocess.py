@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from bodyregion.classify import Prediction
 from bodyregion.errors import EmptySeries
-from bodyregion.postprocess import (SeriesStatus, apply_breast_rule,
-                                    merge_abdomen_chest, read_series_results,
+from bodyregion.postprocess import (ResultRow, SeriesStatus,
+                                    apply_breast_rule, merge_abdomen_chest,
+                                    read_series_results,
                                     reject_uncertain, remove_outlier_runs,
                                     run_pipeline, smooth_labels,
                                     write_series_results)
@@ -211,17 +212,39 @@ class TestResultsIO:
                                 series_uid="S1")]
         path = tmp_path / "results.ndjson"
         write_series_results(results, path)
-        rows = read_series_results(path)
-        assert rows[0]["series_uid"] == "S1"
-        assert rows[0]["status"] == "Accepted"
-        assert [img["label"] for img in rows[0]["images"]] == \
-            [x.value for x in results[0].final_labels]
+        [row] = read_series_results(path)
+        assert row.series_uid == "S1"
+        assert row.status is SeriesStatus.ACCEPTED
+        assert [label for _, label in row.labels] == results[0].final_labels
 
     def test_rejected_row(self, tmp_path):
         uniform = [Prediction("1", MERGE_CLASSES, np.full(3, 1 / 3))]
         results = [run_pipeline(uniform, "MR", series_uid="S2")]
         path = tmp_path / "results.ndjson"
         write_series_results(results, path)
-        row = read_series_results(path)[0]
-        assert row["status"] == "RejectedUncertain"
-        assert row["images"][0]["label"] is None
+        [row] = read_series_results(path)
+        assert row.status is SeriesStatus.REJECTED_UNCERTAIN
+        assert row.series_regions == ()
+        assert row.labels == (("1", None),)
+
+    def test_typed_round_trip(self, tmp_path):
+        # Head comes before Arm in the taxonomy, after it by name: the
+        # series regions keep the file's order, sorted by name, and the
+        # labels keep the image order.
+        classes = (HD, BodyRegion.ARM)
+        accepted = run_pipeline(
+            preds_from_labels([HD, HD, HD, BodyRegion.ARM, BodyRegion.ARM,
+                               BodyRegion.ARM], classes), "CT",
+            series_uid="S1")
+        uniform = [Prediction(uid, MERGE_CLASSES, np.full(3, 1 / 3))
+                   for uid in ("7", "8")]
+        rejected = run_pipeline(uniform, "MR", series_uid="S2")
+        path = tmp_path / "results.ndjson"
+        write_series_results([accepted, rejected], path)
+        assert read_series_results(path) == [
+            ResultRow("S1", SeriesStatus.ACCEPTED, (BodyRegion.ARM, HD),
+                      (("0", HD), ("1", HD), ("2", HD),
+                       ("3", BodyRegion.ARM), ("4", BodyRegion.ARM),
+                       ("5", BodyRegion.ARM))),
+            ResultRow("S2", SeriesStatus.REJECTED_UNCERTAIN, (),
+                      (("7", None), ("8", None)))]
