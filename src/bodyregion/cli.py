@@ -246,6 +246,7 @@ def cmd_evaluate(args):
     cfg = load_config(args.config, bootstrap_resamples=args.bootstrap,
                       ci_level=args.level, seed=args.seed,
                       step_mm=args.step_mm)
+    synonyms = load_synonym_map(cfg.synonym_map_path)
     studies = read_metadata_ndjson(args.input)
     truth = _read_truth(args.truth, final_only=True)
     label_by_sop = {}
@@ -290,7 +291,6 @@ def cmd_evaluate(args):
         report_mod.emit_factor_report(
             fr, os.path.join(args.out, f"by_{factor}.csv"))
 
-    synonyms = load_synonym_map(cfg.synonym_map_path)
     agreement = {
         tag: stats_mod.tag_agreement(studies, regions_by_study, tag, synonyms)
         for tag in ("body_part", "procedure")}
@@ -346,6 +346,11 @@ def cmd_tag_write(args):
     return 0
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cmd_report(args):
     with open(args.summary, "r", encoding="utf-8") as fh:
         try:
@@ -356,8 +361,16 @@ def cmd_report(args):
     for key in ("n_studies", "n_images", "overall_sensitivity",
                 "overall_specificity"):
         value = summary.get(key) if isinstance(summary, dict) else None
-        if not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise SchemaError(f"summary {key} must be a number, got {value!r}")
+    agreement = summary.get("tag_agreement", {})
+    if not isinstance(agreement, dict):
+        raise SchemaError(
+            f"summary tag_agreement must be an object, got {agreement!r}")
+    for tag, value in agreement.items():
+        if not _is_number(value):
+            raise SchemaError(f"summary tag_agreement {tag} must be a number, "
+                              f"got {value!r}")
     lines = [f"# Evaluation summary", "",
              f"- studies: {summary['n_studies']}",
              f"- images: {summary['n_images']}",
@@ -365,7 +378,7 @@ def cmd_report(args):
              f"{100 * summary['overall_sensitivity']:.1f}%",
              f"- overall weighted specificity: "
              f"{100 * summary['overall_specificity']:.1f}%"]
-    for tag, value in sorted(summary.get("tag_agreement", {}).items()):
+    for tag, value in sorted(agreement.items()):
         lines.append(f"- tag agreement ({tag}): {100 * value:.1f}%")
     text = "\n".join(lines) + "\n"
     if args.out:

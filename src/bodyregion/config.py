@@ -13,7 +13,8 @@ from typing import Dict, List, Optional
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
+from .taxonomy import BodyRegion
 
 
 # Value types by field annotation; only a bool field takes a bool (an int).
@@ -79,10 +80,26 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
 
 
 def load_synonym_map(path: Optional[str] = None) -> Dict[str, List[str]]:
-    """Tag-string to region-name map for DICOM tag agreement."""
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    text = resources.files("bodyregion").joinpath(
-        "data/body_part_synonyms.json").read_text(encoding="utf-8")
-    return json.loads(text)
+    """Tag-string to region-name map for DICOM tag agreement.
+
+    A map that is not valid JSON, or not an object mapping each key to a
+    list of body region names, is a SchemaError naming the bad key.
+    """
+    try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.loads(resources.files("bodyregion").joinpath(
+                "data/body_part_synonyms.json").read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise SchemaError(f"synonym map is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SchemaError("synonym map must be a JSON object")
+    regions = {r.value for r in BodyRegion}
+    for key, names in data.items():
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) and n in regions for n in names)):
+            raise SchemaError(f"synonym map key {key!r} must map to a list "
+                              f"of body regions, got {names!r}")
+    return data

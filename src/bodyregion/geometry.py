@@ -142,7 +142,8 @@ def project_box_labels(boxes: Sequence[BoundingBox3D],
     axis). Overlaps resolve to the box whose center is nearest the slice
     position along the normal, then lexicographic region name. Boxes in
     another frame of reference are ignored without a warning; a caller
-    labelling many series reports them once with `warn_foreign_frames`.
+    labelling many series reports those left without a box in their frame
+    once, with `warn_foreign_frames`.
     """
     if not series.images:
         raise EmptySeries(series.series_uid)
@@ -151,7 +152,8 @@ def project_box_labels(boxes: Sequence[BoundingBox3D],
     geo = series_geometry(series)
     normal = np.asarray(geo.normal)
 
-    matching = _boxes_in_frame(boxes, series)
+    matching = [b for b in boxes
+                if b.frame_of_reference_uid == series.frame_of_reference_uid]
 
     labels: List[Optional[BodyRegion]] = []
     for im, pos_n in zip(series.images, geo.positions):
@@ -171,24 +173,17 @@ def project_box_labels(boxes: Sequence[BoundingBox3D],
     return labels
 
 
-def _boxes_in_frame(boxes: Sequence[BoundingBox3D],
-                    series: SeriesRecord) -> List[BoundingBox3D]:
-    """The boxes that share the series frame of reference."""
-    return [b for b in boxes
-            if b.frame_of_reference_uid == series.frame_of_reference_uid]
-
-
 def warn_foreign_frames(boxes: Sequence[BoundingBox3D],
                         series_list: Sequence[SeriesRecord]) -> None:
-    """Log one warning for all series that see boxes in another frame of
-    reference (`project_box_labels` ignores those boxes): the series count
-    and the box-series pair count."""
-    foreign = [len(boxes) - len(_boxes_in_frame(boxes, s))
-               for s in series_list]
-    pairs = sum(foreign)
-    if pairs:
-        log.warning("%d series: %d box-series pair(s) in a different frame "
-                    "of reference", sum(1 for n in foreign if n), pairs)
+    """Log one warning for all series that no box shares a frame of
+    reference with, when there are boxes: `project_box_labels` ignores
+    boxes in another frame, so those series get no labels."""
+    frames = {b.frame_of_reference_uid for b in boxes}
+    unboxed = sum(1 for s in series_list
+                  if s.frame_of_reference_uid not in frames)
+    if frames and unboxed:
+        log.warning("%d series: no box in their frame of reference, "
+                    "%d box(es) in other frames ignored", unboxed, len(boxes))
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,17 @@ Cramer's V, the survey sample-size model, and DICOM-tag agreement.
 
 The bootstrap draws studies with replacement; each drawn study contributes
 one uniformly chosen series, subsampled at the configured physical step
-with an iteration-derived seed, so resamples are independent of execution
-order and bit-reproducible for a fixed seed.
+from a uniformly chosen start, and resamples are bit-reproducible for a
+fixed seed.
 
 One call of `bootstrap_counts` resamples every unit set of an evaluate
 run (the cohort, and each factor category reported with a CI), and every
-CI of a set is read from its counts by `ci_from_counts`. Resample i always
-draws from the `default_rng([seed, i])` stream, and its draws depend only
-on the set's size, so the call builds each stream once and restores it
-from its start state for each further size; all sets of one size gather
-from the same draws, which are those of a new generator.
+CI of a set is read from its counts by `ci_from_counts`. The draws of a set
+of n studies come from two streams per call: `default_rng([seed, n, 0])`
+gives the study indices, `default_rng([seed, n, 1])` the uniforms, and
+resample i reads row i of each. Its draws depend on (seed, n, i) alone, so
+they are prefix-stable in the resample count, do not depend on how the
+pass is chunked, and are shared by all sets of one size.
 
 Each metric is a `CountMetric`, implemented once over (..., K, K) counts,
 so a point estimate is the one-matrix case of the same code. The floats are
@@ -451,42 +452,37 @@ def bootstrap_counts(unit_sets: Sequence[Sequence[EvalStudy]], k: int,
                      step_mm: float = 10.0) -> List[ResampleCounts]:
     """The `ResampleCounts` of each unit set, in order.
 
-    Resample i of a set of n studies uses the stream `default_rng([seed,
-    i])`: it draws n studies with replacement, then one uniform series per
-    drawn study, then one uniform sampling start in that series' first
-    step_mm window, and pools the counts of the images the greedy subsample
-    keeps. Those draws depend on (seed, i, n) alone, so all sets of one
-    size gather from the same draws: stream i is built once per call and
-    restored from its start state for each further set size. Each set's
-    counts equal those of a call with that set alone.
+    Resample i of a set of n studies draws n studies with replacement, then
+    one uniform series per drawn study, then one uniform sampling start in
+    that series' first step_mm window, and pools the counts of the images
+    the greedy subsample keeps. The study indices are row i of the (R, n)
+    row-major `integers(0, n)` sequence of `default_rng([seed, n, 0])`;
+    the series and start uniforms are row i of the (R, 2, n) `random`
+    sequence of `default_rng([seed, n, 1])`. Each stream is built once per
+    call and read in resample order, so the draws depend on (seed, n, i)
+    alone: the first R rows are the same for any larger resample count, and
+    all sets of one size gather from the same draws. Each set's counts
+    equal those of a call with that set alone.
     """
     start_counts: Dict[int, np.ndarray] = {}
     tables = [_gather_tables(list(studies), k, step_mm, start_counts)
               for studies in unit_sets]
     if not tables:
         return []
-    sizes = sorted({len(t.first_series) for t in tables})
+    streams = {n: (np.random.default_rng([seed, n, 0]),
+                   np.random.default_rng([seed, n, 1]))
+               for n in {len(t.first_series) for t in tables}}
     values = [np.empty((resamples, len(t.cells)), dtype=np.int64)
               for t in tables]
     # Resamples run in chunks so each set's (chunk, n, cells) gather stays
-    # bounded.
+    # bounded; reading a stream in chunks gives the draws of one call.
     chunk = max(1, _GATHER_ELEMENTS // max(
         len(t.first_series) * max(1, len(t.cells)) for t in tables))
     for lo in range(0, resamples, chunk):
         hi = min(lo + chunk, resamples)
-        # Per resample and set size: n study indices, then n uniforms
-        # picking the series and n picking the start, in stream order.
-        draws = {n: (np.empty((hi - lo, n), dtype=np.int64),
-                     np.empty((hi - lo, 2, n))) for n in sizes}
-        for row, i in enumerate(range(lo, hi)):
-            rng = np.random.default_rng([seed, i])
-            start = rng.bit_generator.state
-            for j, n in enumerate(sizes):
-                if j:
-                    rng.bit_generator.state = start
-                drawn, uniforms = draws[n]
-                drawn[row] = rng.integers(0, n, size=n)
-                rng.random(out=uniforms[row])
+        draws = {n: (indices.integers(0, n, size=(hi - lo, n)),
+                     uniforms.random((hi - lo, 2, n)))
+                 for n, (indices, uniforms) in streams.items()}
         for (_, combos, first_combo, windows, first_series, n_series), out \
                 in zip(tables, values):
             drawn, uniforms = draws[len(first_series)]

@@ -436,16 +436,16 @@ def test_criterion_8_parser_robustness(tmp_path):
 
 GOLDEN_REGION = """\
 region,n,sensitivity_95ci,specificity_95ci
-Overall,63,90.5 (83.6 - 97.0),90.7 (82.9 - 97.3)
-Abdomen,24,87.5 (79.2 - 95.9),92.3 (86.5 - 97.6)
-Chest,36,91.7 (86.1 - 97.3),88.9 (80.0 - 96.6)
+Overall,63,90.5 (83.6 - 100.0),90.7 (82.9 - 100.0)
+Abdomen,24,87.5 (79.2 - 100.0),92.3 (86.5 - 100.0)
+Chest,36,91.7 (86.1 - 100.0),88.9 (80.0 - 100.0)
 Head,3,NA,NA
 """
 
 GOLDEN_FACTOR = """\
 factor,category,n,n_images,sensitivity_95ci,specificity_95ci,p_value
 manufacturer,Canon,1,4,NA,NA,0.71
-manufacturer,GE,6,24,87.5 (79.2 - 95.8),87.5 (79.2 - 95.8),
+manufacturer,GE,6,24,87.5 (77.0 - 95.8),87.5 (77.0 - 95.8),
 manufacturer,Siemens,5,20,90.0 (80.0 - 100.0),90.0 (80.0 - 100.0),
 """
 

@@ -63,12 +63,12 @@ EVALUATE_KERNEL_CONTRAST = ["--bootstrap", "50", "--factors", "kernel",
 # Its CIs are not all 100.0, so these pins change when the resample draws
 # do, for both set sizes (5 and 8).
 EVAL_MISCLASSIFIED_SHA256 = {
-    "by_contrast.csv": "22ce62f082252e74865ef6d64062ba09"
-                       "22043cbd068878dfe3be6e90761079bd",
-    "by_kernel.csv": "c869f18d721822901febcd4832778725"
-                     "1597be7a750dc397b5c3da14833caf0b",
-    "by_region.csv": "e92b25e8bd016b9eaf676f9991b55014"
-                     "482c22ad1c289567c055c03edcef3a7e",
+    "by_contrast.csv": "de0bdda9d5bb6004b822358ee0d02531"
+                       "fd7e5298f6114d289c33078cc89d2fff",
+    "by_kernel.csv": "f48b98be216f51f4f10cb3f7240574f8"
+                     "224365ab145746cdc25537297e5833a1",
+    "by_region.csv": "3a62079d8ec6e22e327a01321972c747"
+                     "fec1c12e82c1a8570aadcbbab05a4897",
     "summary.json": "6fd221815795cafe57c951b107163168"
                     "203e1346a8f52b2058539c2ed1569e24",
 }
@@ -241,54 +241,39 @@ class TestEvaluate:
             cis = [r["sensitivity_95ci"] for r in csv.DictReader(fh)]
         assert all("100.0 - 100.0" not in ci for ci in cis)
 
-    def test_draws_each_resample_once_per_set_size(self, pipeline_dirs,
-                                                   tmp_path, monkeypatch):
-        built, draws = Counter(), Counter()
+    @pytest.mark.parametrize("resamples", ["50", "7", "1000"])
+    def test_builds_two_streams_per_set_size(self, pipeline_dirs, tmp_path,
+                                             monkeypatch, resamples):
+        built = Counter()
         default_rng = np.random.default_rng
-
-        class CountingGenerator:
-            """Counts `integers` draws by (stream, n); the rest passes
-            through."""
-
-            def __init__(self, seed):
-                self.stream, self._rng = tuple(seed), default_rng(seed)
-                self.bit_generator = self._rng.bit_generator
-
-            def integers(self, low, high, **kwargs):
-                draws[self.stream, high] += 1
-                return self._rng.integers(low, high, **kwargs)
-
-            def random(self, **kwargs):
-                return self._rng.random(**kwargs)
 
         def counting_rng(seed=None):
             built[tuple(seed)] += 1
-            return CountingGenerator(seed)
+            return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         root = pipeline_dirs
         argv = ["evaluate", "--in", str(root / "filt" / "filtered.ndjson"),
                 "--results", str(root / "results.ndjson"),
-                "--truth", str(root / "truth.csv")] + EVALUATE_KERNEL_CONTRAST
+                "--truth", str(root / "truth.csv"),
+                "--factors", "kernel", "contrast", "--bootstrap", resamples]
         # Resampled sets: the 8 studies, the kernel's Soft tissue category
         # (all 8) and the contrast's Without contrast category (5 studies;
-        # With contrast has 3, too few for a CI): two distinct sizes.
-        sizes = (5, 8)
+        # With contrast has 3, too few for a CI): two distinct sizes, each
+        # with a study-index stream and a uniform stream.
+        streams = [(0, n, s) for n in (5, 8) for s in (0, 1)]
         for run in (1, 2):
             out = tmp_path / f"eval{run}"
             assert main(argv + ["--out", str(out)]) == 0
-            # Each stream is built once per run, and each of its draws is
-            # made once per set size: a second run in the same process
-            # builds and draws them all again.
-            assert built == Counter({(0, i): run for i in range(50)})
-            assert draws == Counter({((0, i), n): run for i in range(50)
-                                     for n in sizes})
+            # A second run in the same process builds them all again.
+            assert built == Counter({stream: run for stream in streams})
+        if resamples == "50":
             for name in EVAL_SHA256["eval_kernel_contrast"]:
                 assert (out / name).read_bytes() == (
                     root / "eval_kernel_contrast" / name).read_bytes()
-        with open(tmp_path / "eval1" / "by_contrast.csv") as fh:
+        with open(out / "by_contrast.csv") as fh:
             assert [int(r["n"]) for r in csv.DictReader(fh)] == [3, 5]
-        with open(tmp_path / "eval1" / "by_kernel.csv") as fh:
+        with open(out / "by_kernel.csv") as fh:
             assert [int(r["n"]) for r in csv.DictReader(fh)] == [8]
 
     def test_factor_units_once_per_factor(self, pipeline_dirs, tmp_path,
@@ -315,21 +300,40 @@ class TestEvaluate:
 
 
 class TestLabelsProject:
-    def test_one_frame_of_reference_warning_per_run(self, pipeline_dirs,
-                                                     tmp_path, caplog):
-        truth = tmp_path / "truth.csv"
+    def _run(self, pipeline_dirs, boxes, truth, caplog):
+        """labels-project on the pipeline's filtered sidecar; the messages
+        it logged from geometry."""
         with caplog.at_level("WARNING", logger="bodyregion.geometry"):
             assert main(["labels-project",
                          "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
-                         "--boxes", str(pipeline_dirs / "ph" / "labels.json"),
-                         "--out", str(truth)]) == 0
-        records = [r for r in caplog.records if r.name == "bodyregion.geometry"]
-        # 8 single-series studies, one frame of reference and 2 boxes each:
-        # every series sees the other 7 studies' 14 boxes.
-        assert [r.getMessage() for r in records] == [
-            "8 series: 112 box-series pair(s) in a different frame of "
-            "reference"]
+                         "--boxes", str(boxes), "--out", str(truth)]) == 0
+        return [r.getMessage() for r in caplog.records
+                if r.name == "bodyregion.geometry"]
+
+    def test_phantom_run_is_quiet(self, pipeline_dirs, tmp_path, caplog):
+        # 8 single-series studies, each with its own frame of reference and
+        # 2 boxes in it: every series sees 14 boxes in other frames, which
+        # is normal, and was logged as "8 series: 112 box-series pair(s)".
+        truth = tmp_path / "truth.csv"
+        assert self._run(pipeline_dirs, pipeline_dirs / "ph" / "labels.json",
+                         truth, caplog) == []
         assert truth.read_bytes() == (pipeline_dirs / "truth.csv").read_bytes()
+
+    def test_series_with_only_foreign_boxes_logged_once(
+            self, pipeline_dirs, tmp_path, caplog):
+        boxes = json.loads((pipeline_dirs / "ph" / "labels.json").read_text())
+        moved = sorted({b["frame_of_reference_uid"] for b in boxes})[:2]
+        for b in boxes:
+            if b["frame_of_reference_uid"] in moved:
+                b["frame_of_reference_uid"] = "9.9.9"
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps(boxes))
+        truth = tmp_path / "truth.csv"
+        assert self._run(pipeline_dirs, path, truth, caplog) == [
+            "2 series: no box in their frame of reference, 16 box(es) in "
+            "other frames ignored"]
+        with open(truth) as fh:
+            assert sum(not r["region"] for r in csv.DictReader(fh)) == 24
 
 
 class TestTagWrite:
@@ -570,16 +574,57 @@ class TestExitCodes:
          "summary n_images must be a number, got None\n"),
         (lambda text: "n_images: 96\n",
          "line 1: invalid JSON: Expecting value\n"),
-    ], ids=["no_n_images", "not_json"])
+        (lambda text: json.dumps({**json.loads(text), "tag_agreement": 5}),
+         "summary tag_agreement must be an object, got 5\n"),
+        (lambda text: json.dumps({**json.loads(text), "tag_agreement": {
+            "body_part": 0.5, "procedure": "high"}}),
+         "summary tag_agreement procedure must be a number, got 'high'\n"),
+        (lambda text: json.dumps({**json.loads(text), "tag_agreement": {
+            "body_part": True}}),
+         "summary tag_agreement body_part must be a number, got True\n"),
+        (lambda text: json.dumps({**json.loads(text), "n_studies": True}),
+         "summary n_studies must be a number, got True\n"),
+    ], ids=["no_n_images", "not_json", "agreement_not_object",
+            "agreement_not_number", "agreement_bool", "n_studies_bool"])
     def test_bad_summary_is_data_error(self, pipeline_dirs, tmp_path, capsys,
                                        edit, message):
-        # These ended in KeyError: 'n_images' and JSONDecodeError.
+        # These ended in KeyError: 'n_images', JSONDecodeError,
+        # AttributeError and a format ValueError; the booleans printed as
+        # "100.0%" and "studies: True".
         summary = tmp_path / "summary.json"
         summary.write_text(edit(
             (pipeline_dirs / "eval" / "summary.json").read_text()))
         capsys.readouterr()
         assert main(["report", "--summary", str(summary)]) == 2
         assert capsys.readouterr().err == f"data error: {message}"
+
+    @pytest.mark.parametrize("text,message", [
+        ("CHEST: Chest", "synonym map is not valid JSON: Expecting value"),
+        ('["Chest"]', "synonym map must be a JSON object"),
+        ('{"CHEST": ["Chest"], "TORSO": ["Chest", "Nope"]}',
+         "synonym map key 'TORSO' must map to a list of body regions, "
+         "got ['Chest', 'Nope']"),
+        ('{"CHEST": "Chest"}',
+         "synonym map key 'CHEST' must map to a list of body regions, "
+         "got 'Chest'"),
+    ], ids=["not_json", "not_object", "unknown_region", "not_list"])
+    def test_bad_synonym_map_is_data_error(self, pipeline_dirs, tmp_path,
+                                           capsys, text, message):
+        # These ended in JSONDecodeError, AttributeError, and ValueError:
+        # 'Nope' is not a valid BodyRegion (the last two).
+        synonyms = tmp_path / "synonyms.json"
+        synonyms.write_text(text)
+        config = tmp_path / "config.yaml"
+        config.write_text(f"synonym_map_path: {json.dumps(str(synonyms))}\n")
+        root = pipeline_dirs
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--in", str(root / "filt" / "filtered.ndjson"),
+                     "--results", str(root / "results.ndjson"),
+                     "--truth", str(root / "truth.csv"),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {message}")
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("stage,value,message", [
         ("postprocess", 'uncertainty_threshold: "0.3"',

@@ -11,7 +11,7 @@ import pytest
 from bodyregion.errors import (DegenerateTable, EmptyCohort, EmptyMatrix,
                                InvalidParams, UnknownFactor)
 from bodyregion import stats
-from bodyregion.geometry import first_window_size
+from bodyregion.geometry import first_window_size, greedy_sample_indices
 from bodyregion.report import class_recall, class_specificity
 from bodyregion.stats import (CIResult, ConfusionMatrix, EvalSeries,
                               EvalStudy, association_bucket, bootstrap_ci,
@@ -396,22 +396,25 @@ class TestBootstrap:
 
 
 def reference_bootstrap_counts(studies, k, resamples, seed, step_mm):
-    """Study-by-study loop over the same per-resample streams."""
-    out = []
+    """Resample by resample and study by study over the documented streams:
+    resample i takes the next n study indices of `default_rng([seed, n,
+    0])` and the next 2n uniforms of `default_rng([seed, n, 1])`, the first
+    n picking each drawn study's series and the last n its sampling start,
+    and counts the images `greedy_sample_indices` keeps."""
+    n = len(studies)
+    indices = np.random.default_rng([seed, n, 0])
+    uniforms = np.random.default_rng([seed, n, 1])
+    out = np.zeros((resamples, k, k), dtype=np.int64)
     for i in range(resamples):
-        rng = np.random.default_rng([seed, i])
-        n = len(studies)
-        drawn = rng.integers(0, n, size=n)
-        n_series = np.array([len(studies[j].series) for j in drawn])
-        picks = (rng.random(n) * n_series).astype(np.int64)
-        starts = rng.random(n)
-        flat = np.zeros(k * k, dtype=np.int64)
+        drawn = indices.integers(0, n, size=n)
+        picks, starts = uniforms.random((2, n))
         for j, pick, u in zip(drawn, picks, starts):
-            s = studies[j].series[pick]
+            series = studies[j].series
+            s = series[int(pick * len(series))]
             start = int(u * first_window_size(s.positions, step_mm))
-            flat += stats._series_start_counts(s, k, step_mm)[start]
-        out.append(flat.reshape(k, k))
-    return np.array(out)
+            for m in greedy_sample_indices(s.positions, step_mm, start):
+                out[i, s.truth[m], s.pred[m]] += 1
+    return out
 
 
 def uneven_cohort(n=14, k=3, seed=0):
@@ -495,6 +498,26 @@ class TestSharedResamplePass:
                 counts.expand(),
                 reference_bootstrap_counts(units, 3, 75, 9, 10.0))
 
+    def test_prefix_stable_in_resample_count(self):
+        cohort = uneven_cohort(n=12, seed=6)
+        sets = [cohort, cohort[:5], cohort[5:10]]
+        short = bootstrap_counts(sets, 3, 37, 4, 10.0)
+        long = bootstrap_counts(sets, 3, 1000, 4, 10.0)
+        for a, b in zip(short, long):
+            assert np.array_equal(a.expand(), b.expand()[:37])
+
+    def test_counts_independent_of_chunk_size(self, monkeypatch):
+        cohort = uneven_cohort(n=15, seed=7)
+        sets = [cohort, cohort[:6], cohort[6:12], cohort[3:]]
+        runs = []
+        for gather in (150, 400, 1 << 15):
+            monkeypatch.setattr(stats, "_GATHER_ELEMENTS", gather)
+            runs.append([c.expand() for c in
+                         bootstrap_counts(sets, 3, 101, 2, 10.0)])
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert np.array_equal(a, b)
+
     def test_each_series_counted_once_per_call(self, monkeypatch):
         cohort = uneven_cohort(n=9, seed=5)
         first, rest = self._series_factor_sets(cohort)
@@ -564,6 +587,36 @@ class TestSharedResamplePass:
         assert lines == [f"TNR undefined, skipped: class a in {lone}/400 "
                          f"resamples"]
         assert ci.resamples == 400
+
+
+class TestChunkedGeneratorDraws:
+    """`bootstrap_counts` reads each stream in chunks and relies on chunked
+    `Generator.integers` and `Generator.random` calls concatenating to the
+    draws of one call; a numpy release that breaks this changes every CI."""
+
+    @staticmethod
+    def _cuts(rng, total):
+        """Random chunk lengths summing to `total`, zero-length included."""
+        cuts = np.sort(rng.integers(0, total + 1, size=rng.integers(0, 6)))
+        return np.diff(np.concatenate([[0], cuts, [total]]))
+
+    def test_chunks_concatenate_to_one_call(self):
+        rng = np.random.default_rng(2024)
+        for case in range(400):
+            n = 1 if case % 10 == 0 else int(rng.integers(1, 70))
+            r = int(rng.integers(1, 120))
+            # Large bounds make the bounded-integer sampler reject and redraw.
+            high = 3 << 30 if case % 10 == 1 else n
+            one = np.random.default_rng(case)
+            chunked = np.random.default_rng(case)
+            assert np.array_equal(
+                np.concatenate([chunked.integers(0, high, size=(c, n))
+                                for c in self._cuts(rng, r)]),
+                one.integers(0, high, size=(r, n))), (case, n, r)
+            assert np.array_equal(
+                np.concatenate([chunked.random((c, 2, n))
+                                for c in self._cuts(rng, r)]),
+                one.random((r, 2, n))), (case, n, r)
 
 
 class TestTagAgreement:
