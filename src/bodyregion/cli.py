@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -32,8 +33,8 @@ from .classify import train_centroid_baseline  # noqa: F401
 from .config import load_config, load_synonym_map
 from .errors import (BodyRegionError, LengthMismatch, Malformed, SchemaError,
                      UnsupportedCodec)
-from .geometry import (load_boxes, project_box_labels, series_geometry,
-                       warn_foreign_frames)
+from .geometry import (boxes_by_frame, load_boxes, project_box_labels,
+                       series_geometry, warn_foreign_frames)
 from .ingest import (SkipReport, ingest_tree, read_metadata_ndjson,
                      tree_files, write_metadata_ndjson)
 from .pixels import decode_pixels_from_file
@@ -120,15 +121,15 @@ def cmd_filter(args):
 
 def cmd_labels_project(args):
     studies = read_metadata_ndjson(args.input)
-    boxes = load_boxes(args.boxes)
+    frames = boxes_by_frame(load_boxes(args.boxes))
     rows = []
     for study in studies:
         for series in study.series:
-            labels = project_box_labels(boxes, series)
+            labels = project_box_labels(frames, series)
             for image, label in zip(series.images, labels):
                 rows.append([image.sop_uid, series.series_uid, study.study_uid,
                              label.value if label else ""])
-    warn_foreign_frames(boxes, [s for st in studies for s in st.series])
+    warn_foreign_frames(frames, [s for st in studies for s in st.series])
     _write_truth(rows, args.out)
     labeled = sum(1 for r in rows if r[3])
     print(f"labeled {labeled}/{len(rows)} images -> {args.out}")
@@ -280,16 +281,28 @@ def cmd_evaluate(args):
     counts = iter(stats_mod.bootstrap_counts(
         [units] + [u for cats in sampled for u in cats.values()],
         len(class_names), cfg.bootstrap_resamples, cfg.seed, cfg.step_mm))
-    rows = report_mod.region_rows(units, next(counts), class_names,
+    undefined_tnr = {}
+
+    def class_sums(table):
+        """The class sums of the next unit set, taken as its table is
+        built so that the run never holds them all; notes its undefined
+        TNRs for the run's one warning line."""
+        sums = next(counts).class_sums()
+        undefined_tnr[table] = stats_mod.undefined_tnr(sums, class_names)
+        return sums
+
+    rows = report_mod.region_rows(units, class_sums("regions"), class_names,
                                   level=cfg.ci_level, seed=cfg.seed)
     report_mod.emit_region_report(rows, os.path.join(args.out, "by_region.csv"))
 
     for factor, units_by_cat, cats in zip(args.factors, by_factor, sampled):
         fr = stats_mod.factor_report(
-            factor, units_by_cat, {cat: next(counts) for cat in cats},
+            factor, units_by_cat,
+            {cat: class_sums(f"{factor}={cat}") for cat in cats},
             class_names, level=cfg.ci_level, seed=cfg.seed)
         report_mod.emit_factor_report(
             fr, os.path.join(args.out, f"by_{factor}.csv"))
+    stats_mod.log_undefined_tnr(undefined_tnr)
 
     agreement = {
         tag: stats_mod.tag_agreement(studies, regions_by_study, tag, synonyms)
@@ -347,8 +360,10 @@ def cmd_tag_write(args):
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: an int or float that is not a bool, NaN or
+    infinite (Python's json reads NaN and Infinity)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def cmd_report(args):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,57 +133,82 @@ def first_window_size(sorted_positions: np.ndarray, step: float) -> int:
                                       sorted_positions[0] + step, side="left")))
 
 
-def project_box_labels(boxes: Sequence[BoundingBox3D],
+@dataclass(frozen=True)
+class FrameBoxes:
+    """The boxes of one frame of reference: corners as (m, 3) arrays, and
+    the region of each box."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    regions: Tuple[BodyRegion, ...]
+
+
+def boxes_by_frame(boxes: Sequence[BoundingBox3D]) -> Dict[str, FrameBoxes]:
+    """The boxes grouped by frame of reference, in file order."""
+    groups: Dict[str, List[BoundingBox3D]] = {}
+    for box in boxes:
+        groups.setdefault(box.frame_of_reference_uid, []).append(box)
+    return {frame: FrameBoxes(
+                np.array([b.min_corner for b in group], dtype=float),
+                np.array([b.max_corner for b in group], dtype=float),
+                tuple(b.region for b in group))
+            for frame, group in groups.items()}
+
+
+def project_box_labels(frames: Mapping[str, FrameBoxes],
                        series: SeriesRecord) -> List[Optional[BodyRegion]]:
     """Per-image region labels carried over from 3-D ground-truth boxes.
 
-    An image gets region R when a box sharing the series frame of reference
-    contains its position point (min inclusive, max exclusive on every
-    axis). Overlaps resolve to the box whose center is nearest the slice
-    position along the normal, then lexicographic region name. Boxes in
-    another frame of reference are ignored without a warning; a caller
-    labelling many series reports those left without a box in their frame
-    once, with `warn_foreign_frames`.
+    `frames` is the `boxes_by_frame` of the boxes. An image gets region R
+    when a box sharing the series frame of reference contains its position
+    point (min inclusive, max exclusive on every axis). Overlaps resolve to
+    the box whose center is nearest the slice position along the normal,
+    then lexicographic region name. Boxes in another frame of reference are
+    ignored without a warning; a caller labelling many series reports those
+    left without a box in their frame once, with `warn_foreign_frames`.
     """
     if not series.images:
         raise EmptySeries(series.series_uid)
     if any(im.image_position_patient is None for im in series.images):
         raise MissingGeometry(f"series {series.series_uid}: missing positions")
     geo = series_geometry(series)
-    normal = np.asarray(geo.normal)
+    group = frames.get(series.frame_of_reference_uid)
+    if group is None:
+        return [None] * len(series.images)
 
-    matching = [b for b in boxes
-                if b.frame_of_reference_uid == series.frame_of_reference_uid]
-
-    labels: List[Optional[BodyRegion]] = []
-    for im, pos_n in zip(series.images, geo.positions):
-        p = np.asarray(im.image_position_patient, dtype=float)
-        candidates = []
-        for box in matching:
-            lo = np.asarray(box.min_corner, dtype=float)
-            hi = np.asarray(box.max_corner, dtype=float)
-            if np.all(lo <= p) and np.all(p < hi):
-                center_n = float(np.dot((lo + hi) / 2.0, normal))
-                candidates.append((abs(center_n - pos_n), box.region.value, box.region))
-        if candidates:
+    # (image, box) containment in one comparison.
+    p = np.array([im.image_position_patient for im in series.images],
+                 dtype=float)[:, None]
+    inside = ((group.lo <= p) & (p < group.hi)).all(axis=2)
+    hits = inside.sum(axis=1)
+    labels = [group.regions[j] if h else None
+              for j, h in zip(inside.argmax(axis=1).tolist(), hits.tolist())]
+    overlaps = np.flatnonzero(hits > 1)
+    if overlaps.size:
+        normal = np.asarray(geo.normal)
+        centers = [float(np.dot(mid, normal))
+                   for mid in (group.lo + group.hi) / 2.0]
+        for i in overlaps.tolist():
+            pos_n = geo.positions[i]
+            candidates = [(abs(centers[j] - pos_n), group.regions[j].value,
+                           group.regions[j])
+                          for j in np.flatnonzero(inside[i]).tolist()]
             candidates.sort(key=lambda t: (t[0], t[1]))
-            labels.append(candidates[0][2])
-        else:
-            labels.append(None)
+            labels[i] = candidates[0][2]
     return labels
 
 
-def warn_foreign_frames(boxes: Sequence[BoundingBox3D],
+def warn_foreign_frames(frames: Mapping[str, FrameBoxes],
                         series_list: Sequence[SeriesRecord]) -> None:
     """Log one warning for all series that no box shares a frame of
     reference with, when there are boxes: `project_box_labels` ignores
     boxes in another frame, so those series get no labels."""
-    frames = {b.frame_of_reference_uid for b in boxes}
     unboxed = sum(1 for s in series_list
                   if s.frame_of_reference_uid not in frames)
     if frames and unboxed:
         log.warning("%d series: no box in their frame of reference, "
-                    "%d box(es) in other frames ignored", unboxed, len(boxes))
+                    "%d box(es) in other frames ignored", unboxed,
+                    sum(len(g.regions) for g in frames.values()))
 
 
 # ---------------------------------------------------------------------------

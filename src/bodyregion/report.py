@@ -16,9 +16,10 @@ import numpy as np
 
 from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
 from .errors import BodyRegionError
-from .stats import (CIResult, CountMetric, EvalStudy, FactorReport,
-                    ResampleCounts, ci_from_counts, full_confusion,
-                    ratio_or_nan, weighted_sensitivity, weighted_specificity)
+from .stats import (CIResult, ClassSums, EvalStudy, FactorReport,
+                    ci_from_counts, class_recall, class_specificity,
+                    full_confusion, weighted_sensitivity,
+                    weighted_specificity)
 # Kept importable from this module: callers resolve it through here.
 from .stats import bootstrap_ci  # noqa: F401
 from .taxonomy import CANONICAL_TAG_STRINGS, BodyRegion
@@ -36,40 +37,20 @@ class RegionRow:
     specificity_ci: Optional[CIResult]
 
 
-def class_recall(idx: int) -> CountMetric:
-    """Recall of class idx: its hits over its support, NaN without support."""
-    @CountMetric
-    def recall(counts: np.ndarray) -> np.ndarray:
-        return ratio_or_nan(counts[..., idx, idx],
-                            counts[..., idx, :].sum(axis=-1))
-    return recall
-
-
-def class_specificity(idx: int) -> CountMetric:
-    """One-vs-rest TNR of class idx: tn / (tn + fp), NaN when tn + fp == 0."""
-    @CountMetric
-    def specificity(counts: np.ndarray) -> np.ndarray:
-        negatives = (counts.sum(axis=(-2, -1))
-                     - counts[..., idx, :].sum(axis=-1))
-        fp = counts[..., :, idx].sum(axis=-1) - counts[..., idx, idx]
-        return ratio_or_nan(negatives - fp, negatives)
-    return specificity
-
-
-def region_rows(evals: Sequence[EvalStudy], counts: ResampleCounts,
+def region_rows(evals: Sequence[EvalStudy], sums: ClassSums,
                 class_names: Sequence[str], level: float = 0.95,
                 seed: int = 0) -> List[RegionRow]:
     """Overall row plus one row per region with bootstrap CIs.
 
-    Every CI is read from `counts`, the `bootstrap_counts` of `evals`, so
-    each equals `bootstrap_ci(evals, metric, ...)` with the same arguments.
-    A region with fewer than MIN_REGION_COUNT images gets NA metrics.
+    Every CI is read from `sums`, the class sums of the `bootstrap_counts`
+    of `evals`, so each equals `bootstrap_ci(evals, metric, ...)` with the
+    same arguments. A region with fewer than MIN_REGION_COUNT images gets
+    NA metrics.
     """
     cm = full_confusion(evals, len(class_names), class_names)
-    tensor = counts.expand()
 
     def ci(metric) -> CIResult:
-        return ci_from_counts(tensor, metric, class_names, level, seed)
+        return ci_from_counts(sums, metric, level, seed)
 
     rows = [RegionRow("Overall", cm.total,
                       weighted_sensitivity(cm), ci(weighted_sensitivity),

@@ -9,20 +9,22 @@ fixed seed.
 
 One call of `bootstrap_counts` resamples every unit set of an evaluate
 run (the cohort, and each factor category reported with a CI), and every
-CI of a set is read from its counts by `ci_from_counts`. The draws of a set
-of n studies come from two streams per call: `default_rng([seed, n, 0])`
-gives the study indices, `default_rng([seed, n, 1])` the uniforms, and
-resample i reads row i of each. Its draws depend on (seed, n, i) alone, so
-they are prefix-stable in the resample count, do not depend on how the
-pass is chunked, and are shared by all sets of one size.
+CI of a set is read from the class sums of its counts by `ci_from_counts`.
+The draws of a set of n studies come from two streams per call:
+`default_rng([seed, n, 0])` gives the study indices, `default_rng([seed, n,
+1])` the uniforms, and resample i reads row i of each. Its draws depend on
+(seed, n, i) alone, so they are prefix-stable in the resample count, do not
+depend on how the pass is chunked, and are shared by all sets of one size.
 
-Each metric is a `CountMetric`, implemented once over (..., K, K) counts,
-so a point estimate is the one-matrix case of the same code. The floats are
+Each metric is a `CountMetric`, implemented once over `ClassSums`, the
+per-class support, predicted and true-positive sums of stacked confusion
+matrices; a set's sums come from its occupied cells alone, and a point
+estimate is the one-matrix case of the same code. The floats are
 exact: a ratio of int64 counts below 2^53 divides with correct rounding,
 and weighted specificity sums its per-class rationals on one common
 denominator in Python ints before a single int / int division, which
 CPython rounds correctly; each equals float() of its Fraction. It does so
-once per distinct row of a tensor, as resamples repeat rows.
+once per distinct row of sums, as resamples repeat rows.
 """
 
 from __future__ import annotations
@@ -69,20 +71,44 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-class CountMetric:
-    """A confusion-matrix metric implemented once, over stacked counts.
+class ClassSums(NamedTuple):
+    """Per-class integer sums of stacked confusion counts, each (..., K):
+    support (row sums: images of the class), predicted (column sums) and
+    tp (the diagonal). Every metric reads these alone."""
 
-    `over(counts)` maps a (..., K, K) int64 count array to the metric of
-    every matrix in it, NaN where the metric is undefined. Calling the
-    metric on a ConfusionMatrix evaluates the one-matrix case.
+    support: np.ndarray
+    predicted: np.ndarray
+    tp: np.ndarray
+
+    @classmethod
+    def of_cells(cls, k: int, cells: np.ndarray,
+                 values: np.ndarray) -> "ClassSums":
+        """The sums of (R, len(cells)) counts in flat truth * K + pred
+        cells, one row per matrix; cells not listed hold 0."""
+        truth, pred = np.divmod(cells, k)
+        onehot = np.eye(k, dtype=np.int64)
+        hit = truth == pred
+        return cls(values @ onehot[truth], values @ onehot[pred],
+                   values[:, hit] @ onehot[truth[hit]])
+
+
+class CountMetric:
+    """A confusion-matrix metric implemented once, over `ClassSums`.
+
+    `over(sums)` maps the (..., K) sums of stacked matrices to the metric
+    of every matrix, NaN where the metric is undefined. Calling the metric
+    on a ConfusionMatrix evaluates the one-matrix case.
     """
 
-    def __init__(self, over: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, over: Callable[[ClassSums], np.ndarray]):
         self.over = over
         functools.update_wrapper(self, over)
 
     def __call__(self, cm: ConfusionMatrix) -> float:
-        return float(self.over(cm.counts))
+        k = len(cm.class_names)
+        sums = ClassSums.of_cells(k, np.arange(k * k),
+                                  cm.counts.reshape(1, -1))
+        return float(self.over(sums)[0])
 
 
 def ratio_or_nan(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -101,7 +127,7 @@ def _require_counts(total: np.ndarray) -> None:
 
 
 @CountMetric
-def weighted_sensitivity(counts: np.ndarray) -> np.ndarray:
+def weighted_sensitivity(sums: ClassSums) -> np.ndarray:
     """Support-weighted mean of per-class recall.
 
     Zero-support classes add nothing, so it is trace/total
@@ -109,9 +135,9 @@ def weighted_sensitivity(counts: np.ndarray) -> np.ndarray:
     below 2^53 divide with correct rounding, so the float equals
     float(Fraction). Raises EmptyMatrix on an empty matrix.
     """
-    total = counts.sum(axis=(-2, -1))
+    total = sums.support.sum(axis=-1)
     _require_counts(total)
-    return np.trace(counts, axis1=-2, axis2=-1) / total
+    return sums.tp.sum(axis=-1) / total
 
 
 def weighted_sensitivity_exact(cm: ConfusionMatrix) -> Fraction:
@@ -129,10 +155,9 @@ def weighted_sensitivity_exact(cm: ConfusionMatrix) -> Fraction:
     return acc / total_support
 
 
-def _support_and_negatives(counts: np.ndarray):
-    """Per class: support (row sum) and negatives tn + fp = total - support."""
-    support = counts.sum(axis=-1)
-    return support, support.sum(axis=-1, keepdims=True) - support
+def _negatives(support: np.ndarray) -> np.ndarray:
+    """Per class: negatives tn + fp = total - support."""
+    return support.sum(axis=-1, keepdims=True) - support
 
 
 def _exact_weighted_ratio(w: List[int], t: List[int], g: List[int]) -> float:
@@ -151,7 +176,7 @@ def _exact_weighted_ratio(w: List[int], t: List[int], g: List[int]) -> float:
 
 
 @CountMetric
-def weighted_specificity(counts: np.ndarray) -> np.ndarray:
+def weighted_specificity(sums: ClassSums) -> np.ndarray:
     """Support-weighted one-vs-rest true-negative rate.
 
     Classes with zero support or an undefined TNR (no true negatives and no
@@ -159,12 +184,11 @@ def weighted_specificity(counts: np.ndarray) -> np.ndarray:
     Exact: the float equals float() of the Fraction-valued weighted sum.
     Raises EmptyMatrix on an empty matrix.
     """
-    k = counts.shape[-1]
-    stack = counts.reshape(-1, k, k)
-    support, negatives = _support_and_negatives(stack)
+    shape = sums.support.shape[:-1]
+    support, predicted, tp = (a.reshape(-1, a.shape[-1]) for a in sums)
+    negatives = _negatives(support)
     _require_counts(support.sum(axis=-1))
-    fp = stack.sum(axis=-2) - np.diagonal(stack, axis1=-2, axis2=-1)
-    tn = negatives - fp
+    tn = negatives - (predicted - tp)
     keep = (support > 0) & (negatives > 0)
     weight = np.where(keep, support, 0)
     negatives = np.where(keep, negatives, 1)
@@ -175,7 +199,7 @@ def weighted_specificity(counts: np.ndarray) -> np.ndarray:
     used = weight.any(axis=0)
     m = int(used.sum())
     if m == 0:
-        return np.full(counts.shape[:-2], np.nan)
+        return np.full(shape, np.nan)
     table = np.ascontiguousarray(np.concatenate(
         [weight[:, used], tn[:, used], negatives[:, used]], axis=1))
     # Each row as one opaque byte string: a 1-D unique finds the distinct
@@ -188,18 +212,44 @@ def weighted_specificity(counts: np.ndarray) -> np.ndarray:
     for j, row in enumerate(table[first]):
         row = row.tolist()
         values[j] = _exact_weighted_ratio(row[:m], row[m:2 * m], row[2 * m:])
-    return values[inverse.reshape(-1)].reshape(counts.shape[:-2])
+    return values[inverse.reshape(-1)].reshape(shape)
 
 
-def _log_undefined_tnr(counts: np.ndarray, class_names: Sequence[str]) -> None:
-    """One warning line naming each class whose TNR was undefined, with
-    the number of resamples in which it was (and so was skipped)."""
-    support, negatives = _support_and_negatives(counts)
-    undefined = ((support > 0) & (negatives == 0)).sum(axis=0)
-    parts = [f"class {name} in {int(n)}/{len(counts)} resamples"
-             for name, n in zip(class_names, undefined) if n]
+def class_recall(idx: int) -> CountMetric:
+    """Recall of class idx: its hits over its support, NaN without support."""
+    @CountMetric
+    def recall(sums: ClassSums) -> np.ndarray:
+        return ratio_or_nan(sums.tp[..., idx], sums.support[..., idx])
+    return recall
+
+
+def class_specificity(idx: int) -> CountMetric:
+    """One-vs-rest TNR of class idx: tn / (tn + fp), NaN when tn + fp == 0."""
+    @CountMetric
+    def specificity(sums: ClassSums) -> np.ndarray:
+        negatives = _negatives(sums.support)[..., idx]
+        fp = sums.predicted[..., idx] - sums.tp[..., idx]
+        return ratio_or_nan(negatives - fp, negatives)
+    return specificity
+
+
+def undefined_tnr(sums: ClassSums, class_names: Sequence[str]) -> List[str]:
+    """`class <name> in <n>/<R> resamples` for each class whose TNR was
+    undefined (support but no negatives) in n of the R resamples, so that
+    weighted specificity skipped the class there."""
+    undefined = ((sums.support > 0)
+                 & (_negatives(sums.support) == 0)).sum(axis=0)
+    return [f"class {name} in {int(n)}/{len(sums.support)} resamples"
+            for name, n in zip(class_names, undefined) if n]
+
+
+def log_undefined_tnr(found: Dict[str, List[str]]) -> None:
+    """One warning line naming each table with the `undefined_tnr` of its
+    resamples, if any table has one."""
+    parts = [f"{table} ({', '.join(classes)})"
+             for table, classes in found.items() if classes]
     if parts:
-        log.warning("TNR undefined, skipped: %s", ", ".join(parts))
+        log.warning("TNR undefined, skipped: %s", "; ".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +439,15 @@ class ResampleCounts:
 
     Only the (truth, pred) cells that some sampling start of the set fills
     can be non-zero, so `values` holds those flat K x K cells alone, one row
-    per resample; `expand()` gives the (R, K, K) tensor.
+    per resample; `class_sums()` gives the (R, K) sums every metric reads.
     """
 
     k: int
     cells: np.ndarray   # flat truth * K + pred indices
     values: np.ndarray  # (R, len(cells)) int64
 
-    def expand(self) -> np.ndarray:
-        out = np.zeros((len(self.values), self.k * self.k), dtype=np.int64)
-        out[:, self.cells] = self.values
-        return out.reshape(-1, self.k, self.k)
+    def class_sums(self) -> ClassSums:
+        return ClassSums.of_cells(self.k, self.cells, self.values)
 
 
 class _GatherTables(NamedTuple):
@@ -493,18 +541,16 @@ def bootstrap_counts(unit_sets: Sequence[Sequence[EvalStudy]], k: int,
     return [ResampleCounts(k, t.cells, v) for t, v in zip(tables, values)]
 
 
-def ci_from_counts(counts: np.ndarray, metric: CountMetric,
-                   class_names: Sequence[str],
+def ci_from_counts(sums: ClassSums, metric: CountMetric,
                    level: float = 0.95, seed: int = 0) -> CIResult:
-    """Percentile CI of `metric` over a `bootstrap_counts` tensor.
+    """Percentile CI of `metric` over the class sums of a set's
+    `bootstrap_counts` (`ResampleCounts.class_sums()`).
 
-    The metric is evaluated on the whole tensor at once. The point estimate
+    The metric is evaluated on every resample at once. The point estimate
     is the bootstrap median, so lo <= point <= hi by construction.
     """
-    if metric is weighted_specificity:
-        _log_undefined_tnr(counts, class_names)
-    values = metric.over(counts)
-    resamples = len(counts)
+    values = metric.over(sums)
+    resamples = len(sums.support)
     alpha = (1.0 - level) / 2.0
     # A resample can miss a class entirely, making a per-class metric
     # undefined there; compute the percentiles over the defined resamples.
@@ -531,13 +577,18 @@ def bootstrap_ci(studies: Sequence[EvalStudy],
     Each resample draws studies with replacement, keeps one random series
     per drawn study, subsamples it at step_mm, and evaluates the metric on
     the pooled confusion matrix (see `bootstrap_counts`). Callers needing
-    several metrics of one unit set expand its `bootstrap_counts` once and
-    call `ci_from_counts` per metric; the results are identical.
+    several metrics of one unit set take the class sums of its
+    `bootstrap_counts` once and call `ci_from_counts` per metric; the
+    results are identical. For weighted specificity, one warning line names
+    each class whose TNR was undefined in some resamples.
     """
     if class_names is None:
         class_names = [str(i) for i in range(k)]
     [counts] = bootstrap_counts([studies], k, resamples, seed, step_mm)
-    return ci_from_counts(counts.expand(), metric, class_names, level, seed)
+    sums = counts.class_sums()
+    if metric is weighted_specificity:
+        log_undefined_tnr({"studies": undefined_tnr(sums, class_names)})
+    return ci_from_counts(sums, metric, level, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +732,14 @@ def factor_units(studies: Sequence[StudyRecord], evals: Dict[str, EvalStudy],
 
 
 def factor_report(factor: str, units: Dict[str, List[EvalStudy]],
-                  counts: Dict[str, ResampleCounts],
+                  sums: Dict[str, ClassSums],
                   class_names: Sequence[str], level: float = 0.95,
                   seed: int = 0) -> FactorReport:
     """Stratified performance table for one confounding factor.
 
-    `units` is the factor's `factor_units`, and `counts` the
-    `bootstrap_counts` of each category reported with CIs, keyed by
-    category; a category not in `counts` gets NA metrics. The chi-squared
+    `units` is the factor's `factor_units`, and `sums` the class sums of
+    the `bootstrap_counts` of each category reported with CIs, keyed by
+    category; a category not in `sums` gets NA metrics. The chi-squared
     test runs on the correct/incorrect contingency across categories when
     at least two categories have images.
     """
@@ -700,19 +751,16 @@ def factor_report(factor: str, units: Dict[str, List[EvalStudy]],
         cm = full_confusion(units[cat], k, class_names)
         n_correct = int(np.trace(cm.counts))
         contingency[:, j] = n_correct, cm.total - n_correct
-        if cat not in counts:
+        if cat not in sums:
             rows.append(FactorRow(cat, len(units[cat]), cm.total,
                                   None, None, None, None))
             continue
-        tensor = counts[cat].expand()
         rows.append(FactorRow(
             cat, len(units[cat]), cm.total,
             weighted_sensitivity(cm),
-            ci_from_counts(tensor, weighted_sensitivity, class_names, level,
-                           seed),
+            ci_from_counts(sums[cat], weighted_sensitivity, level, seed),
             weighted_specificity(cm),
-            ci_from_counts(tensor, weighted_specificity, class_names, level,
-                           seed)))
+            ci_from_counts(sums[cat], weighted_specificity, level, seed)))
 
     p = None
     if len(categories) >= 2:

@@ -20,9 +20,9 @@ from bodyregion.classify import Prediction
 from bodyregion.dicomio import (EXPLICIT_VR_LE, IMPLICIT_VR_LE, RLE_LOSSLESS,
                                 build_dicom, parse_dicom)
 from bodyregion.errors import BodyRegionError
-from bodyregion.geometry import (axial_angle, first_window_size,
-                                 greedy_sample_indices, load_boxes,
-                                 project_box_labels)
+from bodyregion.geometry import (axial_angle, boxes_by_frame,
+                                 first_window_size, greedy_sample_indices,
+                                 load_boxes, project_box_labels)
 from bodyregion.ingest import (ingest_tree, read_metadata_ndjson,
                                write_metadata_ndjson)
 from bodyregion.phantom import default_six_region_spec, generate_phantom
@@ -257,7 +257,7 @@ def test_criterion_6_geometry(tmp_path):
 
     spec = default_six_region_spec(seed=5, n_studies=12)
     cohort = generate_phantom(spec, tmp_path)
-    boxes = load_boxes(cohort.label_path)
+    frames = boxes_by_frame(load_boxes(cohort.label_path))
     slices_per_region = int(round(spec.regions[0].extent_mm /
                                   spec.slice_spacing_mm))
     by_series = {p.series_uid: p for p in cohort.studies}
@@ -266,7 +266,7 @@ def test_criterion_6_geometry(tmp_path):
         series = study.series[0]
         expected = [r for r in by_series[series.series_uid].regions
                     for _ in range(slices_per_region)]
-        assert project_box_labels(boxes, series) == expected
+        assert project_box_labels(frames, series) == expected
         n_checked += len(expected)
     _announce(6, f"angles and greedy indices exact; {n_checked} projected "
                  f"labels all agree with the generator")

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import inspect
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,10 @@ from conftest import make_dicom, make_series, make_study
 # sha256 of the pipeline_dirs phantom's scores.csv. Changes to how classify
 # decodes, preprocesses and reduces images must keep it byte-identical.
 SCORES_SHA256 = "c2d327cff53883845ef33c2fc22d9f3a87d03be93dc34de6f80d71b8c6eaaf2b"
+
+# sha256 of the pipeline_dirs labels-project output (truth.csv). Changes to
+# how boxes are projected onto images must keep it byte-identical.
+TRUTH_SHA256 = "9fa6e48b1a572354517d1b4963f4ba596c3d7847571fc0df36d2f5ab27eb9e95"
 
 # sha256 of every file the pipeline_dirs evaluate runs write: the default
 # factors (eval/) and `--factors kernel contrast` (eval_kernel_contrast/),
@@ -157,6 +162,10 @@ class TestPipelineOutputs:
             header = fh.readline().strip()
         assert header == "sop_uid,series_uid,study_uid,region"
 
+    def test_truth_unchanged(self, pipeline_dirs):
+        data = (pipeline_dirs / "truth.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == TRUTH_SHA256
+
     def test_tag_write_dry_run(self, pipeline_dirs, tmp_path):
         log = tmp_path / "tags.csv"
         rc = main(["tag-write", "--dicom", str(pipeline_dirs / "ph"),
@@ -228,6 +237,46 @@ class TestEvaluate:
         for name, digest in EVAL_SHA256[run].items():
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_undefined_tnr_logged_once_per_run(self, pipeline_dirs,
+                                               tmp_path, caplog):
+        # Six of the eight studies hold only Chest in truth, so every
+        # resample that draws none of the other two has no negatives for
+        # Chest: the region table and the factor categories see it.
+        lines = (pipeline_dirs / "truth.csv").read_text().splitlines()
+        studies = list(dict.fromkeys(line.split(",")[2]
+                                     for line in lines[1:]))
+        for i, line in enumerate(lines[1:], 1):
+            fields = line.split(",")
+            if fields[2] in studies[:6]:
+                lines[i] = ",".join(fields[:3] + ["Chest"])
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "eval"
+        with caplog.at_level("WARNING", logger="bodyregion"):
+            assert main(["evaluate",
+                         "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
+                         "--results", str(pipeline_dirs / "results.ndjson"),
+                         "--truth", str(truth), "--out", str(out)]
+                        + EVALUATE_KERNEL_CONTRAST) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if "TNR undefined" in r.getMessage()]
+        prefix = "TNR undefined, skipped: "
+        assert line.startswith(prefix + "regions (class Chest in ")
+        tables = {}
+        for part in line[len(prefix):].split("; "):
+            table, classes = part[:-1].split(" (")
+            tables[table] = classes.split(", ")
+        assert all(c.startswith("class ") and c.endswith("/50 resamples")
+                   for found in tables.values() for c in found)
+        # Each table named is the region table or a factor category
+        # printed with a CI, and some factor category is among them.
+        assert len(tables) > 1
+        for table in set(tables) - {"regions"}:
+            factor, category = table.split("=")
+            rows = (out / f"by_{factor}.csv").read_text().splitlines()
+            assert any(row.split(",")[1] == category and "(" in row
+                       for row in rows[1:]), table
 
     def test_misclassified_outputs_unchanged(self, pipeline_dirs):
         out = pipeline_dirs / "eval_misclassified"
@@ -584,13 +633,23 @@ class TestExitCodes:
          "summary tag_agreement body_part must be a number, got True\n"),
         (lambda text: json.dumps({**json.loads(text), "n_studies": True}),
          "summary n_studies must be a number, got True\n"),
+        (lambda text: text.replace('"overall_sensitivity": 1.0',
+                                   '"overall_sensitivity": NaN'),
+         "summary overall_sensitivity must be a number, got nan\n"),
+        (lambda text: text.replace('"overall_specificity": 1.0',
+                                   '"overall_specificity": -Infinity'),
+         "summary overall_specificity must be a number, got -inf\n"),
+        (lambda text: json.dumps({**json.loads(text), "tag_agreement": {
+            "body_part": 0.5, "procedure": math.nan}}),
+         "summary tag_agreement procedure must be a number, got nan\n"),
     ], ids=["no_n_images", "not_json", "agreement_not_object",
-            "agreement_not_number", "agreement_bool", "n_studies_bool"])
+            "agreement_not_number", "agreement_bool", "n_studies_bool",
+            "nan", "infinity", "agreement_nan"])
     def test_bad_summary_is_data_error(self, pipeline_dirs, tmp_path, capsys,
                                        edit, message):
         # These ended in KeyError: 'n_images', JSONDecodeError,
         # AttributeError and a format ValueError; the booleans printed as
-        # "100.0%" and "studies: True".
+        # "100.0%" and "studies: True", NaN and Infinity as "nan%", "inf%".
         summary = tmp_path / "summary.json"
         summary.write_text(edit(
             (pipeline_dirs / "eval" / "summary.json").read_text()))
@@ -794,7 +853,7 @@ class TestCollectEvals:
         [ev] = evals.values()
         [counts] = bootstrap_counts([[ev]], len(FINAL_REGIONS),
                                     resamples=40, seed=0)
-        return ev.series[0], counts.expand()
+        return ev.series[0], counts
 
     def test_descending_series_keeps_labels_with_positions(self):
         zs = sorted(self.TRUTH)
@@ -803,7 +862,8 @@ class TestCollectEvals:
         assert list(desc.positions) == zs
         assert list(desc.truth) == list(asc.truth)
         assert list(desc.pred) == list(asc.pred)
-        assert np.array_equal(desc_counts, asc_counts)
+        assert np.array_equal(desc_counts.cells, asc_counts.cells)
+        assert np.array_equal(desc_counts.values, asc_counts.values)
 
 
 def test_every_flag_is_read_by_its_handler():

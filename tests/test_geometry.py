@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bodyregion.errors import (DegenerateOrientation, EmptySeries,
                                MissingGeometry)
 from bodyregion.geometry import (AXIAL_IDENTITY, BoundingBox3D, axial_angle,
-                                 first_window_size, greedy_sample_indices,
-                                 load_boxes, project_box_labels, save_boxes,
+                                 boxes_by_frame, first_window_size,
+                                 greedy_sample_indices, load_boxes,
+                                 project_box_labels, save_boxes,
                                  series_geometry, slice_normal,
                                  sort_series_images)
 from bodyregion.records import SeriesRecord
@@ -144,6 +145,119 @@ class TestGreedySampling:
         self._check_every_start(np.sort(np.asarray(positions)), step)
 
 
+def project(boxes, series):
+    return project_box_labels(boxes_by_frame(boxes), series)
+
+
+def reference_project_box_labels(boxes, series):
+    """Image by image and box by box: an image takes the region of the
+    containing box in its frame whose center is nearest along the normal,
+    then the lexicographically first region name. The oracle of
+    `project_box_labels`, which labels a series in one comparison."""
+    geo = series_geometry(series)
+    normal = np.asarray(geo.normal)
+    matching = [b for b in boxes
+                if b.frame_of_reference_uid == series.frame_of_reference_uid]
+    labels = []
+    for im, pos_n in zip(series.images, geo.positions):
+        p = np.asarray(im.image_position_patient, dtype=float)
+        candidates = []
+        for box in matching:
+            lo = np.asarray(box.min_corner, dtype=float)
+            hi = np.asarray(box.max_corner, dtype=float)
+            if np.all(lo <= p) and np.all(p < hi):
+                center_n = float(np.dot((lo + hi) / 2.0, normal))
+                candidates.append((abs(center_n - pos_n), box.region.value,
+                                   box.region))
+        if candidates:
+            candidates.sort(key=lambda t: (t[0], t[1]))
+            labels.append(candidates[0][2])
+        else:
+            labels.append(None)
+    return labels
+
+
+# Coordinates on a coarse grid, so that positions fall on box corners and
+# centers tie along the normal.
+_grid = st.integers(-4, 4).map(lambda v: 2.5 * v)
+_point = st.tuples(_grid, _grid, _grid)
+
+
+@st.composite
+def _boxes(draw):
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(_point), draw(_point)
+        boxes.append(BoundingBox3D(
+            draw(st.sampled_from(["F1", "F2"])),
+            draw(st.sampled_from(list(BodyRegion))),
+            tuple(map(min, a, b)), tuple(map(max, a, b))))
+    # Twins: the same box under another region, so equal distances along
+    # the normal are decided by the region name.
+    for box in draw(st.lists(st.sampled_from(boxes), max_size=2)
+                    if boxes else st.just([])):
+        boxes.append(BoundingBox3D(box.frame_of_reference_uid,
+                                   draw(st.sampled_from(list(BodyRegion))),
+                                   box.min_corner, box.max_corner))
+    return boxes
+
+
+@st.composite
+def _series_for(draw, boxes):
+    corners = [c for b in boxes for c in (b.min_corner, b.max_corner)]
+    point = (st.one_of(_point, st.sampled_from(corners)) if corners
+             else _point)
+    orientation = draw(st.sampled_from([AXIAL_IDENTITY, TILTED_45, SAGITTAL]))
+    positions = draw(st.lists(point, min_size=1, max_size=8))
+    series = make_series(zs=(), frame=draw(st.sampled_from(["F1", "F2",
+                                                            "F3"])))
+    series.images = [make_image(sop_uid=f"S1.{i}", orientation=orientation,
+                                image_position_patient=tuple(map(float, pos)))
+                     for i, pos in enumerate(positions)]
+    return series
+
+
+class TestProjectionAgainstReference:
+    """`project_box_labels` equals the per-image, per-box loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        boxes = data.draw(_boxes())
+        series = data.draw(_series_for(boxes))
+        assert project(boxes, series) == \
+            reference_project_box_labels(boxes, series)
+
+    OVERLAP = [
+        BoundingBox3D("F1", BodyRegion.CHEST, (-10, -10, 0), (10, 10, 20)),
+        BoundingBox3D("F1", BodyRegion.ABDOMEN, (-10, -10, 15), (10, 10, 60)),
+        BoundingBox3D("F1", BodyRegion.HEAD, (-10, -10, 15), (10, 10, 60)),
+        BoundingBox3D("F2", BodyRegion.PELVIS, (-10, -10, 0), (10, 10, 60)),
+    ]
+
+    @pytest.mark.parametrize("orientation,frame,zs,expected", [
+        # Overlap, nearest center; the twins at 37.5 tie and Abdomen wins.
+        (AXIAL_IDENTITY, "F1", (16.0, 30.0, 59.0),
+         ["Chest", "Abdomen", "Abdomen"]),
+        # On min_corner (inclusive) and max_corner (exclusive).
+        (AXIAL_IDENTITY, "F1", (0.0, 15.0, 20.0, 60.0),
+         ["Chest", "Chest", "Abdomen", None]),
+        # Only a box in a foreign frame, then no box at all.
+        (AXIAL_IDENTITY, "F2", (5.0,), ["Pelvis"]),
+        (AXIAL_IDENTITY, "F3", (5.0, 30.0), [None, None]),
+        # A tilted normal changes the centers' distances, not containment.
+        (TILTED_45, "F1", (16.0, 19.0, 30.0), None),
+    ])
+    def test_cases(self, orientation, frame, zs, expected):
+        series = make_series(zs=zs, frame=frame)
+        for im in series.images:
+            im.image_orientation_patient = orientation
+        labels = project(self.OVERLAP, series)
+        assert labels == reference_project_box_labels(self.OVERLAP, series)
+        if expected is not None:
+            assert [r and r.value for r in labels] == expected
+
+
 class TestBoxProjection:
     def _boxes(self, frame="F1"):
         return [
@@ -153,13 +267,13 @@ class TestBoxProjection:
 
     def test_containment_half_open(self):
         series = make_series(zs=(0.0, 9.9, 10.0, 19.9, 20.0))
-        labels = project_box_labels(self._boxes(), series)
+        labels = project(self._boxes(), series)
         assert labels == [BodyRegion.CHEST, BodyRegion.CHEST,
                           BodyRegion.ABDOMEN, BodyRegion.ABDOMEN, None]
 
     def test_frame_of_reference_mismatch(self):
         series = make_series(zs=(5.0,))
-        assert project_box_labels(self._boxes(frame="OTHER"), series) == [None]
+        assert project(self._boxes(frame="OTHER"), series) == [None]
 
     def test_overlap_resolves_to_nearest_center(self):
         boxes = [
@@ -167,7 +281,7 @@ class TestBoxProjection:
             BoundingBox3D("F1", BodyRegion.ABDOMEN, (-100, -100, 15), (100, 100, 60)),
         ]
         series = make_series(zs=(16.0, 19.0))
-        labels = project_box_labels(boxes, series)
+        labels = project(boxes, series)
         # Centers at 10 and 37.5: slice 16 is nearer 10, slice 19 still nearer 10.
         assert labels == [BodyRegion.CHEST, BodyRegion.CHEST]
 
@@ -177,13 +291,13 @@ class TestBoxProjection:
             BoundingBox3D("F1", BodyRegion.ABDOMEN, (-100, -100, 0), (100, 100, 10)),
         ]
         series = make_series(zs=(5.0,))
-        assert project_box_labels(boxes, series) == [BodyRegion.ABDOMEN]
+        assert project(boxes, series) == [BodyRegion.ABDOMEN]
 
     def test_missing_positions(self):
         series = make_series(zs=(0.0,))
         series.images[0].image_position_patient = None
         with pytest.raises(MissingGeometry):
-            project_box_labels(self._boxes(), series)
+            project(self._boxes(), series)
 
     def test_box_file_round_trip(self, tmp_path):
         path = tmp_path / "boxes.json"

@@ -5,7 +5,7 @@ import pytest
 
 from bodyregion.errors import InvalidSpec
 from bodyregion.ingest import ingest_tree
-from bodyregion.geometry import load_boxes, project_box_labels
+from bodyregion.geometry import boxes_by_frame, load_boxes, project_box_labels
 from bodyregion.phantom import (PhantomSpec, RegionSpec,
                                 default_six_region_spec, generate_phantom,
                                 region_texture)
@@ -70,10 +70,10 @@ class TestGeneratedCohort:
         assert len(studies) == 2
         # labels.json / manifest.json are reported, never fatal.
         assert len(skipped) == 2
-        boxes = load_boxes(cohort.label_path)
+        frames = boxes_by_frame(load_boxes(cohort.label_path))
         for study, pstudy in zip(studies, cohort.studies):
             series = study.series[0]
-            labels = project_box_labels(boxes, series)
+            labels = project_box_labels(frames, series)
             assert None not in labels
             # 4 slices per 20 mm region at 5 mm spacing.
             assert labels == [BodyRegion.ABDOMEN] * 4 + [BodyRegion.CHEST] * 4

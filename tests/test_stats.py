@@ -12,13 +12,13 @@ from bodyregion.errors import (DegenerateTable, EmptyCohort, EmptyMatrix,
                                InvalidParams, UnknownFactor)
 from bodyregion import stats
 from bodyregion.geometry import first_window_size, greedy_sample_indices
-from bodyregion.report import class_recall, class_specificity
-from bodyregion.stats import (CIResult, ConfusionMatrix, EvalSeries,
-                              EvalStudy, association_bucket, bootstrap_ci,
-                              bootstrap_counts, chi2_sf, chi_square,
-                              cramers_v, factor_report, factor_units,
-                              full_confusion, normalize_tag_value,
-                              sample_size,
+from bodyregion.stats import (CIResult, ClassSums, ConfusionMatrix,
+                              EvalSeries, EvalStudy, association_bucket,
+                              bootstrap_ci, bootstrap_counts, chi2_sf,
+                              chi_square, ci_from_counts, class_recall,
+                              class_specificity, cramers_v, factor_report,
+                              factor_units, full_confusion,
+                              normalize_tag_value, sample_size,
                               tag_agreement, weighted_sensitivity,
                               weighted_sensitivity_exact,
                               weighted_specificity)
@@ -111,6 +111,13 @@ def oracle_class_specificity(idx):
     return oracle
 
 
+def sums_of(counts):
+    """The `ClassSums` of a dense (..., K, K) count tensor: row sums,
+    column sums and the diagonal."""
+    return ClassSums(counts.sum(axis=-1), counts.sum(axis=-2),
+                     np.diagonal(counts, axis1=-2, axis2=-1))
+
+
 def edge_case_tensor(rng, k, r=300):
     """(r, k, k) counts at mixed scales, with zero-support classes,
     classes without negatives (single-class rows) and near-2^40 counts."""
@@ -132,7 +139,7 @@ class TestCountMetricsAgainstFractionOracles:
 
     @staticmethod
     def _check(metric, oracle, counts):
-        values = metric.over(counts)
+        values = metric.over(sums_of(counts))
         assert values.shape == counts.shape[:1]
         for value, matrix in zip(values, counts):
             expected = oracle(matrix)
@@ -167,7 +174,7 @@ class TestCountMetricsAgainstFractionOracles:
         counts[:2, 0, 0] = 1
         for metric in (weighted_sensitivity, weighted_specificity):
             with pytest.raises(EmptyMatrix):
-                metric.over(counts)
+                metric.over(sums_of(counts))
 
 
 def rowwise_weighted_specificity(counts):
@@ -190,7 +197,7 @@ class TestSpecificityOverDistinctRows:
 
     @staticmethod
     def _check(counts):
-        values = weighted_specificity.over(counts)
+        values = weighted_specificity.over(sums_of(counts))
         expected = rowwise_weighted_specificity(counts)
         assert np.array_equal(values, expected, equal_nan=True)
         for value, matrix in zip(values, counts):
@@ -224,7 +231,7 @@ class TestSpecificityOverDistinctRows:
     def test_every_row_undefined(self):
         counts = np.zeros((5, 3, 3), dtype=np.int64)
         counts[:, 1, 1] = np.arange(1, 6)
-        assert np.isnan(weighted_specificity.over(counts)).all()
+        assert np.isnan(weighted_specificity.over(sums_of(counts))).all()
         self._check(counts)
 
 
@@ -417,6 +424,14 @@ def reference_bootstrap_counts(studies, k, resamples, seed, step_mm):
     return out
 
 
+def expand(counts):
+    """The (R, K, K) tensor of a `ResampleCounts`: its values in their
+    cells, zero elsewhere."""
+    out = np.zeros((len(counts.values), counts.k * counts.k), dtype=np.int64)
+    out[:, counts.cells] = counts.values
+    return out.reshape(-1, counts.k, counts.k)
+
+
 def uneven_cohort(n=14, k=3, seed=0):
     """Studies with one to three series whose spacings (so first-window
     sizes) and lengths differ; every series holds every class."""
@@ -438,7 +453,7 @@ def uneven_cohort(n=14, k=3, seed=0):
 def one_set_counts(studies, k, resamples, seed, step_mm):
     """The (R, K, K) counts of one unit set's pass."""
     [counts] = bootstrap_counts([studies], k, resamples, seed, step_mm)
-    return counts.expand()
+    return expand(counts)
 
 
 class TestSharedResamplePass:
@@ -463,11 +478,14 @@ class TestSharedResamplePass:
                 s.pred = np.where(s.truth == 2, 2, s.pred % 2)
         monkeypatch.setattr(stats, "_GATHER_ELEMENTS", 120)
         [counts] = bootstrap_counts([studies], 5, 90, 3, 10.0)
-        got = counts.expand()
+        got = expand(counts)
         assert len(counts.cells) == 5
         assert (got.reshape(90, -1) == 0).all(axis=0).sum() == 20
         assert np.array_equal(
             got, reference_bootstrap_counts(studies, 5, 90, 3, 10.0))
+        # The class sums read from the five cells are the dense ones.
+        for a, b in zip(counts.class_sums(), sums_of(got)):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
 
     @staticmethod
     def _series_factor_sets(cohort):
@@ -495,7 +513,7 @@ class TestSharedResamplePass:
         assert len(got) == len(sets)
         for units, counts in zip(sets, got):
             assert np.array_equal(
-                counts.expand(),
+                expand(counts),
                 reference_bootstrap_counts(units, 3, 75, 9, 10.0))
 
     def test_prefix_stable_in_resample_count(self):
@@ -504,7 +522,7 @@ class TestSharedResamplePass:
         short = bootstrap_counts(sets, 3, 37, 4, 10.0)
         long = bootstrap_counts(sets, 3, 1000, 4, 10.0)
         for a, b in zip(short, long):
-            assert np.array_equal(a.expand(), b.expand()[:37])
+            assert np.array_equal(expand(a), expand(b)[:37])
 
     def test_counts_independent_of_chunk_size(self, monkeypatch):
         cohort = uneven_cohort(n=15, seed=7)
@@ -512,7 +530,7 @@ class TestSharedResamplePass:
         runs = []
         for gather in (150, 400, 1 << 15):
             monkeypatch.setattr(stats, "_GATHER_ELEMENTS", gather)
-            runs.append([c.expand() for c in
+            runs.append([expand(c) for c in
                          bootstrap_counts(sets, 3, 101, 2, 10.0)])
         for run in runs[1:]:
             for a, b in zip(runs[0], run):
@@ -571,22 +589,42 @@ class TestSharedResamplePass:
                                           resamples=150, seed=5,
                                           step_mm=8.0)
 
-    def test_undefined_tnr_logged_once_per_ci(self, caplog):
+    def test_undefined_tnr_logged_once_per_bootstrap_ci(self, caplog):
         # Ten studies hold only class a; in every resample that draws
         # neither of the two mixed studies, class a has no negatives.
         studies = [eval_study(f"A{i}", [0, 0], [0, 0]) for i in range(10)]
         studies += [eval_study(f"M{i}", [0, 1], [0, 1]) for i in range(2)]
-        counts = one_set_counts(studies, 2, 400, 0, 10.0)
-        lone = int((counts[:, 1].sum(axis=1) == 0).sum())
+        [counts] = bootstrap_counts([studies], 2, 400, 0, 10.0)
+        lone = int((expand(counts)[:, 1].sum(axis=1) == 0).sum())
         assert 20 < lone < 400
         with caplog.at_level("WARNING", logger="bodyregion.stats"):
+            # Reading a CI from the sums logs nothing; its caller reports.
+            ci_from_counts(counts.class_sums(), weighted_specificity)
+            assert caplog.records == []
             ci = bootstrap_ci(studies, weighted_specificity, 2, ["a", "b"],
                               resamples=400)
-        lines = [r.getMessage() for r in caplog.records
-                 if "TNR undefined" in r.getMessage()]
-        assert lines == [f"TNR undefined, skipped: class a in {lone}/400 "
-                         f"resamples"]
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines == [f"TNR undefined, skipped: studies (class a in "
+                         f"{lone}/400 resamples)"]
         assert ci.resamples == 400
+
+    def test_undefined_tnr_one_line_for_all_tables(self, caplog):
+        studies = [eval_study(f"A{i}", [0, 0], [0, 0]) for i in range(10)]
+        studies += [eval_study(f"M{i}", [0, 1], [0, 1]) for i in range(2)]
+        full, only_a, mixed = (c.class_sums() for c in bootstrap_counts(
+            [studies, studies[:10], studies[10:]], 2, 50, 0, 10.0))
+        lone = int((full.support[:, 1] == 0).sum())
+        assert 0 < lone < 50
+        with caplog.at_level("WARNING", logger="bodyregion.stats"):
+            stats.log_undefined_tnr(
+                {table: stats.undefined_tnr(sums, ["a", "b"]) for table, sums
+                 in (("regions", full), ("site=X", only_a),
+                     ("site=Y", mixed))})
+            stats.log_undefined_tnr(
+                {"regions": stats.undefined_tnr(mixed, ["a", "b"])})
+        assert [r.getMessage() for r in caplog.records] == [
+            f"TNR undefined, skipped: regions (class a in {lone}/50 "
+            f"resamples); site=X (class a in 50/50 resamples)"]
 
 
 class TestChunkedGeneratorDraws:
@@ -699,7 +737,8 @@ class TestFactorReport:
         [alpha, gamma] = bootstrap_counts(
             [units["Alpha"], units["Gamma"]], 2, 30, 0, 10.0)
         report = factor_report("institution", units,
-                               {"Alpha": alpha, "Gamma": gamma}, ["a", "b"])
+                               {"Alpha": alpha.class_sums(),
+                                "Gamma": gamma.class_sums()}, ["a", "b"])
         rows = {r.category: r for r in report.rows}
         assert rows["Beta"].n_units == 6
         assert rows["Beta"].sensitivity is None
