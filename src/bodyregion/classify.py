@@ -6,67 +6,25 @@ plugs in: the postprocess stage reads it. The desk-scale centroid baseline
 writes one, so the full pipeline runs end to end without a trained
 network. The baseline's feature is a 16 x 16 block mean of the letterboxed
 image; `pixel_feature` computes it from the clipped image through cached
-operators, without building the letterbox. Prediction invariants are
-enforced at this boundary, never trusted from the producer.
+operators, without building the letterbox. A score vector is a plain
+float64 array in class order; `load_scores` is the one place where
+vectors from outside are checked (finite, non-negative, summing to 1),
+never trusted from the producer.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import preprocess
-from .errors import BackendFailure, EmptyClass, NotNormalized, SchemaError
+from .errors import EmptyClass, NotNormalized, SchemaError
 from .preprocess import NormalizedImage, letterbox_block_operators
 from .taxonomy import CANONICAL_ORDER, BodyRegion
 
-_SUM_TOL = 1e-9
 _CSV_SUM_TOL = 1e-6
-
-
-@dataclass
-class Prediction:
-    sop_uid: str
-    classes: Tuple[BodyRegion, ...]
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if p.ndim != 1 or p.shape[0] != len(self.classes):
-            raise BackendFailure(
-                f"{self.sop_uid}: probability vector has wrong length")
-        if np.any(p < 0) or not np.isfinite(p).all():
-            raise BackendFailure(f"{self.sop_uid}: invalid probabilities")
-        total = float(p.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise BackendFailure(
-                f"{self.sop_uid}: probabilities sum to {total}")
-        self.probabilities = p / total
-
-    @property
-    def label(self) -> BodyRegion:
-        return self.classes[int(np.argmax(self.probabilities))]
-
-    @property
-    def margin(self) -> float:
-        """Difference between the top two class probabilities."""
-        if len(self.probabilities) < 2:
-            return 1.0
-        top2 = np.partition(self.probabilities, -2)[-2:]
-        return float(top2[1] - top2[0])
-
-    @property
-    def entropy(self) -> float:
-        """Shannon entropy normalized to [0, 1] by ln(K)."""
-        p = self.probabilities
-        k = len(p)
-        if k < 2:
-            return 0.0
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum() / np.log(k))
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +129,19 @@ class CentroidBackend:
         self.classes = classes
         self._centroids = centroids  # (K, size*size)
 
-    def predict(self, sop_uid: str, feature: np.ndarray) -> Prediction:
-        """Score one `centroid_feature` vector."""
+    def predict(self, feature: np.ndarray) -> np.ndarray:
+        """The probability vector, in `classes` order, of one
+        `centroid_feature` vector."""
         dists = np.linalg.norm(self._centroids - feature, axis=1)
         logits = -dists
         logits -= logits.max()
         p = np.exp(logits)
         p /= p.sum()
-        return Prediction(sop_uid, self.classes, p)
+        return p
 
     def classify_batch(self, images):
-        return [self.predict(image.source_sop_uid, centroid_feature(image.values))
+        """The probability vector of each image, in order."""
+        return [self.predict(centroid_feature(image.values))
                 for image in images]
 
 

@@ -25,8 +25,7 @@ from . import phantom as phantom_mod
 from . import postprocess as post_mod
 from . import report as report_mod
 from . import stats as stats_mod
-from .classify import (Prediction, fit_centroids, load_scores,
-                       pixel_feature, save_scores)
+from .classify import fit_centroids, load_scores, pixel_feature, save_scores
 # Unused here, but perfbench/tracing.py wraps `cli.train_centroid_baseline`
 # and fails if the name is missing.
 from .classify import train_centroid_baseline  # noqa: F401
@@ -180,8 +179,7 @@ def cmd_classify(args):
         raise BodyRegionError("no image with pixel data could be decoded")
     backend = fit_centroids(training)
 
-    scores = {uid: backend.predict(uid, feat).probabilities
-              for uid, feat in features}
+    scores = {uid: backend.predict(feat) for uid, feat in features}
     save_scores(scores, backend.classes, args.out)
     print(f"trained on {len(training)} images, scored {len(scores)} -> {args.out}")
     return 0
@@ -195,15 +193,13 @@ def cmd_postprocess(args):
     results = []
     for study in studies:
         for series in study.series:
-            preds = []
-            for image in series.images:
-                vec = scores.get(image.sop_uid)
-                if vec is not None:
-                    preds.append(Prediction(image.sop_uid, classes, vec))
-            if not preds:
+            uids = [image.sop_uid for image in series.images
+                    if image.sop_uid in scores]
+            if not uids:
                 continue
             results.append(post_mod.run_pipeline(
-                preds, series.modality,
+                uids, np.stack([scores[uid] for uid in uids]), classes,
+                series.modality,
                 uncertainty_metric=cfg.uncertainty_metric,
                 uncertainty_threshold=cfg.uncertainty_threshold,
                 min_run=cfg.min_run, window=cfg.smoothing_window,
@@ -312,7 +308,10 @@ def cmd_evaluate(args):
         "n_studies": len(units),
         "n_images": rows[0].n_images,
         "overall_sensitivity": rows[0].sensitivity,
-        "overall_specificity": rows[0].specificity,
+        # Undefined (NaN) when the truth holds a single class; JSON has
+        # no NaN, so it is written as null.
+        "overall_specificity": (None if math.isnan(rows[0].specificity)
+                                else rows[0].specificity),
         "tag_agreement": agreement,
         "seed": cfg.seed,
     }
@@ -376,7 +375,9 @@ def cmd_report(args):
     for key in ("n_studies", "n_images", "overall_sensitivity",
                 "overall_specificity"):
         value = summary.get(key) if isinstance(summary, dict) else None
-        if not _is_number(value):
+        # evaluate writes null for an undefined specificity.
+        if not (_is_number(value) or (key == "overall_specificity"
+                                      and key in summary and value is None)):
             raise SchemaError(f"summary {key} must be a number, got {value!r}")
     agreement = summary.get("tag_agreement", {})
     if not isinstance(agreement, dict):
@@ -386,13 +387,14 @@ def cmd_report(args):
         if not _is_number(value):
             raise SchemaError(f"summary tag_agreement {tag} must be a number, "
                               f"got {value!r}")
+    specificity = summary["overall_specificity"]
     lines = [f"# Evaluation summary", "",
              f"- studies: {summary['n_studies']}",
              f"- images: {summary['n_images']}",
              f"- overall weighted sensitivity: "
              f"{100 * summary['overall_sensitivity']:.1f}%",
              f"- overall weighted specificity: "
-             f"{100 * summary['overall_specificity']:.1f}%"]
+             + ("NA" if specificity is None else f"{100 * specificity:.1f}%")]
     for tag, value in sorted(agreement.items()):
         lines.append(f"- tag agreement ({tag}): {100 * value:.1f}%")
     text = "\n".join(lines) + "\n"

@@ -57,10 +57,6 @@ class ParamsOutOfRange(BodyRegionError):
     """Augmentation parameters exceed their documented bounds."""
 
 
-class BackendFailure(BodyRegionError):
-    """Classifier backend failed or returned an invalid prediction."""
-
-
 class EmptyClass(BodyRegionError):
     """Baseline training set is missing examples for an advertised class."""
 

@@ -1,8 +1,13 @@
 """Series-level rule engine: abdomen-chest merge, breast rule, uncertainty
 rejection, outlier-run removal, moving-average smoothing.
 
-Stage order is merge -> breast -> uncertainty -> outlier removal ->
-smoothing; a rejected series short-circuits label production. The internal
+A series enters as its (n, K) score matrix: one row per image, in the
+order of its sop_uids, and one column per class, as `load_scores` read
+them. Stage order is merge -> breast -> uncertainty -> outlier removal ->
+smoothing; a rejected series short-circuits label production. Each image's
+margin and entropy are computed once per series, for the uncertainty gate
+and for the results file. The AbdomenChest fold and the outlier one-hot
+rows edit one copy of the matrix, never the caller's. The internal
 AbdomenChest class never survives this module.
 """
 
@@ -15,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import Prediction
 from .errors import EmptySeries, SchemaError
 from .ingest import read_ndjson
 from .taxonomy import FINAL_REGIONS, BodyRegion
@@ -33,63 +37,80 @@ class SeriesStatus(enum.Enum):
 @dataclass
 class SeriesResult:
     series_uid: str
-    per_image: List[Prediction]
-    final_labels: List[BodyRegion]
+    sop_uids: List[str]
+    margin: np.ndarray   # per image
+    entropy: np.ndarray  # per image
+    final_labels: List[BodyRegion]  # per image; empty when rejected
     series_status: SeriesStatus
     series_regions: set = field(default_factory=set)
 
 
-def _merge_target(labels: Sequence[BodyRegion]) -> BodyRegion:
-    """Predominant of Abdomen/Chest among non-AbdomenChest labels;
-    ties and absence default to Abdomen."""
-    n_abd = sum(1 for x in labels if x is BodyRegion.ABDOMEN)
-    n_chest = sum(1 for x in labels if x is BodyRegion.CHEST)
-    return BodyRegion.CHEST if n_chest > n_abd else BodyRegion.ABDOMEN
+def margins(probs: np.ndarray) -> np.ndarray:
+    """Per row, the difference between its top two class probabilities;
+    1 with a single class."""
+    if probs.shape[1] < 2:
+        return np.ones(len(probs))
+    top2 = np.partition(probs, -2, axis=1)[:, -2:]
+    return top2[:, 1] - top2[:, 0]
 
 
-def merge_abdomen_chest(labels: Sequence[BodyRegion]) -> List[BodyRegion]:
-    """Reassign every AbdomenChest label to the series' predominant class."""
-    target = _merge_target(labels)
-    return [target if x is BodyRegion.ABDOMEN_CHEST else x for x in labels]
+def entropies(probs: np.ndarray) -> np.ndarray:
+    """Per row, Shannon entropy normalized to [0, 1] by ln(K); 0 with a
+    single class."""
+    n, k = probs.shape
+    if k < 2:
+        return np.zeros(n)
+    nonzero = (row[row > 0] for row in probs)
+    return np.array([-(p * np.log(p)).sum() for p in nonzero]) / np.log(k)
 
 
-def apply_breast_rule(labels: Sequence[BodyRegion], modality: str) -> List[BodyRegion]:
-    """MRI only: a series that is at least half Breast becomes all Breast."""
-    labels = list(labels)
-    if modality != "MR" or not labels:
-        return labels
-    n_breast = sum(1 for x in labels if x is BodyRegion.BREAST)
-    if n_breast * 2 >= len(labels):
-        return [BodyRegion.BREAST] * len(labels)
+def merge_abdomen_chest(probs: np.ndarray, classes: Sequence[BodyRegion]
+                        ) -> np.ndarray:
+    """Each row's argmax class index, AbdomenChest merged away.
+
+    With AbdomenChest among the classes, its labels go to the series'
+    predominant of Abdomen/Chest (ties and absence go to Abdomen), and its
+    probability mass is folded onto that class in `probs`, in place, so
+    that later probability averaging cannot resurrect the internal class.
+    """
+    labels = probs.argmax(axis=1)
+    if BodyRegion.ABDOMEN_CHEST in classes:
+        regions = [classes[k] for k in labels]
+        target = (BodyRegion.CHEST if regions.count(BodyRegion.CHEST)
+                  > regions.count(BodyRegion.ABDOMEN) else BodyRegion.ABDOMEN)
+        ac = classes.index(BodyRegion.ABDOMEN_CHEST)
+        tgt = classes.index(target)
+        labels[labels == ac] = tgt
+        probs[:, tgt] += probs[:, ac]
+        probs[:, ac] = 0.0
     return labels
 
 
-def reject_uncertain(predictions: Sequence[Prediction],
+def reject_uncertain(margin: np.ndarray, entropy: np.ndarray,
                      metric: str = "margin",
                      threshold: float = DEFAULT_UNCERTAINTY_THRESHOLD,
                      modality: str = "MR") -> SeriesStatus:
-    """Uncertainty gate for MRI series; CT is always accepted.
+    """Uncertainty gate for MRI series, from their per-image margins and
+    entropies; CT is always accepted.
 
     margin mode rejects when mean decision margin < threshold; entropy
     mode rejects when mean normalized entropy > threshold.
     """
-    if not predictions:
+    if not len(margin):
         raise EmptySeries("no predictions")
     if modality != "MR":
         return SeriesStatus.ACCEPTED
     if metric == "margin":
-        value = float(np.mean([p.margin for p in predictions]))
-        rejected = value < threshold
+        rejected = float(np.mean(margin)) < threshold
     elif metric == "entropy":
-        value = float(np.mean([p.entropy for p in predictions]))
-        rejected = value > threshold
+        rejected = float(np.mean(entropy)) > threshold
     else:
         raise ValueError(f"unknown uncertainty metric {metric!r}")
     return SeriesStatus.REJECTED_UNCERTAIN if rejected else SeriesStatus.ACCEPTED
 
 
-def remove_outlier_runs(labels: Sequence[BodyRegion],
-                        min_run: int = DEFAULT_MIN_RUN) -> List[BodyRegion]:
+def remove_outlier_runs(labels: Sequence, min_run: int = DEFAULT_MIN_RUN
+                        ) -> list:
     """Relabel short interior runs to the longer adjacent run's label.
 
     Runs are measured on the input; strictly interior runs shorter than
@@ -117,82 +138,67 @@ def remove_outlier_runs(labels: Sequence[BodyRegion],
     return out
 
 
-def smooth_labels(predictions: Sequence[Prediction],
-                  window: int = DEFAULT_WINDOW) -> List[BodyRegion]:
-    """Argmax of probability vectors averaged over a centered window.
+def smooth_labels(probs: np.ndarray, window: int = DEFAULT_WINDOW
+                  ) -> np.ndarray:
+    """Per row, the argmax class index of the rows averaged over a
+    centered window.
 
     The window shrinks at the series ends. Averaging probabilities (not
     labels) is the only reading of a moving-average filter with a
     well-defined mean.
     """
-    if not predictions:
+    if not len(probs):
         raise EmptySeries("no predictions")
-    probs = np.stack([p.probabilities for p in predictions])
-    classes = predictions[0].classes
     half = window // 2
-    n = probs.shape[0]
-    labels = []
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        labels.append(classes[int(np.argmax(probs[lo:hi].mean(axis=0)))])
-    return labels
+    return np.array([probs[max(0, i - half):i + half + 1].mean(axis=0).argmax()
+                     for i in range(len(probs))])
 
 
-def _fold_abdomen_chest(probs: np.ndarray, classes, target: BodyRegion) -> np.ndarray:
-    """Move AbdomenChest probability mass onto the merge target so later
-    probability averaging cannot resurrect the internal class."""
-    if BodyRegion.ABDOMEN_CHEST not in classes:
-        return probs
-    ac = classes.index(BodyRegion.ABDOMEN_CHEST)
-    tgt = classes.index(target)
-    out = probs.copy()
-    out[:, tgt] += out[:, ac]
-    out[:, ac] = 0.0
-    return out
-
-
-def run_pipeline(predictions: Sequence[Prediction], modality: str,
+def run_pipeline(sop_uids: Sequence[str], probs: np.ndarray,
+                 classes: Sequence[BodyRegion], modality: str,
                  uncertainty_metric: str = "margin",
                  uncertainty_threshold: float = DEFAULT_UNCERTAINTY_THRESHOLD,
                  min_run: int = DEFAULT_MIN_RUN,
                  window: int = DEFAULT_WINDOW,
                  series_uid: str = "") -> SeriesResult:
-    """Apply all five stages in order and assemble the series result."""
-    predictions = list(predictions)
-    if not predictions:
+    """Apply all five stages in order to one series' (n, K) score matrix,
+    whose rows follow `sop_uids` and whose columns follow `classes`, and
+    assemble the series result."""
+    if not len(sop_uids):
         raise EmptySeries(series_uid or "no predictions")
-    classes = list(predictions[0].classes)
+    classes = tuple(classes)
+    # Each row is divided by its sum here and again before smoothing. The
+    # rows already sum to 1 up to rounding, but on exact ties (0.2 + 0.1
+    # folded against 0.3, say) that rounding picks the label, and the two
+    # divisions keep the labels of the reference engine in
+    # tests/reference_postprocess.py. The first also makes the copy that
+    # the fold and the outlier rows edit.
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    margin, entropy = margins(probs), entropies(probs)
+    labels = merge_abdomen_chest(probs, classes)
+    n_breast = (np.count_nonzero(labels == classes.index(BodyRegion.BREAST))
+                if BodyRegion.BREAST in classes else 0)
+    breast_override = modality == "MR" and 2 * n_breast >= len(labels)
 
-    labels = [p.label for p in predictions]
-    target = _merge_target(labels)
-    labels = merge_abdomen_chest(labels)
-    probs = _fold_abdomen_chest(
-        np.stack([p.probabilities for p in predictions]), classes, target)
-
-    labels = apply_breast_rule(labels, modality)
-    breast_override = bool(labels) and all(
-        x is BodyRegion.BREAST for x in labels) and modality == "MR" and (
-        BodyRegion.BREAST in classes)
-
-    status = reject_uncertain(predictions, metric=uncertainty_metric,
-                              threshold=uncertainty_threshold, modality=modality)
+    status = reject_uncertain(margin, entropy, metric=uncertainty_metric,
+                              threshold=uncertainty_threshold,
+                              modality=modality)
     if status is SeriesStatus.REJECTED_UNCERTAIN:
-        return SeriesResult(series_uid, predictions, [], status, set())
+        return SeriesResult(series_uid, list(sop_uids), margin, entropy, [],
+                            status, set())
 
-    if not breast_override:
-        relabeled = remove_outlier_runs(labels, min_run=min_run)
-        for i, (old, new) in enumerate(zip(labels, relabeled)):
-            if old is not new:
-                probs[i] = 0.0
-                probs[i][classes.index(new)] = 1.0
-        smoothed_preds = [
-            Prediction(p.sop_uid, tuple(classes), probs[i])
-            for i, p in enumerate(predictions)]
-        labels = smooth_labels(smoothed_preds, window=window)
-
-    return SeriesResult(series_uid, predictions, labels,
-                        SeriesStatus.ACCEPTED, set(labels))
+    if breast_override:
+        final = [BodyRegion.BREAST] * len(labels)
+    else:
+        relabeled = np.array(remove_outlier_runs(labels.tolist(),
+                                                 min_run=min_run))
+        changed = np.flatnonzero(relabeled != labels)
+        probs[changed] = 0.0
+        probs[changed, relabeled[changed]] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        final = [classes[k] for k in smooth_labels(probs, window=window)]
+    return SeriesResult(series_uid, list(sop_uids), margin, entropy, final,
+                        SeriesStatus.ACCEPTED, set(final))
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +208,18 @@ def run_pipeline(predictions: Sequence[Prediction], modality: str,
 def write_series_results(results: Sequence[SeriesResult], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in results:
+            labels = ([x.value for x in r.final_labels]
+                      or [None] * len(r.sop_uids))
             row = {
                 "series_uid": r.series_uid,
                 "status": r.series_status.value,
                 "series_regions": sorted(x.value for x in r.series_regions),
                 "images": [
-                    {"sop_uid": p.sop_uid,
-                     "label": r.final_labels[i].value if r.final_labels else None,
-                     "margin": round(p.margin, 10),
-                     "entropy": round(p.entropy, 10)}
-                    for i, p in enumerate(r.per_image)],
+                    {"sop_uid": uid, "label": label,
+                     "margin": round(m, 10), "entropy": round(e, 10)}
+                    for uid, label, m, e in zip(r.sop_uids, labels,
+                                                r.margin.tolist(),
+                                                r.entropy.tolist())],
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 

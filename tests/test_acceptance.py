@@ -16,7 +16,6 @@ import pytest
 
 from bodyregion.cli import main
 from bodyregion.cohort import Split, partition_patients
-from bodyregion.classify import Prediction
 from bodyregion.dicomio import (EXPLICIT_VR_LE, IMPLICIT_VR_LE, RLE_LOSSLESS,
                                 build_dicom, parse_dicom)
 from bodyregion.errors import BodyRegionError
@@ -27,7 +26,7 @@ from bodyregion.ingest import (ingest_tree, read_metadata_ndjson,
                                write_metadata_ndjson)
 from bodyregion.phantom import default_six_region_spec, generate_phantom
 from bodyregion.pixels import decode_pixels, rle_encode_frame
-from bodyregion.postprocess import (SeriesStatus, apply_breast_rule,
+from bodyregion.postprocess import (SeriesStatus, entropies, margins,
                                     merge_abdomen_chest, read_series_results,
                                     reject_uncertain, remove_outlier_runs,
                                     run_pipeline, smooth_labels)
@@ -188,40 +187,52 @@ def test_criterion_4_bootstrap_behavior():
 # 5. Series rule engine stages and closure
 
 
-def _one_hot_preds(labels, classes=tuple(CANONICAL_ORDER), peak=0.9):
-    preds = []
+def _one_hot_matrix(labels, classes=tuple(CANONICAL_ORDER), peak=0.9):
     k = len(classes)
+    probs = np.full((len(labels), k), (1.0 - peak) / (k - 1))
     for i, label in enumerate(labels):
-        p = np.full(k, (1.0 - peak) / (k - 1))
-        p[classes.index(label)] = peak
-        preds.append(Prediction(f"sop{i}", classes, p))
-    return preds
+        probs[i, classes.index(label)] = peak
+    return probs
+
+
+def _run(labels, modality, classes=tuple(CANONICAL_ORDER)):
+    return run_pipeline([f"sop{i}" for i in range(len(labels))],
+                        _one_hot_matrix(labels, classes), classes, modality)
 
 
 def test_criterion_5_rule_engine_stages():
     A, B, C = BodyRegion.ABDOMEN, BodyRegion.CHEST, BodyRegion.ABDOMEN_CHEST
-    # Stage 1: merge to the predominant class; absence defaults to Abdomen.
-    assert merge_abdomen_chest([B, B, C, A]) == [B, B, B, A]
-    assert merge_abdomen_chest([C, C]) == [A, A]
-    # Stage 2: breast takeover at the inclusive >= 50% boundary, MRI only.
-    half = [BodyRegion.BREAST, BodyRegion.BREAST, A, B]
-    assert apply_breast_rule(half, "MR") == [BodyRegion.BREAST] * 4
-    assert apply_breast_rule(half[:1] + [A, B, C], "MR") == half[:1] + [A, B, C]
-    assert apply_breast_rule(half, "CT") == half
-    # Stage 3: uncertainty gate accepts one-hot, rejects uniform, MRI only.
     classes = tuple(CANONICAL_ORDER)
-    sharp = _one_hot_preds([A] * 5, classes, peak=0.95)
-    flat = [Prediction(f"u{i}", classes,
-                       np.full(len(classes), 1.0 / len(classes)))
-            for i in range(5)]
-    assert reject_uncertain(sharp, "margin", 0.2, "MR") is SeriesStatus.ACCEPTED
-    assert reject_uncertain(flat, "margin", 0.2, "MR") is \
-        SeriesStatus.REJECTED_UNCERTAIN
-    assert reject_uncertain(flat, "margin", 0.2, "CT") is SeriesStatus.ACCEPTED
+
+    def merged(labels):
+        codes = merge_abdomen_chest(_one_hot_matrix(labels), classes)
+        return [classes[k] for k in codes]
+
+    # Stage 1: merge to the predominant class; absence defaults to Abdomen.
+    assert merged([B, B, C, A]) == [B, B, B, A]
+    assert merged([C, C]) == [A, A]
+    # Stage 2: breast takeover at the inclusive >= 50% boundary, MRI only.
+    half = [BodyRegion.BREAST, BodyRegion.BREAST, A, A]
+    assert _run(half, "MR").final_labels == [BodyRegion.BREAST] * 4
+    below = half[:2] + [A, A, A]
+    assert _run(below, "MR").final_labels == below
+    assert _run(half, "CT").final_labels == half
+    # Stage 3: uncertainty gate accepts one-hot, rejects uniform, MRI only.
+    sharp = _one_hot_matrix([A] * 5, classes, peak=0.95)
+    flat = np.full((5, len(classes)), 1.0 / len(classes))
+
+    def gate(probs, modality):
+        return reject_uncertain(margins(probs), entropies(probs), "margin",
+                                0.2, modality)
+
+    assert gate(sharp, "MR") is SeriesStatus.ACCEPTED
+    assert gate(flat, "MR") is SeriesStatus.REJECTED_UNCERTAIN
+    assert gate(flat, "CT") is SeriesStatus.ACCEPTED
     # Stage 4: interior short-run outlier removal.
     assert remove_outlier_runs([A, A, B, A, A]) == [A] * 5
     # Stage 5: window-3 smoothing flips an isolated one-hot outlier.
-    assert smooth_labels(_one_hot_preds([A, A, B, A, A]), window=3) == [A] * 5
+    assert [classes[k] for k in smooth_labels(
+        _one_hot_matrix([A, A, B, A, A]), window=3)] == [A] * 5
 
     # Closure: AbdomenChest never appears in any final output.
     rng = np.random.default_rng(5)
@@ -230,7 +241,7 @@ def test_criterion_5_rule_engine_stages():
                   for i in rng.integers(0, len(CANONICAL_ORDER),
                                         int(rng.integers(1, 12)))]
         for modality in ("CT", "MR"):
-            result = run_pipeline(_one_hot_preds(labels), modality)
+            result = _run(labels, modality)
             assert BodyRegion.ABDOMEN_CHEST not in result.final_labels
             assert BodyRegion.ABDOMEN_CHEST not in result.series_regions
     _announce(5, "all five stages pass constructed cases; AbdomenChest "

@@ -1,16 +1,14 @@
-"""Prediction validation, score-file I/O, and the centroid baseline."""
+"""Score-file I/O and validation, and the centroid baseline."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bodyregion.classify import (CentroidBackend, Prediction,
-                                 centroid_feature, fit_centroids, load_scores,
-                                 pixel_feature, save_scores,
+from bodyregion.classify import (centroid_feature, fit_centroids,
+                                 load_scores, pixel_feature, save_scores,
                                  train_centroid_baseline)
-from bodyregion.errors import (BackendFailure, EmptyClass, NotNormalized,
-                               SchemaError)
+from bodyregion.errors import EmptyClass, NotNormalized, SchemaError
 from bodyregion.preprocess import NormalizedImage, preprocess_image
 from bodyregion.taxonomy import BodyRegion
 
@@ -21,37 +19,6 @@ def norm_image(values, uid="1"):
     values = np.asarray(values, dtype=np.float64)
     return NormalizedImage(values=values, source_sop_uid=uid,
                            original_shape=values.shape)
-
-
-class TestPrediction:
-    def test_label_margin_entropy(self):
-        p = Prediction("1", CLASSES, np.array([0.2, 0.5, 0.3]))
-        assert p.label is BodyRegion.CHEST
-        assert p.margin == pytest.approx(0.2)
-        expected = -(0.2 * np.log(0.2) + 0.5 * np.log(0.5)
-                     + 0.3 * np.log(0.3)) / np.log(3)
-        assert p.entropy == pytest.approx(expected)
-
-    def test_one_hot(self):
-        p = Prediction("1", CLASSES, np.array([1.0, 0.0, 0.0]))
-        assert p.margin == pytest.approx(1.0)
-        assert p.entropy == pytest.approx(0.0)
-
-    def test_uniform(self):
-        p = Prediction("1", CLASSES, np.full(3, 1 / 3))
-        assert p.margin == pytest.approx(0.0)
-        assert p.entropy == pytest.approx(1.0)
-
-    def test_near_one_sum_renormalized(self):
-        p = Prediction("1", CLASSES, np.array([0.5, 0.5, 1e-10]))
-        assert p.probabilities.sum() == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("probs", [
-        [0.5, 0.5], [0.7, 0.2, 0.2], [-0.1, 0.6, 0.5], [np.nan, 0.5, 0.5],
-    ])
-    def test_invalid(self, probs):
-        with pytest.raises(BackendFailure):
-            Prediction("1", CLASSES, np.array(probs, dtype=float))
 
 
 class TestScoreFile:
@@ -132,14 +99,15 @@ class TestCentroidBaseline:
         for k, region in enumerate(CLASSES):
             base = np.zeros((32, 32))
             base[8 * (k % 4):8 * (k % 4) + 8, :] = 2.0
-            pred = backend.classify_batch([norm_image(base, "q")])[0]
-            assert pred.label is region
+            probs = backend.classify_batch([norm_image(base, "q")])[0]
+            assert backend.classes[int(np.argmax(probs))] is region
 
     def test_probabilities_normalized(self):
         backend = train_centroid_baseline(self._training_set())
-        pred = backend.classify_batch([norm_image(np.ones((32, 32)), "q")])[0]
-        assert pred.probabilities.sum() == pytest.approx(1.0)
-        assert np.all(pred.probabilities >= 0)
+        probs = backend.classify_batch([norm_image(np.ones((32, 32)), "q")])[0]
+        assert probs.shape == (len(CLASSES),)
+        assert probs.sum() == pytest.approx(1.0)
+        assert np.all(probs >= 0)
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyClass):
@@ -156,7 +124,7 @@ class TestCentroidBaseline:
         img = norm_image(np.random.default_rng(2).random((32, 32)), "q")
         pa = a.classify_batch([img])[0]
         pb = b.classify_batch([img])[0]
-        assert np.array_equal(pa.probabilities, pb.probabilities)
+        assert np.array_equal(pa, pb)
 
     def test_feature_path_equals_image_path(self):
         labeled = self._training_set()
@@ -170,9 +138,8 @@ class TestCentroidBaseline:
         assert a.classes == b.classes
         img = norm_image(np.random.default_rng(3).random((224, 224)), "q")
         pa = a.classify_batch([img])[0]
-        pb = b.predict("q", centroid_feature(img.values))
-        assert pb.sop_uid == "q"
-        assert np.array_equal(pa.probabilities, pb.probabilities)
+        pb = b.predict(centroid_feature(img.values))
+        assert np.array_equal(pa, pb)
 
     def test_feature_is_block_mean(self):
         values = np.random.default_rng(4).random((37, 40))

@@ -25,6 +25,10 @@ from conftest import make_dicom, make_series, make_study
 # decodes, preprocesses and reduces images must keep it byte-identical.
 SCORES_SHA256 = "c2d327cff53883845ef33c2fc22d9f3a87d03be93dc34de6f80d71b8c6eaaf2b"
 
+# sha256 of the pipeline_dirs postprocess output (results.ndjson). Changes
+# to the series rule engine must keep it byte-identical.
+RESULTS_SHA256 = "152ccfb201af67b1b4255a6b46e6c838607b5413812e0ec1f65ed56394b855f7"
+
 # sha256 of the pipeline_dirs labels-project output (truth.csv). Changes to
 # how boxes are projected onto images must keep it byte-identical.
 TRUTH_SHA256 = "9fa6e48b1a572354517d1b4963f4ba596c3d7847571fc0df36d2f5ab27eb9e95"
@@ -228,6 +232,12 @@ class TestClassify:
             assert list(csv.reader(fh)) == [["path", "error"]]
 
 
+class TestPostprocess:
+    def test_results_unchanged(self, pipeline_dirs):
+        data = (pipeline_dirs / "results.ndjson").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == RESULTS_SHA256
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("run", sorted(EVAL_SHA256))
     def test_outputs_unchanged(self, pipeline_dirs, run):
@@ -277,6 +287,34 @@ class TestEvaluate:
             rows = (out / f"by_{factor}.csv").read_text().splitlines()
             assert any(row.split(",")[1] == category and "(" in row
                        for row in rows[1:]), table
+
+    def test_single_class_truth_writes_valid_json(self, pipeline_dirs,
+                                                  tmp_path, capsys):
+        # Weighted specificity is undefined with one class in truth; the
+        # summary carries null there (it wrote NaN, which is not JSON) and
+        # report prints NA.
+        lines = (pipeline_dirs / "truth.csv").read_text().splitlines()
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(
+            [lines[0]] + [",".join(line.split(",")[:3] + ["Chest"])
+                          for line in lines[1:]]) + "\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate",
+                     "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
+                     "--results", str(pipeline_dirs / "results.ndjson"),
+                     "--truth", str(truth), "--out", str(out),
+                     "--bootstrap", "20"]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["overall_specificity"] is None
+        capsys.readouterr()
+        assert main(["report", "--summary", str(out / "summary.json")]) == 0
+        assert "- overall weighted specificity: NA\n" in \
+            capsys.readouterr().out
 
     def test_misclassified_outputs_unchanged(self, pipeline_dirs):
         out = pipeline_dirs / "eval_misclassified"
@@ -642,9 +680,19 @@ class TestExitCodes:
         (lambda text: json.dumps({**json.loads(text), "tag_agreement": {
             "body_part": 0.5, "procedure": math.nan}}),
          "summary tag_agreement procedure must be a number, got nan\n"),
+        (lambda text: text.replace('"overall_specificity": 1.0',
+                                   '"overall_specificity": NaN'),
+         "summary overall_specificity must be a number, got nan\n"),
+        (lambda text: text.replace('"overall_sensitivity": 1.0',
+                                   '"overall_sensitivity": null'),
+         "summary overall_sensitivity must be a number, got None\n"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "overall_specificity"}),
+         "summary overall_specificity must be a number, got None\n"),
     ], ids=["no_n_images", "not_json", "agreement_not_object",
             "agreement_not_number", "agreement_bool", "n_studies_bool",
-            "nan", "infinity", "agreement_nan"])
+            "nan", "infinity", "agreement_nan", "specificity_nan",
+            "sensitivity_null", "no_specificity"])
     def test_bad_summary_is_data_error(self, pipeline_dirs, tmp_path, capsys,
                                        edit, message):
         # These ended in KeyError: 'n_images', JSONDecodeError,
