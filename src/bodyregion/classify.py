@@ -37,7 +37,8 @@ def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
 
     Every entry must be finite and non-negative. Vectors within 1e-6 of
     summing to 1 are renormalized; anything further off raises
-    NotNormalized. Duplicate sop_uids are data corruption.
+    NotNormalized. Duplicate sop_uids are data corruption. A header with
+    AbdomenChest must also list Abdomen, its merge target.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -51,6 +52,12 @@ def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
             file_classes = tuple(BodyRegion(name) for name in header[1:])
         except ValueError as exc:
             raise SchemaError(f"unknown class in header: {exc}", line=1)
+        # AbdomenChest merges into Abdomen unless Chest outvotes it, so a
+        # header without Abdomen leaves the merge without its target.
+        if (BodyRegion.ABDOMEN_CHEST in file_classes
+                and BodyRegion.ABDOMEN not in file_classes):
+            raise SchemaError("header lists AbdomenChest but not Abdomen",
+                              line=1)
         if classes is not None and tuple(classes) != file_classes:
             raise SchemaError("score file classes do not match expected set",
                               line=1)

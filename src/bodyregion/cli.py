@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -413,7 +414,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `bodyregion` argument parser, built on the first call and shared
+    by every later one in the process. Callers must not change it: each
+    subcommand keeps the handler and the defaults of the first build."""
     parser = _Parser(prog="bodyregion",
                      description="Body-region classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -465,8 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=None)
     p.add_argument("--level", type=float, default=None)
     p.add_argument("--step-mm", type=float, default=None)
+    # A tuple: the shared parser hands this one object to every call.
     p.add_argument("--factors", nargs="*",
-                   default=["institution", "age", "gender", "manufacturer"])
+                   default=("institution", "age", "gender", "manufacturer"))
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sample-size", help="survey sample-size model")
@@ -498,8 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the stage that `argv` (default: `sys.argv[1:]`) names and return
+    its exit code; a usage error raises SystemExit(1). One process may call
+    it any number of times."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:
@@ -514,6 +522,9 @@ def main(argv=None) -> int:
         return 1
     except SchemaError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"data error: not UTF-8 text: {exc.reason}", file=sys.stderr)
         return 2
     except BodyRegionError as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -53,16 +53,18 @@ class TestScoreFile:
         ("sop_uid,Abdomen,Chest\n1.1,0.5\n", "column"),
         ("sop_uid,Abdomen\n1.1,abc\n", "numeric"),
         ("", "empty"),
+        ("sop_uid,AbdomenChest,Head\n1.1,0.5,0.5\n", "not Abdomen"),
     ])
     def test_schema_errors(self, tmp_path, body, err):
         path = tmp_path / "scores.csv"
         path.write_text(body)
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=err):
             load_scores(path)
 
     @pytest.mark.parametrize("body,classes", [
         ("", None), ("uid,Abdomen\n1.1,1.0\n", None),
         ("sop_uid,NotARegion\n1.1,1.0\n", None),
+        ("sop_uid,AbdomenChest,Chest\n1.1,0.5,0.5\n", None),
         ("sop_uid,Abdomen\n1.1,1.0\n", [BodyRegion.CHEST])])
     def test_header_errors_name_line_one(self, tmp_path, body, classes):
         path = tmp_path / "scores.csv"

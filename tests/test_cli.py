@@ -775,6 +775,51 @@ class TestExitCodes:
         column = int(err.split("at byte ")[1].split(":")[0])
         assert lines[1][column - 1:column] == b"\xff"
 
+    @pytest.mark.parametrize("source,head", [
+        ("truth.csv", lambda root, tmp: [
+            "evaluate", "--in", root / "filt" / "filtered.ndjson",
+            "--results", root / "results.ndjson", "--truth"]),
+        ("scores.csv", lambda root, tmp: [
+            "postprocess", "--in", root / "filt" / "filtered.ndjson",
+            "--scores"]),
+        ("ph/labels.json", lambda root, tmp: [
+            "labels-project", "--in", root / "filt" / "filtered.ndjson",
+            "--boxes"]),
+        ("eval/summary.json", lambda root, tmp: ["report", "--summary"]),
+        (None, lambda root, tmp: [
+            "classify", "--dicom", tmp, "--truth", root / "truth.csv",
+            "--train-uids"]),
+    ], ids=["evaluate_truth", "postprocess_scores", "labels_project_boxes",
+            "report_summary", "classify_train_uids"])
+    def test_non_utf8_input_is_data_error(self, pipeline_dirs, tmp_path,
+                                          capsys, source, head):
+        # Each ended in a UnicodeDecodeError traceback.
+        data = (b"1.2.3\n" if source is None
+                else (pipeline_dirs / source).read_bytes())
+        bad = tmp_path / "bad"
+        bad.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        out = tmp_path / "out"
+        argv = [str(a) for a in head(pipeline_dirs, tmp_path)]
+        capsys.readouterr()
+        assert main(argv + [str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: not UTF-8 text: invalid start byte\n")
+        assert not out.exists()
+
+    def test_abdomen_chest_without_abdomen_is_data_error(
+            self, pipeline_dirs, tmp_path, capsys):
+        # Ended in ValueError: tuple.index(x): x not in tuple.
+        scores = tmp_path / "scores.csv"
+        scores.write_text("sop_uid,AbdomenChest,Head\n"
+                          "1.2.3,0.75,0.25\n")
+        capsys.readouterr()
+        assert main(["postprocess",
+                     "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
+                     "--scores", str(scores),
+                     "--out", str(tmp_path / "results.ndjson")]) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 1: header lists AbdomenChest but not Abdomen\n")
+
     @staticmethod
     def _run_on_truth(stage, pipeline_dirs, tmp_path, edit):
         """Run `stage` on the pipeline's truth.csv with `edit` applied to
@@ -880,6 +925,39 @@ class TestExitCodes:
 
     def test_sample_size_invalid(self, capsys):
         assert main(["sample-size", "--accuracy", "1.5"]) == 2
+
+
+class TestRepeatedCalls:
+    """`main` may be called many times in one process; the calls share one
+    parser and nothing else."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_factors_do_not_carry_over(self, pipeline_dirs, tmp_path):
+        root = pipeline_dirs
+        evaluate = ["evaluate", "--in", str(root / "filt" / "filtered.ndjson"),
+                    "--results", str(root / "results.ndjson"),
+                    "--truth", str(root / "truth.csv"), "--bootstrap", "50"]
+        assert main(evaluate + ["--out", str(tmp_path / "one"),
+                                "--factors", "institution"]) == 0
+        out = tmp_path / "default"
+        assert main(evaluate + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            EVAL_SHA256["eval"])
+        for name, digest in EVAL_SHA256["eval"].items():
+            data = (out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_usage_error_then_valid_call(self, pipeline_dirs, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["report", "--summary"])
+        assert err.value.code == 1
+        out = tmp_path / "report.md"
+        assert main(["report", "--summary",
+                     str(pipeline_dirs / "eval" / "summary.json"),
+                     "--out", str(out)]) == 0
+        assert out.read_text().startswith("# Evaluation summary\n")
 
 
 class TestCollectEvals:
