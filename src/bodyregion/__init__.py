@@ -10,8 +10,7 @@ Library layout mirrors the processing stages:
   3-D bounding-box label projection.
 - :mod:`bodyregion.cohort` — inclusion/exclusion filtering and
   patient-level partitioning.
-- :mod:`bodyregion.preprocess` — clip/normalize, letterbox resize,
-  augmentation.
+- :mod:`bodyregion.preprocess` — clip/normalize and letterbox resize.
 - :mod:`bodyregion.classify` — score files (the plug-in point for an
   external classifier) and the centroid baseline.
 - :mod:`bodyregion.postprocess` — the five-stage series rule engine.

@@ -15,12 +15,13 @@ never trusted from the producer.
 from __future__ import annotations
 
 import csv
+import io
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import preprocess
-from .errors import EmptyClass, NotNormalized, SchemaError
+from .errors import EmptyClass, NotNormalized, SchemaError, read_text
 from .preprocess import NormalizedImage, letterbox_block_operators
 from .taxonomy import CANONICAL_ORDER, BodyRegion
 
@@ -40,7 +41,7 @@ def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
     NotNormalized. Duplicate sop_uids are data corruption. A header with
     AbdomenChest must also list Abdomen, its merge target.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .classify import fit_centroids, load_scores, pixel_feature, save_scores
 from .classify import train_centroid_baseline  # noqa: F401
 from .config import load_config, load_synonym_map
 from .errors import (BodyRegionError, LengthMismatch, Malformed, SchemaError,
-                     UnsupportedCodec)
+                     UnsupportedCodec, read_text)
 from .geometry import (boxes_by_frame, load_boxes, project_box_labels,
                        series_geometry, warn_foreign_frames)
 from .ingest import (SkipReport, ingest_tree, read_metadata_ndjson,
@@ -60,7 +61,7 @@ def _read_truth(path, final_only=False) -> Dict[str, BodyRegion]:
     its line.
     """
     truth = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         for column in ("sop_uid", "region"):
             if column not in (reader.fieldnames or ()):
@@ -83,7 +84,7 @@ def _read_truth(path, final_only=False) -> Dict[str, BodyRegion]:
 
 
 def _read_uid_list(path) -> set:
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:
         return {line.strip() for line in fh if line.strip()}
 
 
@@ -367,12 +368,11 @@ def _is_number(value) -> bool:
 
 
 def cmd_report(args):
-    with open(args.summary, "r", encoding="utf-8") as fh:
-        try:
-            summary = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}",
-                              line=exc.lineno) from None
+    try:
+        summary = json.loads(read_text(args.summary))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}",
+                          line=exc.lineno) from None
     for key in ("n_studies", "n_images", "overall_sensitivity",
                 "overall_specificity"):
         value = summary.get(key) if isinstance(summary, dict) else None
@@ -522,9 +522,6 @@ def main(argv=None) -> int:
         return 1
     except SchemaError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"data error: not UTF-8 text: {exc.reason}", file=sys.stderr)
         return 2
     except BodyRegionError as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -10,12 +10,9 @@ from __future__ import annotations
 import csv
 import enum
 import logging
-import math
 import re
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
 
 from . import dicomio
 from .errors import EmptyCohort, InvalidParams
@@ -224,28 +221,6 @@ class PartitionAssignment:
     region: BodyRegion
 
 
-def dedupe_patients(studies: Sequence[StudyRecord],
-                    rng: np.random.Generator) -> List[StudyRecord]:
-    """Keep exactly one study per patient, seeded-random among repeats.
-
-    Studies without a patient id are reported and kept ungrouped.
-    """
-    by_patient: Dict[str, List[StudyRecord]] = {}
-    no_id = []
-    for s in studies:
-        if s.patient_id:
-            by_patient.setdefault(s.patient_id, []).append(s)
-        else:
-            log.warning("study %s has no patient id; kept ungrouped", s.study_uid)
-            no_id.append(s)
-    keep_uids = set()
-    for pid in sorted(by_patient):
-        group = by_patient[pid]
-        keep_uids.add(group[int(rng.integers(0, len(group)))].study_uid)
-    return [s for s in studies
-            if not s.patient_id or s.study_uid in keep_uids]
-
-
 def partition_patients(studies: Sequence[StudyRecord],
                        regions: Dict[str, BodyRegion],
                        ratio: float = 0.75) -> List[PartitionAssignment]:
@@ -274,42 +249,3 @@ def partition_patients(studies: Sequence[StudyRecord],
             assignments.append(PartitionAssignment(s.study_uid, split, region))
     return assignments
 
-
-def audit_sample(studies: Sequence[StudyRecord],
-                 regions: Dict[str, BodyRegion],
-                 fraction: float = 0.025,
-                 rng: Optional[np.random.Generator] = None) -> List[StudyRecord]:
-    """Seeded-random ground-truth review subset, even across regions."""
-    if not studies:
-        raise EmptyCohort("no studies to sample")
-    if rng is None:
-        rng = np.random.default_rng()
-    total = math.ceil(fraction * len(studies))
-    if total == 0:
-        return []
-    groups: Dict[BodyRegion, List[StudyRecord]] = {}
-    for s in studies:
-        groups.setdefault(regions[s.study_uid], []).append(s)
-    region_order = sorted(groups, key=lambda r: r.value)
-
-    quotas = {r: 0 for r in region_order}
-    remaining = total
-    # Round-robin one study at a time so quotas differ by at most one,
-    # skipping regions that are already exhausted.
-    while remaining > 0:
-        progressed = False
-        for r in region_order:
-            if remaining == 0:
-                break
-            if quotas[r] < len(groups[r]):
-                quotas[r] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            break
-    picked = []
-    for r in region_order:
-        group = sorted(groups[r], key=lambda s: s.study_uid)
-        idx = rng.permutation(len(group))[:quotas[r]]
-        picked.extend(group[i] for i in sorted(idx))
-    return picked

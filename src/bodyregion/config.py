@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 import yaml
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, read_text
 from .taxonomy import BodyRegion
 
 
@@ -62,8 +62,15 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
     """Build the effective config: flag overrides > file values > defaults."""
     data: Dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh) or {}
+        try:
+            loaded = yaml.safe_load(read_text(path)) or {}
+        except yaml.YAMLError as exc:
+            # A syntax error marks where it was found; a reader error
+            # (a control character) carries no mark.
+            mark = getattr(exc, "problem_mark", None)
+            where = f"{path}: line {mark.line + 1}" if mark else path
+            problem = getattr(exc, "problem", None) or str(exc).split("\n")[0]
+            raise ConfigError(f"{where}: invalid YAML: {problem}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a mapping")
         data.update(loaded)
@@ -73,7 +80,7 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
     known = {f.name for f in fields(PipelineConfig)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     cfg = PipelineConfig(**data)
     cfg.validate()
     return cfg
@@ -85,14 +92,14 @@ def load_synonym_map(path: Optional[str] = None) -> Dict[str, List[str]]:
     A map that is not valid JSON, or not an object mapping each key to a
     list of body region names, is a SchemaError naming the bad key.
     """
+    if path is not None:
+        text = read_text(path)
+    else:
+        text = resources.files("bodyregion").joinpath(
+            "data/body_part_synonyms.json").read_text(encoding="utf-8")
     try:
-        if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            data = json.loads(resources.files("bodyregion").joinpath(
-                "data/body_part_synonyms.json").read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise SchemaError(f"synonym map is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError("synonym map must be a JSON object")

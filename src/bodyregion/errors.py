@@ -1,4 +1,7 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and `read_text`, the one
+read of a whole text input (CSV, JSON, YAML, uid list), which raises
+SchemaError for bytes that are not UTF-8. NDJSON is decoded line by line
+in `ingest.read_ndjson`."""
 
 
 class BodyRegionError(Exception):
@@ -26,10 +29,12 @@ class LengthMismatch(BodyRegionError):
 class SchemaError(BodyRegionError):
     """Structured input (NDJSON, score CSV, config) violates its schema."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 
@@ -51,10 +56,6 @@ class EmptySeries(BodyRegionError):
 
 class EmptyImage(BodyRegionError):
     """Operation requires a non-empty pixel matrix."""
-
-
-class ParamsOutOfRange(BodyRegionError):
-    """Augmentation parameters exceed their documented bounds."""
 
 
 class EmptyClass(BodyRegionError):
@@ -87,3 +88,15 @@ class InvalidSpec(BodyRegionError):
 
 class ConfigError(BodyRegionError):
     """Configuration file contains unknown keys or out-of-range values."""
+
+
+def read_text(path) -> str:
+    """The file at `path` decoded as UTF-8. Bytes that are not UTF-8 are a
+    SchemaError naming the file and the line they are on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc.reason}", path=path,
+                          line=data.count(b"\n", 0, exc.start) + 1) from None

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (DegenerateOrientation, EmptySeries, MissingGeometry,
-                     SchemaError)
+                     SchemaError, read_text)
 from .records import SeriesRecord
 from .taxonomy import BodyRegion
 
@@ -218,12 +218,11 @@ def warn_foreign_frames(frames: Mapping[str, FrameBoxes],
 def load_boxes(path) -> List[BoundingBox3D]:
     """The boxes of a JSON list as save_boxes writes it. Invalid JSON, or an
     entry that is not a box, is a SchemaError; the latter names its index."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}",
-                              line=exc.lineno) from None
+    try:
+        entries = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}",
+                          line=exc.lineno) from None
     if not isinstance(entries, list):
         raise SchemaError("a boxes file must hold a JSON list")
     boxes = []

@@ -1,4 +1,4 @@
-"""Per-image normalization chain and training-time spatial augmentation.
+"""Per-image normalization chain and the 224 x 224 model-input letterbox.
 
 The normalization is intensity-affine invariant: statistics are computed
 once over the raw matrix, values are clipped to mean +/- 4 std and mapped
@@ -15,19 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import EmptyImage, ParamsOutOfRange
+from .errors import EmptyImage
 
 TARGET_SIZE = 224
-
-MAX_ROTATION = math.pi / 10.0
-MAX_TRANSLATE = 0.10  # fraction of image size
-MAX_SHEAR = 0.10
-MAX_SCALE_DELTA = 0.20  # |scale - 1|
-
 
 @dataclass
 class NormalizedImage:
@@ -169,126 +163,6 @@ def letterbox_block_operators(h: int, w: int, blocks: int
     a.flags.writeable = False
     b.flags.writeable = False
     return a, b
-
-
-def to_three_channel(values: np.ndarray) -> np.ndarray:
-    """Replicate a 2-D matrix into three identical channels (H, W, 3)."""
-    values = np.asarray(values)
-    return np.repeat(values[:, :, np.newaxis], 3, axis=2)
-
-
-@dataclass
-class AugmentParams:
-    rotation: float = 0.0       # radians, |r| <= pi/10
-    translate_x: float = 0.0    # fraction of width, |t| <= 0.1
-    translate_y: float = 0.0    # fraction of height
-    shear_x: float = 0.0        # |s| <= 0.1
-    shear_y: float = 0.0
-    scale_x: float = 1.0        # |scale - 1| <= 0.2
-    scale_y: float = 1.0
-
-    def validate(self) -> None:
-        eps = 1e-12
-        if abs(self.rotation) > MAX_ROTATION + eps:
-            raise ParamsOutOfRange(f"rotation {self.rotation} exceeds pi/10")
-        for name in ("translate_x", "translate_y"):
-            if abs(getattr(self, name)) > MAX_TRANSLATE + eps:
-                raise ParamsOutOfRange(f"{name} exceeds 10%")
-        for name in ("shear_x", "shear_y"):
-            if abs(getattr(self, name)) > MAX_SHEAR + eps:
-                raise ParamsOutOfRange(f"{name} exceeds 10%")
-        for name in ("scale_x", "scale_y"):
-            if abs(getattr(self, name) - 1.0) > MAX_SCALE_DELTA + eps:
-                raise ParamsOutOfRange(f"{name} exceeds 20%")
-
-
-def sample_augment_params(rng: np.random.Generator) -> AugmentParams:
-    """Uniform draw within the documented augmentation bounds."""
-    return AugmentParams(
-        rotation=float(rng.uniform(-MAX_ROTATION, MAX_ROTATION)),
-        translate_x=float(rng.uniform(-MAX_TRANSLATE, MAX_TRANSLATE)),
-        translate_y=float(rng.uniform(-MAX_TRANSLATE, MAX_TRANSLATE)),
-        shear_x=float(rng.uniform(-MAX_SHEAR, MAX_SHEAR)),
-        shear_y=float(rng.uniform(-MAX_SHEAR, MAX_SHEAR)),
-        scale_x=float(rng.uniform(1 - MAX_SCALE_DELTA, 1 + MAX_SCALE_DELTA)),
-        scale_y=float(rng.uniform(1 - MAX_SCALE_DELTA, 1 + MAX_SCALE_DELTA)),
-    )
-
-
-def augment_matrix(params: AugmentParams) -> np.ndarray:
-    """Forward affine transform in (x, y) = (col, row) about the center:
-    rotation . shear . scale, plus translation in pixels."""
-    c, s = math.cos(params.rotation), math.sin(params.rotation)
-    rot = np.array([[c, -s], [s, c]])
-    shear = np.array([[1.0, params.shear_x], [params.shear_y, 1.0]])
-    scale = np.diag([params.scale_x, params.scale_y])
-    return rot @ shear @ scale
-
-
-def _affine_warp(src, m00, m01, m10, m11, t0, t1, out):
-    """Inverse-mapping bilinear warp: each output pixel (r, c) samples the
-    source at (m00*r + m01*c + t0, m10*r + m11*c + t1). Zeros outside."""
-    hs, ws = src.shape
-    ho, wo = out.shape
-    rr, cc = np.meshgrid(np.arange(ho, dtype=np.float64),
-                         np.arange(wo, dtype=np.float64), indexing="ij")
-    ys = m00 * rr + m01 * cc + t0
-    xs = m10 * rr + m11 * cc + t1
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    fy = ys - y0
-    fx = xs - x0
-
-    padded = np.zeros((hs + 2, ws + 2), dtype=np.float64)
-    padded[1:-1, 1:-1] = src
-    inside = (y0 >= -1) & (y0 < hs) & (x0 >= -1) & (x0 < ws)
-    yc = np.clip(y0 + 1, 0, hs + 1)
-    xc = np.clip(x0 + 1, 0, ws + 1)
-    yc1 = np.clip(y0 + 2, 0, hs + 1)
-    xc1 = np.clip(x0 + 2, 0, ws + 1)
-    v00 = padded[yc, xc]
-    v01 = padded[yc, xc1]
-    v10 = padded[yc1, xc]
-    v11 = padded[yc1, xc1]
-    vals = ((1 - fy) * ((1 - fx) * v00 + fx * v01)
-            + fy * ((1 - fx) * v10 + fx * v11))
-    out[...] = np.where(inside, vals, 0.0)
-    return out
-
-
-def augment(values: np.ndarray,
-            params: Optional[AugmentParams] = None,
-            rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Apply one composed affine warp with bilinear sampling, zeros outside.
-
-    Pass explicit `params` for a deterministic transform, or an `rng` to
-    sample parameters within the training bounds.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise EmptyImage("cannot augment an empty matrix")
-    if params is None:
-        if rng is None:
-            raise ParamsOutOfRange("need either params or rng")
-        params = sample_augment_params(rng)
-    params.validate()
-
-    h, w = values.shape
-    fwd = augment_matrix(params)
-    inv = np.linalg.inv(fwd)
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    tx, ty = params.translate_x * w, params.translate_y * h
-    # Inverse mapping (output -> source), expressed in (row, col) terms for
-    # the warp kernel: src = inv . (out - center - t) + center.
-    m_rr = inv[1, 1]
-    m_rc = inv[1, 0]
-    m_cr = inv[0, 1]
-    m_cc = inv[0, 0]
-    t_r = cy - m_rr * (cy + ty) - m_rc * (cx + tx)
-    t_c = cx - m_cr * (cy + ty) - m_cc * (cx + tx)
-    out = np.empty_like(values)
-    _affine_warp(values, m_rr, m_rc, m_cr, m_cc, t_r, t_c, out)
-    return out
 
 
 def preprocess_image(pixels: np.ndarray, sop_uid: str = "",

@@ -786,25 +786,86 @@ class TestExitCodes:
             "labels-project", "--in", root / "filt" / "filtered.ndjson",
             "--boxes"]),
         ("eval/summary.json", lambda root, tmp: ["report", "--summary"]),
-        (None, lambda root, tmp: [
+        (b"1.2.3\n", lambda root, tmp: [
             "classify", "--dicom", tmp, "--truth", root / "truth.csv",
             "--train-uids"]),
+        ("truth.csv", lambda root, tmp: [
+            "classify", "--dicom", root / "ph", "--truth"]),
+        (b"seed: 1\nmin_run: 3\nstep_mm: 10.0\n", lambda root, tmp: [
+            "filter", "--in", root / "filt" / "filtered.ndjson",
+            "--config"]),
+        (b"uncertainty_metric: margin\nuncertainty_threshold: 0.2\n",
+         lambda root, tmp: [
+             "postprocess", "--in", root / "filt" / "filtered.ndjson",
+             "--scores", root / "scores.csv", "--config"]),
+        (b"seed: 1\nbootstrap_resamples: 20\nci_level: 0.95\n",
+         lambda root, tmp: [
+             "evaluate", "--in", root / "filt" / "filtered.ndjson",
+             "--results", root / "results.ndjson",
+             "--truth", root / "truth.csv", "--config"]),
     ], ids=["evaluate_truth", "postprocess_scores", "labels_project_boxes",
-            "report_summary", "classify_train_uids"])
+            "report_summary", "classify_train_uids", "classify_truth",
+            "filter_config", "postprocess_config", "evaluate_config"])
     def test_non_utf8_input_is_data_error(self, pipeline_dirs, tmp_path,
                                           capsys, source, head):
-        # Each ended in a UnicodeDecodeError traceback.
-        data = (b"1.2.3\n" if source is None
+        # Each ended in a UnicodeDecodeError traceback, and then in a
+        # message that named neither the file nor the line.
+        data = (source if isinstance(source, bytes)
                 else (pipeline_dirs / source).read_bytes())
+        half = len(data) // 2
+        line = data[:half].count(b"\n") + 1
         bad = tmp_path / "bad"
-        bad.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        bad.write_bytes(data[:half] + b"\xff" + data[half:])
         out = tmp_path / "out"
         argv = [str(a) for a in head(pipeline_dirs, tmp_path)]
         capsys.readouterr()
         assert main(argv + [str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "data error: not UTF-8 text: invalid start byte\n")
+            f"data error: {bad}: line {line}: not UTF-8 text: "
+            "invalid start byte\n")
         assert not out.exists()
+
+    def test_non_utf8_synonym_map_is_data_error(self, pipeline_dirs, tmp_path,
+                                                capsys):
+        synonyms = tmp_path / "synonyms.json"
+        synonyms.write_bytes(b'{"CHEST": ["Chest"],\n "T\xffRSO": ["Chest"]}\n')
+        config = tmp_path / "config.yaml"
+        config.write_text(f"synonym_map_path: {json.dumps(str(synonyms))}\n")
+        root = pipeline_dirs
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config),
+                     "--in", str(root / "filt" / "filtered.ndjson"),
+                     "--results", str(root / "results.ndjson"),
+                     "--truth", str(root / "truth.csv"),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {synonyms}: line 2: not UTF-8 text: "
+            "invalid start byte\n")
+
+    @pytest.mark.parametrize("stage", ["filter", "postprocess", "evaluate"])
+    @pytest.mark.parametrize("text,line,problem", [
+        ("a: [", 1, "expected the node content, but found '<stream end>'"),
+        ("a:\n\tb: 1", 2,
+         "found character '\\t' that cannot start any token"),
+        ("a: *x", 1, "found undefined alias 'x'"),
+    ], ids=["parser", "scanner", "composer"])
+    def test_yaml_syntax_error_is_data_error(self, tmp_path, capsys, stage,
+                                             text, line, problem):
+        # Each ended in a yaml ParserError, ScannerError or ComposerError
+        # traceback.
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        nope = str(tmp_path / "nope")
+        argv = {"filter": ["--in", nope, "--out", nope],
+                "postprocess": ["--in", nope, "--scores", nope,
+                                "--out", nope],
+                "evaluate": ["--in", nope, "--results", nope,
+                             "--truth", nope, "--out", nope]}[stage]
+        capsys.readouterr()
+        assert main([stage, "--config", str(config)] + argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: ConfigError: {config}: line {line}: "
+            f"invalid YAML: {problem}\n")
 
     def test_abdomen_chest_without_abdomen_is_data_error(
             self, pipeline_dirs, tmp_path, capsys):

@@ -1,14 +1,12 @@
-"""Inclusion/exclusion filtering, deduplication, partitioning, audit sample."""
+"""Inclusion/exclusion filtering and partitioning."""
 
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from bodyregion.cohort import (FilterReason, Split, apply_filters,
-                               audit_sample, dedupe_patients, filter_image,
-                               filter_series, mri_sequence_type,
+                               filter_image, filter_series, mri_sequence_type,
                                partition_patients)
 from bodyregion.errors import EmptyCohort, InvalidParams
 from bodyregion.taxonomy import BodyRegion
@@ -146,26 +144,6 @@ class TestSequenceTags:
         assert mri_sequence_type("plain series") is None
 
 
-class TestDedupe:
-    def test_one_study_per_patient(self):
-        studies = [make_study(study_uid=f"S{i}", patient_id="P1")
-                   for i in range(4)]
-        kept = dedupe_patients(studies, np.random.default_rng(0))
-        assert len(kept) == 1
-
-    def test_no_id_kept(self):
-        studies = [make_study(study_uid="S1", patient_id=""),
-                   make_study(study_uid="S2", patient_id="")]
-        assert len(dedupe_patients(studies, np.random.default_rng(0))) == 2
-
-    def test_seeded_deterministic(self):
-        studies = [make_study(study_uid=f"S{i}", patient_id="P1")
-                   for i in range(10)]
-        a = dedupe_patients(studies, np.random.default_rng(5))
-        b = dedupe_patients(studies, np.random.default_rng(5))
-        assert [s.study_uid for s in a] == [s.study_uid for s in b]
-
-
 class TestPartition:
     def _cohort(self, n, region=BodyRegion.CHEST):
         studies = [make_study(study_uid=f"S{i:03d}", patient_id=f"P{i:03d}")
@@ -221,28 +199,3 @@ class TestPartition:
         with pytest.raises(InvalidParams):
             partition_patients(studies, regions, ratio=ratio)
 
-
-class TestAuditSample:
-    def test_size_is_ceiling(self):
-        studies, regions = TestPartition()._cohort(81)
-        picked = audit_sample(studies, regions, fraction=0.025,
-                              rng=np.random.default_rng(0))
-        assert len(picked) == math.ceil(0.025 * 81)
-
-    def test_even_across_regions(self):
-        studies = [make_study(study_uid=f"S{i}", patient_id=f"P{i}")
-                   for i in range(40)]
-        regions = {s.study_uid: (BodyRegion.CHEST if i < 20 else BodyRegion.HEAD)
-                   for i, s in enumerate(studies)}
-        picked = audit_sample(studies, regions, fraction=0.1,
-                              rng=np.random.default_rng(0))
-        counts = {}
-        for s in picked:
-            counts[regions[s.study_uid]] = counts.get(regions[s.study_uid], 0) + 1
-        assert abs(counts[BodyRegion.CHEST] - counts[BodyRegion.HEAD]) <= 1
-
-    def test_deterministic_for_seed(self):
-        studies, regions = TestPartition()._cohort(30)
-        a = audit_sample(studies, regions, rng=np.random.default_rng(1))
-        b = audit_sample(studies, regions, rng=np.random.default_rng(1))
-        assert [s.study_uid for s in a] == [s.study_uid for s in b]

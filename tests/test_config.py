@@ -50,6 +50,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path):
+        # Sorting the unknown keys 1 and 'a' raised TypeError.
+        path = tmp_path / "cfg.yaml"
+        path.write_text("1: 2\na: 3\n")
+        with pytest.raises(ConfigError, match=r"\[1, 'a'\]"):
+            load_config(path)
+
+    def test_yaml_error_names_its_line(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 1\nmin_run: 3\nstep_mm: 10.0\na: *x\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == (
+            f"{path}: line 4: invalid YAML: found undefined alias 'x'")
+
+    def test_control_character_names_the_file(self, tmp_path):
+        # yaml's reader error carries no line mark.
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: \x00\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == (
+            f"{path}: invalid YAML: unacceptable character #x0000: "
+            "special characters are not allowed")
+
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("- a\n- b\n")

@@ -1,0 +1,45 @@
+"""`errors.read_text`, the one decode of a whole text input, and the
+message SchemaError builds from its path and line."""
+
+import pytest
+
+from bodyregion.errors import SchemaError, read_text
+
+
+class TestReadText:
+    def test_returns_the_text_unchanged(self, tmp_path):
+        # Non-ASCII text decodes, and line endings are left to the caller
+        # (the CSV readers parse with newline="").
+        path = tmp_path / "in.csv"
+        path.write_bytes("sop_uid,région\r\n1.2,Thorax\r\n".encode("utf-8"))
+        assert read_text(path) == "sop_uid,région\r\n1.2,Thorax\r\n"
+
+    @pytest.mark.parametrize("data,line,reason", [
+        (b"\xff", 1, "invalid start byte"),
+        (b"a\nb\n\xff", 3, "invalid start byte"),
+        (b"ok\n\xc3\x28\nc\n", 2, "invalid continuation byte"),
+        (b"ok\n\xe2\x82", 2, "unexpected end of data"),
+    ], ids=["first_byte", "third_line", "bad_continuation", "truncated"])
+    def test_bad_bytes_name_file_and_line(self, tmp_path, data, line, reason):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError) as err:
+            read_text(path)
+        assert err.value.line == line
+        assert str(err.value) == (
+            f"{path}: line {line}: not UTF-8 text: {reason}")
+
+    def test_missing_file_is_not_a_schema_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_text(tmp_path / "absent.csv")
+
+
+class TestSchemaErrorMessage:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({}, "bad"),
+        ({"line": 3}, "line 3: bad"),
+        ({"path": "x.csv"}, "x.csv: bad"),
+        ({"path": "x.csv", "line": 3}, "x.csv: line 3: bad"),
+    ], ids=["bare", "line", "path", "path_and_line"])
+    def test_prefixes(self, kwargs, message):
+        assert str(SchemaError("bad", **kwargs)) == message

@@ -18,11 +18,9 @@ TRACED = {(owner[len("bodyregion."):], attr)
           for owner, attr, _, _ in tracing.BINDINGS
           if owner.startswith("bodyregion.")}
 
-# Library API reached by tests only: paper features no CLI stage runs,
-# and oracles the tests check the fast paths against.
-LIBRARY_API = {("preprocess", "augment"), ("preprocess", "to_three_channel"),
-               ("stats", "cramers_v"), ("cohort", "partition_patients"),
-               ("cohort", "dedupe_patients"), ("cohort", "audit_sample"),
+# Library API that no stage loads: the oracles the tests check the fast
+# paths against, and the names the acceptance gate or perfbench calls.
+LIBRARY_API = {("stats", "cramers_v"), ("cohort", "partition_patients"),
                ("stats", "weighted_sensitivity_exact"),
                ("pixels", "rle_encode_frame")}
 

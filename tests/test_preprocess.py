@@ -1,4 +1,4 @@
-"""Normalization chain and augmentation: bounds, invariance, geometry."""
+"""Normalization chain and letterbox: bounds, invariance, geometry."""
 
 import math
 
@@ -8,12 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bodyregion.errors import EmptyImage, ParamsOutOfRange
-from bodyregion.preprocess import (AugmentParams, _affine_warp,
-                                   _bilinear_resize, augment, augment_matrix,
-                                   clip_normalize, letterbox_block_operators,
-                                   preprocess_image, resize_pad,
-                                   sample_augment_params, to_three_channel)
+from bodyregion.errors import EmptyImage
+from bodyregion.preprocess import (_bilinear_resize, clip_normalize,
+                                   letterbox_block_operators,
+                                   preprocess_image, resize_pad)
 
 images = hnp.arrays(
     dtype=np.float64,
@@ -238,130 +236,6 @@ class TestLetterboxBlockOperators:
     def test_empty(self):
         with pytest.raises(EmptyImage):
             letterbox_block_operators(0, 5, 16)
-
-
-class TestThreeChannel:
-    def test_replication(self):
-        img = np.arange(6.0).reshape(2, 3)
-        out = to_three_channel(img)
-        assert out.shape == (2, 3, 3)
-        for c in range(3):
-            assert np.array_equal(out[:, :, c], img)
-
-
-class TestAugmentParams:
-    def test_bounds_validate(self):
-        AugmentParams().validate()
-        AugmentParams(rotation=math.pi / 10, translate_x=0.1, shear_y=0.1,
-                      scale_x=1.2, scale_y=0.8).validate()
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rotation": math.pi / 9}, {"translate_x": 0.11}, {"shear_x": 0.11},
-        {"scale_x": 1.21}, {"scale_y": 0.79},
-    ])
-    def test_out_of_range(self, kwargs):
-        with pytest.raises(ParamsOutOfRange):
-            AugmentParams(**kwargs).validate()
-
-    def test_sampled_within_bounds(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            sample_augment_params(rng).validate()
-
-    def test_identity_matrix(self):
-        assert np.allclose(augment_matrix(AugmentParams()), np.eye(2))
-
-
-def _affine_warp_loop(src, m00, m01, m10, m11, t0, t1, out):
-    """Reference warp, one output pixel at a time: sample the source at
-    (m00*r + m01*c + t0, m10*r + m11*c + t1), bilinear, zeros outside."""
-    hs, ws = src.shape
-    ho, wo = out.shape
-    for r in range(ho):
-        for c in range(wo):
-            ys = m00 * r + m01 * c + t0
-            xs = m10 * r + m11 * c + t1
-            y0 = int(np.floor(ys))
-            x0 = int(np.floor(xs))
-            if y0 < -1 or y0 >= hs or x0 < -1 or x0 >= ws:
-                out[r, c] = 0.0
-                continue
-            fy = ys - y0
-            fx = xs - x0
-            v00 = src[y0, x0] if (0 <= y0 < hs and 0 <= x0 < ws) else 0.0
-            v01 = src[y0, x0 + 1] if (0 <= y0 < hs and 0 <= x0 + 1 < ws) else 0.0
-            v10 = src[y0 + 1, x0] if (0 <= y0 + 1 < hs and 0 <= x0 < ws) else 0.0
-            v11 = src[y0 + 1, x0 + 1] if (0 <= y0 + 1 < hs and 0 <= x0 + 1 < ws) else 0.0
-            out[r, c] = ((1 - fy) * ((1 - fx) * v00 + fx * v01)
-                         + fy * ((1 - fx) * v10 + fx * v11))
-    return out
-
-
-class TestAffineWarp:
-    def test_matches_reference_on_random_warps(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            src = rng.random((31, 37))
-            m = np.eye(2) + 0.2 * rng.standard_normal((2, 2))
-            t0, t1 = rng.uniform(-5, 5, 2)
-            expected = np.empty((29, 33))
-            out = np.empty((29, 33))
-            _affine_warp_loop(src, m[0, 0], m[0, 1], m[1, 0], m[1, 1],
-                              t0, t1, expected)
-            _affine_warp(src, m[0, 0], m[0, 1], m[1, 0], m[1, 1],
-                         t0, t1, out)
-            assert np.allclose(out, expected, atol=1e-12)
-
-    def test_identity_warp(self):
-        src = np.random.default_rng(1).random((16, 16))
-        out = np.empty_like(src)
-        _affine_warp(src, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, out)
-        assert np.allclose(out, src)
-
-    def test_outside_is_zero(self):
-        src = np.ones((8, 8))
-        out = np.empty((8, 8))
-        _affine_warp(src, 1.0, 0.0, 0.0, 1.0, 100.0, 0.0, out)
-        assert np.all(out == 0.0)
-
-
-class TestAugment:
-    def test_identity_params_identity_output(self):
-        img = np.random.default_rng(0).random((32, 32))
-        assert np.allclose(augment(img, AugmentParams()), img, atol=1e-12)
-
-    def test_pure_translation_shifts_pixels(self):
-        img = np.zeros((20, 20))
-        img[10, 10] = 1.0
-        out = augment(img, AugmentParams(translate_x=0.1, translate_y=0.1))
-        assert out[12, 12] == pytest.approx(1.0)
-        assert out[10, 10] == pytest.approx(0.0)
-
-    def test_rotation_moves_off_axis_point(self):
-        img = np.zeros((41, 41))
-        img[20, 30] = 1.0  # 10 px right of center
-        out = augment(img, AugmentParams(rotation=math.pi / 10))
-        # Forward rotation by theta maps (x, y)=(10, 0) to about
-        # (10 cos, 10 sin) in (col, row) with row axis pointing down.
-        r = 20 + 10 * math.sin(math.pi / 10)
-        c = 20 + 10 * math.cos(math.pi / 10)
-        peak = np.unravel_index(np.argmax(out), out.shape)
-        assert abs(peak[0] - r) <= 1 and abs(peak[1] - c) <= 1
-
-    def test_outside_is_zero(self):
-        img = np.ones((16, 16))
-        out = augment(img, AugmentParams(translate_x=0.1))
-        assert np.all(out[:, 0] == 0.0)
-
-    def test_rng_path_deterministic(self):
-        img = np.random.default_rng(1).random((16, 16))
-        a = augment(img, rng=np.random.default_rng(5))
-        b = augment(img, rng=np.random.default_rng(5))
-        assert np.array_equal(a, b)
-
-    def test_requires_params_or_rng(self):
-        with pytest.raises(ParamsOutOfRange):
-            augment(np.ones((4, 4)))
 
 
 class TestPreprocessImage:
