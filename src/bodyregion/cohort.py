@@ -49,6 +49,9 @@ MRI_SEQUENCE_TYPES = {
 
 MIN_PIXELS = 1000
 
+# Detail of a series admitted without orientation tags (lenient geometry).
+_ASSUMED_AXIAL = "no orientation, assumed axial"
+
 
 class FilterReason(enum.Enum):
     NOT_AXIAL = "NotAxial"
@@ -135,9 +138,7 @@ def filter_series(series: SeriesRecord,
     if orientation is None:
         if strict_geometry:
             return FilterDecision(False, FilterReason.NOT_AXIAL, "no orientation")
-        log.warning("series %s: no orientation tags, treated as axial",
-                    series.series_uid)
-        return _included("no orientation, assumed axial")
+        return _included(_ASSUMED_AXIAL)
     try:
         angle = axial_angle(orientation)
     except Exception as exc:
@@ -172,10 +173,12 @@ def apply_filters(studies: List[StudyRecord],
     """Run both filter levels over a cohort.
 
     Returns (filtered cohort, decision rows) where rows are
-    (uid, level, FilterDecision) tuples for the filter report.
+    (uid, level, FilterDecision) tuples for the filter report. Series
+    admitted without orientation tags are logged in one warning line.
     """
     rows = []
     kept_studies = []
+    assumed_axial = []
     for study in studies:
         kept_series = []
         for series in study.series:
@@ -183,6 +186,8 @@ def apply_filters(studies: List[StudyRecord],
             rows.append((series.series_uid, "series", sdec))
             if not sdec.included:
                 continue
+            if sdec.detail == _ASSUMED_AXIAL:
+                assumed_axial.append(series.series_uid)
             kept_images = []
             for image in series.images:
                 idec = filter_image(image)
@@ -193,6 +198,9 @@ def apply_filters(studies: List[StudyRecord],
                 kept_series.append(replace(series, images=kept_images))
         if kept_series:
             kept_studies.append(replace(study, series=kept_series))
+    if assumed_axial:
+        log.warning("%d series: no orientation tags, treated as axial "
+                    "(e.g. %s)", len(assumed_axial), assumed_axial[0])
     return kept_studies, rows
 
 

@@ -119,3 +119,19 @@ def axial_series():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def kernel_paths(monkeypatch):
+    """The names of the PackBits header finders and expansions called, in
+    call order, while the test runs."""
+    from bodyregion import _kernels
+
+    called = []
+    for name in ("_heads_jump", "_heads_walk", "_expand_repeat",
+                 "_expand_slices"):
+        def spy(*args, _real=getattr(_kernels, name), _name=name):
+            called.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(_kernels, name, spy)
+    return called

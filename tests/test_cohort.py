@@ -129,6 +129,24 @@ class TestApplyFilters:
         assert kept_series == replace(series, images=kept_series.images)
         assert kept[0] == replace(study, series=[kept_series])
 
+    def test_missing_orientation_logged_once(self, caplog):
+        """Three series without orientation tags: one warning line for the
+        run, with the count and the first series as the example."""
+        series = [make_series(series_uid=f"S{k}") for k in range(3)]
+        for s in series:
+            for im in s.images:
+                im.image_orientation_patient = None
+        study = make_study(series=[make_series(series_uid="AX")] + series)
+        with caplog.at_level("WARNING", logger="bodyregion.cohort"):
+            kept, rows = apply_filters([study])
+        assert len(kept[0].series) == 4
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 series: no orientation tags, treated as axial (e.g. S0)"]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="bodyregion.cohort"):
+            apply_filters([study], strict_geometry=True)
+        assert caplog.records == []
+
     def test_originals_not_mutated(self):
         study = make_study()
         n = len(study.series[0].images)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bodyregion import phantom
 from bodyregion._kernels import packbits_decode
 from bodyregion.dicomio import EXPLICIT_VR_LE, RLE_LOSSLESS
 from bodyregion.errors import LengthMismatch, Malformed, UnsupportedCodec
 from bodyregion.pixels import (decode_pixels, decode_pixels_from_file,
                                packbits_encode, rle_encode_frame)
+from bodyregion.taxonomy import BodyRegion
 
 from conftest import make_image
 
@@ -217,6 +219,47 @@ class TestRLE:
                            bits_stored=12, transfer_syntax_uid=RLE_LOSSLESS,
                            pixels=None)
         assert np.array_equal(decode_pixels(image, frame), matrix)
+
+    @staticmethod
+    def _phantom_ct_frame():
+        """A frame as the ct512_rle benchmark cohort writes one: a phantom
+        texture plus seeded noise, 512x512, 12 bits stored."""
+        rng = np.random.default_rng(23)
+        matrix = np.clip(phantom.region_texture(BodyRegion.CHEST, 512)
+                         + rng.normal(0, 20, (512, 512)), 0,
+                         4095).astype("<u2")
+        image = make_image(rows=512, cols=512, bits_allocated=16,
+                           bits_stored=12, transfer_syntax_uid=RLE_LOSSLESS,
+                           pixels=None)
+        return matrix, rle_encode_frame(matrix, 16), image
+
+    def test_phantom_ct_frame_takes_both_kernel_paths(self, kernel_paths):
+        """The high-byte segment is run-heavy (under half its plane), so
+        the kernel walks it by jump table and expands it with one repeat;
+        the noisy low-byte segment is walked header by header and expanded
+        slice by slice."""
+        matrix, frame, image = self._phantom_ct_frame()
+        _, hi, lo = struct.unpack_from("<3I", frame, 0)
+        assert 2 * (lo - hi) < matrix.size <= 2 * (len(frame) - lo)
+        assert np.array_equal(decode_pixels(image, frame), matrix)
+        assert kernel_paths == ["_heads_jump", "_expand_repeat",
+                                "_heads_walk", "_expand_slices"]
+
+    # The exception class and message the one-path kernel before this one
+    # gave for a flipped byte in the middle of the high-byte segment and
+    # for a flipped first header.
+    @pytest.mark.parametrize("at, flip, message", [
+        (22404, 0xFF, "RLE segment 0 decoded 262028 bytes, expected 262144"),
+        (64, 0x01, "RLE segment 0 decoded -1 bytes, expected 262144"),
+    ])
+    def test_phantom_ct_frame_flipped_byte(self, at, flip, message):
+        _, frame, image = self._phantom_ct_frame()
+        damaged = bytearray(frame)
+        damaged[at] ^= flip
+        with pytest.raises(LengthMismatch) as info:
+            decode_pixels(image, bytes(damaged))
+        assert type(info.value) is LengthMismatch
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("bits, stored", [(16, 12), (16, 9), (8, 6)])
     def test_bits_stored_mask(self, bits, stored):
