@@ -32,12 +32,12 @@ from .classify import fit_centroids, load_scores, pixel_feature, save_scores
 # and fails if the name is missing.
 from .classify import train_centroid_baseline  # noqa: F401
 from .config import load_config, load_synonym_map
-from .errors import (BodyRegionError, LengthMismatch, Malformed, SchemaError,
-                     UnsupportedCodec, read_text)
+from .errors import (ITEM_ERRORS, BodyRegionError, SchemaError, SkipReport,
+                     describe, read_text)
 from .geometry import (boxes_by_frame, load_boxes, project_box_labels,
                        series_geometry, warn_foreign_frames)
-from .ingest import (SkipReport, ingest_tree, read_metadata_ndjson,
-                     tree_files, write_metadata_ndjson)
+from .ingest import (ingest_tree, read_metadata_ndjson, tree_files,
+                     write_metadata_ndjson)
 from .pixels import decode_pixels_from_file
 # Unused here since classify builds features without the letterbox, but
 # perfbench/tracing.py wraps `cli.preprocess_image` and fails if it is missing.
@@ -88,18 +88,11 @@ def _read_uid_list(path) -> set:
         return {line.strip() for line in fh if line.strip()}
 
 
-def _write_skip_report(skipped: SkipReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "error"])
-        writer.writerows(skipped.entries)
-
-
 def cmd_ingest(args):
     studies, skipped = ingest_tree(args.dicom)
     os.makedirs(args.out, exist_ok=True)
     write_metadata_ndjson(studies, os.path.join(args.out, "metadata.ndjson"))
-    _write_skip_report(skipped, os.path.join(args.out, "skip_report.csv"))
+    skipped.write_csv(os.path.join(args.out, "skip_report.csv"))
     print(f"ingested {sum(s.image_count() for s in studies)} images in "
           f"{len(studies)} studies; skipped {len(skipped)} files")
     return 0
@@ -143,8 +136,9 @@ def cmd_classify(args):
     letterbox is never built), fit the centroids on the training features,
     then score every feature.
 
-    An image that fails to decode becomes a row of `<out stem>.skip_report.csv`
-    (written even when empty); the stage fails only if nothing was scored.
+    An image that fails to decode or to read becomes a row of
+    `<out stem>.skip_report.csv` (written even when empty); the stage fails
+    only if nothing was scored.
     """
     studies, _ = ingest_tree(args.dicom)
     truth = _read_truth(args.truth)
@@ -153,7 +147,6 @@ def cmd_classify(args):
     features = []  # (sop_uid, feature) in walk order: the scores.csv order
     training = []  # (feature, region), a subsequence of `features`
     skipped = SkipReport()
-    reasons = Counter()
     for study in studies:
         trains = train_uids is None or study.study_uid in train_uids
         for series in study.series:
@@ -162,9 +155,8 @@ def cmd_classify(args):
                     continue
                 try:
                     pixels = decode_pixels_from_file(image)
-                except (UnsupportedCodec, LengthMismatch, Malformed) as exc:
+                except ITEM_ERRORS as exc:
                     skipped.add(image.source_path, exc)
-                    reasons[type(exc).__name__] += 1
                     continue
                 feat = pixel_feature(pixels)
                 features.append((image.sop_uid, feat))
@@ -172,10 +164,11 @@ def cmd_classify(args):
                 if trains and region is not None:
                     training.append((feat, region))
     skip_path = os.path.splitext(args.out)[0] + ".skip_report.csv"
-    _write_skip_report(skipped, skip_path)
+    skipped.write_csv(skip_path)
     if skipped:
+        reasons = sorted(skipped.reasons.items())
         print(f"skipped {len(skipped)} undecodable images ("
-              + ", ".join(f"{n} {r}" for r, n in sorted(reasons.items()))
+              + ", ".join(f"{n} {r}" for r, n in reasons)
               + f") -> {skip_path}")
     if not features:
         raise BodyRegionError("no image with pixel data could be decoded")
@@ -343,20 +336,21 @@ def cmd_phantom(args):
 
 
 def cmd_tag_write(args):
-    # The region most images carry, first by name on a tie; None if rejected.
-    region_by_series = {}
+    # Each image of an accepted row gets the region most of the row's
+    # images carry, first by name on a tie; None if the row is rejected.
+    region_by_sop = {}
     for row in post_mod.read_series_results(args.results):
-        counts = Counter(label for _, label in row.labels)
-        region_by_series[row.series_uid] = (
-            max(row.series_regions, key=counts.__getitem__)
-            if row.status is post_mod.SeriesStatus.ACCEPTED else None)
-    changes = report_mod.write_body_part_tags(tree_files(args.dicom),
-                                              region_by_series,
-                                              dry_run=args.dry_run)
+        region = None
+        if row.status is post_mod.SeriesStatus.ACCEPTED:
+            counts = Counter(label for _, label in row.labels)
+            region = max(row.series_regions, key=counts.__getitem__)
+        region_by_sop.update((sop, region) for sop, _ in row.labels)
+    changes, skipped = report_mod.write_body_part_tags(
+        tree_files(args.dicom), region_by_sop, dry_run=args.dry_run)
     report_mod.write_change_log(changes, args.out)
-    rewritten = sum(1 for c in changes if c.action == "rewritten")
     mode = "would rewrite" if args.dry_run else "rewrote"
-    print(f"{mode} {rewritten}/{len(changes)} files; log -> {args.out}")
+    print(f"{mode} {len(changes) - len(skipped)}/{len(changes)} files; "
+          f"log -> {args.out}")
     return 0
 
 
@@ -524,7 +518,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except BodyRegionError as exc:
-        print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"data error: {describe(exc)}", file=sys.stderr)
         return 2
 
 

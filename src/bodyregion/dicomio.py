@@ -10,7 +10,8 @@ The pixel data element is located but never decoded here (see
 pixels.decode_pixels). The walk also records where BodyPartExamined is, or
 would go, so that tag-write splices without walking the file again.
 
-Every structural fault raises Malformed with the byte offset of the fault;
+Every structural fault raises Malformed with the byte offset of the fault,
+NotDicom (a Malformed) for input that does not start like DICOM at all;
 no input byte string may crash the reader or trigger unbounded allocation.
 """
 
@@ -20,7 +21,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import Malformed
+from .errors import Malformed, NotDicom
 from .records import SIDECAR_FIELDS, ImageRecord, SeriesRecord, StudyRecord
 
 # Transfer syntaxes the pipeline recognizes.
@@ -435,12 +436,17 @@ def _find_dataset_start(data: bytes):
         raise Malformed("input shorter than one element", offset=0)
     explicit = _sniff_explicit(data, 0)
     tsuid = EXPLICIT_VR_LE if explicit else IMPLICIT_VR_LE
-    # Sanity: the first tag must look like a plausible group number,
-    # otherwise reject early with a clear error (bad magic).
+    # Without the magic, the first element must look like one: a plausible
+    # group number, and a defined value length that ends inside the data.
     (group,) = _U16.unpack_from(data)
     if group == 0x0000 or group > 0x7FE0:
-        raise Malformed("not a DICOM file (no DICM magic, implausible first tag)",
-                        offset=0)
+        raise NotDicom("not a DICOM file (no DICM magic, implausible "
+                       "first tag)", offset=0)
+    first = _read_header(data, 0, explicit)
+    if (first.value_length != UNDEFINED_LENGTH
+            and first.value_length > len(data) - first.value_start):
+        raise NotDicom("not a DICOM file (no DICM magic, first element "
+                       "length past end of file)", offset=0)
     return 0, explicit, tsuid
 
 

@@ -1,7 +1,11 @@
-"""Exception types shared across the pipeline, and `read_text`, the one
-read of a whole text input (CSV, JSON, YAML, uid list), which raises
-SchemaError for bytes that are not UTF-8. NDJSON is decoded line by line
-in `ingest.read_ndjson`."""
+"""Exception types shared across the pipeline, whose class names are the
+reasons every per-item row gives, and `read_text`, the one read of a whole
+text input (CSV, JSON, YAML, uid list), which raises SchemaError for bytes
+that are not UTF-8. NDJSON is decoded line by line in `ingest.read_ndjson`."""
+
+import csv
+from collections import Counter
+from dataclasses import dataclass, field
 
 
 class BodyRegionError(Exception):
@@ -16,6 +20,11 @@ class Malformed(BodyRegionError):
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
+
+
+class NotDicom(Malformed):
+    """Input without the DICM preamble whose first bytes cannot be a DICOM
+    element."""
 
 
 class UnsupportedCodec(BodyRegionError):
@@ -88,6 +97,49 @@ class InvalidSpec(BodyRegionError):
 
 class ConfigError(BodyRegionError):
     """Configuration file contains unknown keys or out-of-range values."""
+
+
+# The errors that end one item (a file, an image) without ending its stage.
+ITEM_ERRORS = (BodyRegionError, OSError)
+
+
+def _spell(reason: str, message) -> str:
+    """The one spelling of a per-item outcome: `Reason: message`."""
+    return f"{reason}: {message}"
+
+
+def describe(error: BaseException) -> str:
+    """`error` spelled with its class name as the reason."""
+    return _spell(type(error).__name__, error)
+
+
+@dataclass
+class SkipReport:
+    """The items a stage could not process: (path, reason, message) rows in
+    the order added, and their count by reason. `add` and `note` return
+    the row's spelling."""
+
+    rows: list = field(default_factory=list)
+    reasons: Counter = field(default_factory=Counter)
+
+    def add(self, path: str, error: BaseException) -> str:
+        return self.note(path, type(error).__name__, str(error))
+
+    def note(self, path: str, reason: str, message: str) -> str:
+        self.rows.append((path, reason, message))
+        self.reasons[reason] += 1
+        return _spell(reason, message)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def write_csv(self, path) -> None:
+        """A `path,error` CSV, one spelled row per item."""
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["path", "error"])
+            writer.writerows((item, _spell(reason, message))
+                             for item, reason, message in self.rows)
 
 
 def read_text(path) -> str:

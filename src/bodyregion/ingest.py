@@ -12,25 +12,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 from .dicomio import parse_dicom
-from .errors import BodyRegionError, SchemaError
+from .errors import ITEM_ERRORS, SchemaError, SkipReport
 from .geometry import sort_series_images
 from .records import (SIDECAR_FIELDS, ImageRecord, SeriesRecord, StudyRecord,
                       sidecar_row)
-
-
-@dataclass
-class SkipReport:
-    entries: List[Tuple[str, str]] = field(default_factory=list)  # (path, error)
-
-    def add(self, path: str, error: Exception) -> None:
-        self.entries.append((path, f"{type(error).__name__}: {error}"))
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def _merge_attrs(target, attrs: dict) -> None:
@@ -66,7 +54,7 @@ def ingest_tree(path) -> Tuple[List[StudyRecord], SkipReport]:
             with open(fp, "rb") as fh:
                 data = fh.read()
             parsed = parse_dicom(data, source_path=fp)
-        except (BodyRegionError, OSError) as exc:
+        except ITEM_ERRORS as exc:
             skipped.add(fp, exc)
             continue
         # The file's own study and series. The first file of each founds

@@ -106,14 +106,12 @@ def decode_pixels(image: ImageRecord, raw: bytes) -> np.ndarray:
 
 
 def decode_pixels_from_file(image: ImageRecord) -> np.ndarray:
-    """Decode pixels for a record parsed by ingest_tree (lazy path).
+    """Decode the pixels of a record from its locator.
 
     Reads only the pixel data's byte range from the file. A range past the
     end of the file reads short, and decoding the short payload raises
     LengthMismatch or Malformed.
     """
-    if image.pixels is not None:
-        return image.pixels
     offset, length = image.pixel_data_offset, image.pixel_data_length
     if image.source_path is None or offset is None or length is None:
         raise LengthMismatch(f"{image.sop_uid}: no pixel data available")

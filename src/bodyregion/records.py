@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 
 @dataclass
 class ImageRecord:
@@ -32,7 +30,6 @@ class ImageRecord:
         default=None, metadata={"length": 3})
     image_orientation_patient: Optional[tuple] = field(  # 6 direction cosines
         default=None, metadata={"length": 6})
-    pixels: Optional[np.ndarray] = None
     # Locator for lazy pixel decode: (source path, byte offset, byte length).
     pixel_data_offset: Optional[int] = None
     pixel_data_length: Optional[int] = None
@@ -40,7 +37,7 @@ class ImageRecord:
 
     @property
     def has_pixel_data(self) -> bool:
-        return self.pixels is not None or self.pixel_data_offset is not None
+        return self.pixel_data_offset is not None
 
 
 @dataclass
@@ -108,7 +105,7 @@ def _sidecar_fields(cls) -> Tuple[tuple, ...]:
 
     A field annotated `str`, `int` or `float` (optionally `Optional[...]`),
     or `Optional[tuple]` with a `length` in its metadata (a fixed-length
-    float vector), is a metadata field; pixels and the child lists are not.
+    float vector), is a metadata field; the child lists are not.
     A value of class `type` is taken as it is (`type` is None for a vector,
     so a list always converts); any other goes through `convert`, which
     raises TypeError, ValueError or OverflowError if it cannot convert it;

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
-from .errors import BodyRegionError
+from .errors import ITEM_ERRORS, SkipReport
+from .postprocess import SeriesStatus
 from .stats import (CIResult, ClassSums, EvalStudy, FactorReport,
                     ci_from_counts, class_recall, class_specificity,
                     full_confusion, weighted_sensitivity,
@@ -154,31 +155,36 @@ def _splice_body_part(data: bytes, parsed: ParsedFile,
 
 
 def write_body_part_tags(files: Sequence[str],
-                         region_by_series: Dict[str, Optional[BodyRegion]],
-                         dry_run: bool = False) -> List[TagChange]:
-    """Rewrite BodyPartExamined per series; dry_run only logs the changes.
+                         region_by_sop: Dict[str, Optional[BodyRegion]],
+                         dry_run: bool = False
+                         ) -> Tuple[List[TagChange], SkipReport]:
+    """Rewrite BodyPartExamined per image; dry_run only logs the changes.
 
-    `region_by_series` maps series_uid to the final region, or None for a
-    series rejected as uncertain (skipped with a reason).
+    `region_by_sop` maps sop_uid to the region, or None for an image of a
+    series rejected as uncertain. Returns a change per file, and the report
+    of the files not rewritten, whose spellings are their changes' details.
     """
     changes = []
+    skipped = SkipReport()
     for path in files:
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
             parsed = parse_dicom(data)
-        except (BodyRegionError, OSError) as exc:
-            changes.append(TagChange(path, "error", detail=str(exc)))
+        except ITEM_ERRORS as exc:
+            changes.append(TagChange(path, "error",
+                                     detail=skipped.add(path, exc)))
             continue
-        series_uid = parsed.series_attrs["series_uid"]
-        if series_uid not in region_by_series:
-            changes.append(TagChange(path, "skipped",
-                                     detail="series not in results"))
+        sop_uid = parsed.image.sop_uid
+        if sop_uid not in region_by_sop:
+            changes.append(TagChange(path, "skipped", detail=skipped.note(
+                path, "NotInResults", "image not in results")))
             continue
-        region = region_by_series[series_uid]
+        region = region_by_sop[sop_uid]
         if region is None:
-            changes.append(TagChange(path, "skipped",
-                                     detail="series rejected as uncertain"))
+            changes.append(TagChange(path, "skipped", detail=skipped.note(
+                path, SeriesStatus.REJECTED_UNCERTAIN.value,
+                "series rejected as uncertain")))
             continue
         changes.append(TagChange(path, "rewritten",
                                  old_value=_old_body_part(data, parsed),
@@ -186,7 +192,7 @@ def write_body_part_tags(files: Sequence[str],
         if not dry_run:
             with open(path, "wb") as fh:
                 fh.write(_splice_body_part(data, parsed, region))
-    return changes
+    return changes, skipped
 
 
 def write_change_log(changes: Sequence[TagChange], path) -> None:

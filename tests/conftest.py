@@ -66,7 +66,7 @@ def make_image(sop_uid="1.1", z=0.0, orientation=AXIAL, instance=None,
         instance_number=instance,
         image_position_patient=(0.0, 0.0, z) if z is not None else None,
         image_orientation_patient=orientation,
-        pixels=np.zeros((64, 64), dtype=np.uint16))
+        pixel_data_offset=0, pixel_data_length=64 * 64 * 2)
     kwargs.update(overrides)
     return ImageRecord(**kwargs)
 

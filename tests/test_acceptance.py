@@ -432,7 +432,7 @@ def test_criterion_8_parser_robustness(tmp_path):
         frame = rle_encode_frame(matrix, bits)
         image = make_image(rows=rows, cols=cols, bits_allocated=bits,
                            bits_stored=bits,
-                           transfer_syntax_uid=RLE_LOSSLESS, pixels=None)
+                           transfer_syntax_uid=RLE_LOSSLESS)
         decoded = decode_pixels(image, frame)
         assert np.array_equal(decoded, oracle_rle_decode(frame, rows, cols, bits))
         assert np.array_equal(decoded, matrix)

@@ -461,6 +461,36 @@ class TestTagWrite:
                            ("1.2.3.2.3", "skipped", "")}
 
 
+class TestSkipReasons:
+    def test_ingest_and_tag_write_spell_each_fault_alike(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        good = make_dicom(pixels=np.zeros(64, dtype="<u2"))
+        (tree / "cut.dcm").write_bytes(good[:-40])
+        (tree / "good.dcm").write_bytes(good)
+        (tree / "labels.json").write_text('[\n  {"region": "Head"}\n]\n')
+        results = tmp_path / "results.ndjson"
+        results.write_text("")
+        log = tmp_path / "changes.csv"
+        assert main(["ingest", "--dicom", str(tree),
+                     "--out", str(tmp_path / "ing")]) == 0
+        assert main(["tag-write", "--dicom", str(tree), "--results",
+                     str(results), "--out", str(log)]) == 0
+        with open(tmp_path / "ing" / "skip_report.csv") as fh:
+            skips = {r["path"]: r["error"] for r in csv.DictReader(fh)}
+        with open(log) as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["path"]: r["detail"] for r in rows
+                if r["action"] == "error"} == skips
+        assert skips[str(tree / "cut.dcm")].startswith(
+            "Malformed: element length past end of file")
+        assert skips[str(tree / "labels.json")].startswith(
+            "NotDicom: not a DICOM file")
+        assert [(r["action"], r["detail"]) for r in rows
+                if r["path"] == str(tree / "good.dcm")] == [
+            ("skipped", "NotInResults: image not in results")]
+
+
 def _file_meta(syntax):
     meta = encode_element((0x0002, 0x0010), "UI", syntax)
     return (b"\x00" * 128 + b"DICM"
@@ -517,6 +547,26 @@ class TestClassifyDecodeFailures:
             assert sum(1 for _ in fh) - 1 == len(files) - 1
         out = capsys.readouterr().out
         assert out.count("skipped 1 undecodable images (1 UnsupportedCodec)") == 1
+
+    def test_file_removed_after_the_walk_is_skipped(self, small_phantom,
+                                                    tmp_path, monkeypatch):
+        ph, truth, files = small_phantom
+        gone = files[len(files) // 2]
+        walk = cli.ingest_tree
+
+        def walk_then_remove(path):
+            walked = walk(path)
+            gone.unlink()
+            return walked
+
+        monkeypatch.setattr(cli, "ingest_tree", walk_then_remove)
+        assert self._classify(ph, truth, tmp_path / "scores.csv") == 0
+        with open(tmp_path / "scores.skip_report.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and rows[1][0] == str(gone)
+        assert rows[1][1].startswith("FileNotFoundError: ")
+        with open(tmp_path / "scores.csv") as fh:
+            assert sum(1 for _ in fh) - 1 == len(files) - 1
 
     def test_nothing_scored_is_data_error(self, small_phantom, tmp_path):
         ph, truth, files = small_phantom

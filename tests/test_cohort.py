@@ -88,7 +88,7 @@ class TestImageFilter:
         assert filter_image(make_image(rows=32, cols=32)).included
 
     def test_no_pixel_data(self):
-        dec = filter_image(make_image(pixels=None))
+        dec = filter_image(make_image(pixel_data_offset=None))
         assert dec.reason is FilterReason.NO_PIXEL_DATA
 
     def test_unknown_codec(self):
@@ -150,7 +150,7 @@ class TestApplyFilters:
     def test_originals_not_mutated(self):
         study = make_study()
         n = len(study.series[0].images)
-        study.series[0].images[0].pixels = None
+        study.series[0].images[0].pixel_data_offset = None
         apply_filters([study])
         assert len(study.series[0].images) == n
 

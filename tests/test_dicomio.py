@@ -21,7 +21,7 @@ from bodyregion.dicomio import (_EXPLICIT_LAYOUTS, _IMPLICIT_HEADER,
                                 _decode_string, _parse_age, _skip_undefined,
                                 _sniff_explicit, build_dicom, encode_element,
                                 parse_dicom)
-from bodyregion.errors import Malformed
+from bodyregion.errors import Malformed, NotDicom
 from bodyregion.ingest import ingest_tree, tree_files
 from bodyregion.records import (SIDECAR_FIELDS, ImageRecord, SeriesRecord,
                                 StudyRecord)
@@ -140,8 +140,12 @@ def find_dataset_start(data):
     tsuid = EXPLICIT_VR_LE if explicit else IMPLICIT_VR_LE
     group = read_header(data, 0, explicit=False).tag[0]
     if group == 0x0000 or group > 0x7FE0:
-        raise Malformed("not a DICOM file (no DICM magic, implausible first tag)",
-                        offset=0)
+        raise NotDicom("not a DICOM file (no DICM magic, implausible "
+                       "first tag)", offset=0)
+    first = read_header(data, 0, explicit)
+    if first.value_length != UNDEFINED_LENGTH and first.value_end > len(data):
+        raise NotDicom("not a DICOM file (no DICM magic, first element length "
+                       "past end of file)", offset=0)
     return 0, explicit, tsuid
 
 
@@ -253,7 +257,6 @@ class TestParseRoundTrip:
         off, length = parsed.image.pixel_data_offset, parsed.image.pixel_data_length
         assert length == 128
         assert data[off:off + length] == pixels.tobytes()
-        assert parsed.image.pixels is None
 
     def test_bare_dataset_without_preamble(self):
         data = make_dicom(preamble=False)
@@ -308,6 +311,22 @@ class TestMalformed:
     def test_preamble_without_magic(self):
         with pytest.raises(Malformed):
             parse_dicom(b"\x00" * 128 + b"DICX" + b"\x00" * 32)
+
+    @pytest.mark.parametrize("data", [
+        b'[\n  {"region": "Head"}\n]\n',  # group 0x0A5B, length past end
+        b"\x00\x00" + b"\x00" * 30,  # group 0x0000
+        b"\xe1\x7f" + b"\x00" * 30,  # group 0x7FE1
+    ], ids=["json", "group_zero", "group_past_pixel_data"])
+    def test_input_not_starting_like_dicom_is_not_dicom(self, data):
+        with pytest.raises(NotDicom, match="not a DICOM file") as err:
+            parse_dicom(data)
+        assert err.value.offset == 0
+
+    def test_fault_past_the_first_element_stays_malformed(self):
+        data = make_dicom(preamble=False)
+        with pytest.raises(Malformed) as err:
+            parse_dicom(data[:len(data) - 3])
+        assert type(err.value) is Malformed
 
 
 class TestWriter:
@@ -693,12 +712,12 @@ class TestRecordFields:
 
 
 def walk_outcome(parse, data):
-    """The ParsedFile's repr and body-part positions, or the fault's type,
-    byte offset and message."""
+    """The ParsedFile's repr and body-part positions, or the fault's class
+    name, byte offset and message."""
     try:
         parsed = parse(data, source_path="a.dcm")
     except Malformed as exc:
-        return "Malformed", exc.offset, str(exc)
+        return type(exc).__name__, exc.offset, str(exc)
     return repr(parsed), parsed.body_part_span, parsed.body_part_insert_at
 
 
@@ -727,7 +746,7 @@ class TestInlineWalk:
         for data in mutation_stream(100_000):
             new = walk_outcome(parse_dicom, data)
             mismatched += new != walk_outcome(reference_walk_parse, data)
-            parsed += isinstance(new[0], str) and new[0] != "Malformed"
+            parsed += new[0].startswith("ParsedFile(")
         assert mismatched == 0
         assert parsed > 10_000
 

@@ -1,9 +1,13 @@
-"""`errors.read_text`, the one decode of a whole text input, and the
-message SchemaError builds from its path and line."""
+"""`errors.read_text`, the one decode of a whole text input, the message
+SchemaError builds from its path and line, and `SkipReport`, the one
+record of the items a stage could not process."""
+
+from collections import Counter
 
 import pytest
 
-from bodyregion.errors import SchemaError, read_text
+from bodyregion.errors import (Malformed, NotDicom, SchemaError, SkipReport,
+                               read_text)
 
 
 class TestReadText:
@@ -43,3 +47,30 @@ class TestSchemaErrorMessage:
     ], ids=["bare", "line", "path", "path_and_line"])
     def test_prefixes(self, kwargs, message):
         assert str(SchemaError("bad", **kwargs)) == message
+
+
+class TestSkipReport:
+    def test_rows_are_spelled_reason_colon_message(self, tmp_path):
+        report = SkipReport()
+        assert report.add("a.dcm", Malformed("bad", offset=4)) == (
+            "Malformed: bad (at byte offset 4)")
+        assert report.note("b.dcm", "NotInResults",
+                           "image not in results") == (
+            "NotInResults: image not in results")
+        report.write_csv(tmp_path / "skips.csv")
+        assert (tmp_path / "skips.csv").read_text().splitlines() == [
+            "path,error", "a.dcm,Malformed: bad (at byte offset 4)",
+            "b.dcm,NotInResults: image not in results"]
+
+    def test_counter_equals_the_reasons_of_its_rows(self):
+        report = SkipReport()
+        for path, error in [("a", Malformed("x")), ("b", NotDicom("y")),
+                            ("c", FileNotFoundError(2, "gone")),
+                            ("d", Malformed("z"))]:
+            report.add(path, error)
+        report.note("e", "RejectedUncertain", "series rejected as uncertain")
+        assert report.reasons == Counter(r for _, r, _ in report.rows)
+        assert len(report) == 5
+        assert report.reasons == {"Malformed": 2, "NotDicom": 1,
+                                  "FileNotFoundError": 1,
+                                  "RejectedUncertain": 1}

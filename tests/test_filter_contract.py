@@ -151,9 +151,6 @@ def test_summary_counts_the_admitted_set(chain):
     assert summary["n_images"] == len(admitted)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "tag-write walks the DICOM tree, not filtered.ndjson, and rewrites the "
-    "dropped images of an accepted series (ROADMAP item 3)"))
 def test_tag_write_rewrites_the_admitted_set(chain):
     root, admitted, sop_by_path = chain
     rewritten = [sop_by_path[row["path"]]

@@ -1,5 +1,6 @@
-"""Source hygiene: no module-level import goes unused, and no public
-top-level name or method in the package is defined for nothing to load."""
+"""Source hygiene: no module-level import goes unused, no public top-level
+name or method in the package is defined for nothing to load, and only
+errors.py spells an error's reason."""
 
 import ast
 import pathlib
@@ -67,6 +68,32 @@ def test_scan_flags_an_unused_import(tmp_path):
     module.write_text("import os\nimport sys\nfrom typing import List, Tuple\n"
                       "x: List[int] = sys.argv\n")
     assert unused_imports(module) == [("os", 1), ("Tuple", 3)]
+
+
+def reason_spellings(path):
+    """Lines of `path` that name an error by `type(...).__name__`, the
+    spelling errors.py owns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "__name__"
+                  and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Name)
+                  and node.value.func.id == "type")
+
+
+def test_reason_is_spelled_in_errors_only():
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "errors.py" and (lines := reason_spellings(path))}
+    assert found == {}
+
+
+def test_scan_flags_a_reason_spelling(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def f(exc):\n    name = type(exc).__name__\n"
+                      "    return f'{type(exc).__name__}: {exc}', "
+                      "f.__name__\n")
+    assert reason_spellings(module) == [2, 3]
 
 
 def _defined_names(node):

@@ -185,8 +185,7 @@ def oracle_rle_decode(frame: bytes, rows: int, cols: int,
 class TestRLE:
     def _image(self, rows=8, cols=8, bits=16):
         return make_image(rows=rows, cols=cols, bits_allocated=bits,
-                          bits_stored=bits, transfer_syntax_uid=RLE_LOSSLESS,
-                          pixels=None)
+                          bits_stored=bits, transfer_syntax_uid=RLE_LOSSLESS)
 
     def test_16bit_round_trip_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -216,8 +215,7 @@ class TestRLE:
             expected += b"\x80" * (len(expected) % 2)
             assert frame[bounds[k]:bounds[k + 1]] == expected
         image = make_image(rows=512, cols=512, bits_allocated=16,
-                           bits_stored=12, transfer_syntax_uid=RLE_LOSSLESS,
-                           pixels=None)
+                           bits_stored=12, transfer_syntax_uid=RLE_LOSSLESS)
         assert np.array_equal(decode_pixels(image, frame), matrix)
 
     @staticmethod
@@ -229,8 +227,7 @@ class TestRLE:
                          + rng.normal(0, 20, (512, 512)), 0,
                          4095).astype("<u2")
         image = make_image(rows=512, cols=512, bits_allocated=16,
-                           bits_stored=12, transfer_syntax_uid=RLE_LOSSLESS,
-                           pixels=None)
+                           bits_stored=12, transfer_syntax_uid=RLE_LOSSLESS)
         return matrix, rle_encode_frame(matrix, 16), image
 
     def test_phantom_ct_frame_takes_both_kernel_paths(self, kernel_paths):
@@ -271,8 +268,8 @@ class TestRLE:
         matrix[:, :8] = matrix[0, 0]  # a long run in every plane
         frame = rle_encode_frame(matrix, bits)
         image = make_image(rows=24, cols=20, bits_allocated=bits,
-                           bits_stored=stored, transfer_syntax_uid=RLE_LOSSLESS,
-                           pixels=None)
+                           bits_stored=stored,
+                           transfer_syntax_uid=RLE_LOSSLESS)
         decoded = decode_pixels(image, frame)
         mask = (1 << stored) - 1
         assert decoded.dtype == dtype
@@ -314,29 +311,28 @@ class TestRLE:
 class TestNative:
     def test_16bit_little_endian(self):
         matrix = np.arange(64, dtype="<u2").reshape(8, 8)
-        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None)
+        image = make_image(rows=8, cols=8, bits_stored=16)
         assert np.array_equal(decode_pixels(image, matrix.tobytes()), matrix)
 
     def test_bits_stored_mask(self):
         matrix = np.full((8, 8), 0xF123, dtype="<u2")
-        image = make_image(rows=8, cols=8, bits_stored=12, pixels=None)
+        image = make_image(rows=8, cols=8, bits_stored=12)
         assert np.all(decode_pixels(image, matrix.tobytes()) == 0x123)
 
     def test_bits_stored_mask_leaves_caller_buffer(self):
         """Masking writes a new matrix, never the caller's writable buffer."""
         buf = bytearray(np.full((8, 8), 0xF123, dtype="<u2").tobytes())
-        image = make_image(rows=8, cols=8, bits_stored=12, pixels=None)
+        image = make_image(rows=8, cols=8, bits_stored=12)
         assert np.all(decode_pixels(image, memoryview(buf)) == 0x123)
         assert np.all(np.frombuffer(buf, dtype="<u2") == 0xF123)
 
     def test_short_payload(self):
-        image = make_image(rows=8, cols=8, pixels=None)
+        image = make_image(rows=8, cols=8)
         with pytest.raises(LengthMismatch):
             decode_pixels(image, b"\x00" * 10)
 
     def test_jpeg_is_unsupported(self):
-        image = make_image(transfer_syntax_uid="1.2.840.10008.1.2.4.70",
-                           pixels=None)
+        image = make_image(transfer_syntax_uid="1.2.840.10008.1.2.4.70")
         with pytest.raises(UnsupportedCodec):
             decode_pixels(image, b"\x00" * 128)
 
@@ -345,7 +341,7 @@ class TestNative:
     @pytest.mark.parametrize("syntax", ["1.2.840.10008.1.2.4.57",
                                         "1.2.840.10008.1.2.4.50"])
     def test_undecodable_syntax_is_unsupported(self, syntax):
-        image = make_image(transfer_syntax_uid=syntax, pixels=None)
+        image = make_image(transfer_syntax_uid=syntax)
         with pytest.raises(UnsupportedCodec):
             decode_pixels(image, b"\x00" * 128)
 
@@ -362,7 +358,7 @@ class TestFromFile:
         matrix = np.arange(64, dtype="<u2").reshape(8, 8)
         path, offset = self._file(tmp_path, matrix.tobytes(),
                                   after=b"\xff" * 500)
-        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+        image = make_image(rows=8, cols=8, bits_stored=16,
                            source_path=path, pixel_data_offset=offset,
                            pixel_data_length=128)
         assert np.array_equal(decode_pixels_from_file(image), matrix)
@@ -371,7 +367,7 @@ class TestFromFile:
         matrix = np.full((8, 8), 1234, dtype=np.uint16)
         frame = rle_encode_frame(matrix, 16)
         path, offset = self._file(tmp_path, frame)
-        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+        image = make_image(rows=8, cols=8, bits_stored=16,
                            transfer_syntax_uid=RLE_LOSSLESS, source_path=path,
                            pixel_data_offset=offset,
                            pixel_data_length=len(frame))
@@ -380,7 +376,7 @@ class TestFromFile:
     @pytest.mark.parametrize("length", [128, 10 ** 12])
     def test_range_past_end_of_file_reads_short(self, tmp_path, length):
         path, offset = self._file(tmp_path, b"\x00" * 100, after=b"")
-        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+        image = make_image(rows=8, cols=8, bits_stored=16,
                            source_path=path, pixel_data_offset=offset,
                            pixel_data_length=length)
         with pytest.raises(LengthMismatch):
@@ -388,7 +384,7 @@ class TestFromFile:
 
     def test_short_rle_range_is_malformed(self, tmp_path):
         path, offset = self._file(tmp_path, b"\x00" * 30, after=b"")
-        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+        image = make_image(rows=8, cols=8, bits_stored=16,
                            transfer_syntax_uid=RLE_LOSSLESS, source_path=path,
                            pixel_data_offset=offset, pixel_data_length=200)
         with pytest.raises(Malformed):
@@ -398,7 +394,7 @@ class TestFromFile:
         (None, 128), (132, None), (-4, 128), (132, -1), (10 ** 6, 128)])
     def test_missing_or_bad_range(self, tmp_path, offset, length):
         path, _ = self._file(tmp_path, b"\x00" * 128)
-        image = make_image(rows=8, cols=8, bits_stored=16, pixels=None,
+        image = make_image(rows=8, cols=8, bits_stored=16,
                            source_path=path, pixel_data_offset=offset,
                            pixel_data_length=length)
         with pytest.raises(LengthMismatch):

@@ -13,6 +13,7 @@ from bodyregion.taxonomy import BodyRegion
 from conftest import factor_table, make_dicom, make_study, region_table
 
 CLASSES = ["Abdomen", "Chest", "Head"]
+SOP = "1.2.3.4.1"  # make_dicom's SOPInstanceUID
 
 
 def cohort_with_rare_class():
@@ -98,8 +99,8 @@ class TestTagWriteBack:
     def test_rewrite_replaces_value_only(self, tmp_path):
         path = tmp_path / "a.dcm"
         self._write_file(path, BodyPartExamined="CHEST")
-        changes = write_body_part_tags(
-            [str(path)], {"1.2.3.2": BodyRegion.ABDOMEN})
+        changes, _ = write_body_part_tags(
+            [str(path)], {SOP: BodyRegion.ABDOMEN})
         assert changes[0].action == "rewritten"
         assert changes[0].old_value == "CHEST"
         parsed = parse_dicom(path.read_bytes())
@@ -108,7 +109,7 @@ class TestTagWriteBack:
     def test_insert_when_absent(self, tmp_path):
         path = tmp_path / "a.dcm"
         self._write_file(path, BodyPartExamined=None)
-        write_body_part_tags([str(path)], {"1.2.3.2": BodyRegion.HEAD})
+        write_body_part_tags([str(path)], {SOP: BodyRegion.HEAD})
         parsed = parse_dicom(path.read_bytes())
         assert parsed.study_attrs["body_part_examined"] == "HEAD"
 
@@ -116,7 +117,7 @@ class TestTagWriteBack:
         path = tmp_path / "a.dcm"
         original = self._write_file(path, BodyPartExamined="CHEST",
                                     StudyDescription="CT EXAM")
-        write_body_part_tags([str(path)], {"1.2.3.2": BodyRegion.PELVIS})
+        write_body_part_tags([str(path)], {SOP: BodyRegion.PELVIS})
         rewritten = path.read_bytes()
         # Everything outside the (0018,0015) element is untouched.
         expected = original.replace(b"CHEST ", b"PELVIS")
@@ -134,8 +135,8 @@ class TestTagWriteBack:
         paths = [tmp_path / "a.dcm", tmp_path / "b.dcm"]
         self._write_file(paths[0], BodyPartExamined="CHEST")
         self._write_file(paths[1], BodyPartExamined=None)
-        changes = write_body_part_tags([str(p) for p in paths],
-                                       {"1.2.3.2": BodyRegion.HEAD})
+        changes, _ = write_body_part_tags([str(p) for p in paths],
+                                          {SOP: BodyRegion.HEAD})
         assert [c.action for c in changes] == ["rewritten", "rewritten"]
         assert len(calls) == 2
 
@@ -167,8 +168,8 @@ class TestTagWriteBack:
                                             BodyPartExamined=value)
                      for name, value in values.items()}
         paths = [str(tmp_path / f"{name}.dcm") for name in values]
-        changes = write_body_part_tags(paths, {"1.2.3.2": BodyRegion.HEAD},
-                                       dry_run=dry_run)
+        changes, _ = write_body_part_tags(paths, {SOP: BodyRegion.HEAD},
+                                          dry_run=dry_run)
         assert changes == [
             TagChange(paths[0], "rewritten", "CHEST", "HEAD"),
             TagChange(paths[1], "rewritten", "", "HEAD"),
@@ -186,43 +187,47 @@ class TestTagWriteBack:
     def test_dry_run_leaves_file(self, tmp_path):
         path = tmp_path / "a.dcm"
         original = self._write_file(path)
-        changes = write_body_part_tags([str(path)],
-                                       {"1.2.3.2": BodyRegion.HEAD},
-                                       dry_run=True)
+        changes, _ = write_body_part_tags([str(path)], {SOP: BodyRegion.HEAD},
+                                          dry_run=True)
         assert changes[0].action == "rewritten"
         assert path.read_bytes() == original
 
     def test_rejected_series_skipped(self, tmp_path):
         path = tmp_path / "a.dcm"
         original = self._write_file(path)
-        changes = write_body_part_tags([str(path)], {"1.2.3.2": None})
+        changes, _ = write_body_part_tags([str(path)], {SOP: None})
         assert changes[0].action == "skipped"
-        assert "rejected" in changes[0].detail
+        assert changes[0].detail == (
+            "RejectedUncertain: series rejected as uncertain")
         assert path.read_bytes() == original
 
     def test_unknown_series_skipped(self, tmp_path):
         path = tmp_path / "a.dcm"
         self._write_file(path)
-        changes = write_body_part_tags([str(path)], {"OTHER": BodyRegion.HEAD})
+        changes, _ = write_body_part_tags([str(path)],
+                                          {"OTHER": BodyRegion.HEAD})
         assert changes[0].action == "skipped"
+        assert changes[0].detail == "NotInResults: image not in results"
 
     def test_unreadable_file_reported(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not dicom at all")
-        changes = write_body_part_tags([str(path)], {})
+        changes, skipped = write_body_part_tags([str(path)], {})
         assert changes[0].action == "error"
+        assert changes[0].detail.startswith("NotDicom: not a DICOM file")
+        assert skipped.reasons == {"NotDicom": 1}
 
     def test_spine_regions_use_dicom_strings(self, tmp_path):
         path = tmp_path / "a.dcm"
         self._write_file(path)
         write_body_part_tags([str(path)],
-                             {"1.2.3.2": BodyRegion.CERVICAL_SPINE})
+                             {SOP: BodyRegion.CERVICAL_SPINE})
         assert b"CSPINE" in path.read_bytes()
 
     def test_change_log(self, tmp_path):
         path = tmp_path / "a.dcm"
         self._write_file(path, BodyPartExamined="CHEST")
-        changes = write_body_part_tags([str(path)], {"1.2.3.2": BodyRegion.HEAD})
+        changes, _ = write_body_part_tags([str(path)], {SOP: BodyRegion.HEAD})
         log_path = tmp_path / "log.csv"
         write_change_log(changes, log_path)
         text = log_path.read_text()
