@@ -167,7 +167,7 @@ def cmd_classify(args):
     skipped.write_csv(skip_path)
     if skipped:
         reasons = sorted(skipped.reasons.items())
-        print(f"skipped {len(skipped)} undecodable images ("
+        print(f"skipped {len(skipped)} images ("
               + ", ".join(f"{n} {r}" for r, n in reasons)
               + f") -> {skip_path}")
     if not features:
@@ -514,9 +514,6 @@ def main(argv=None) -> int:
         else:
             print(f"error: no such file: {path}", file=sys.stderr)
         return 1
-    except SchemaError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except BodyRegionError as exc:
         print(f"data error: {describe(exc)}", file=sys.stderr)
         return 2

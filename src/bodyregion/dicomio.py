@@ -1,12 +1,14 @@
 """Minimal DICOM reader/writer for the tags this pipeline needs.
 
 Reads Part-10 files (128-byte preamble + "DICM" + file meta group) and bare
-explicit/implicit VR little-endian datasets. One top-level walk (`_walk`)
-reads the file meta group and then the dataset, one header unpack per
-element: it fills the record fields of the TAG_TABLE elements, skips every
-other element by length, and leaves an undefined-length value (a sequence
-or encapsulated pixel data) to `_skip_undefined`, the one nested walker.
-The pixel data element is located but never decoded here (see
+explicit/implicit VR little-endian datasets. One reader, `_header`, reads
+every element and item header: at the top level, nested, and in the pixel
+fragment stream (pixels.decode_pixels). One top-level walk (`_walk`) reads
+the file meta group and then the dataset, one header per element: it fills
+the record fields of the TAG_TABLE elements, skips every other element by
+length, and hands an undefined-length value (a sequence or encapsulated
+pixel data), with the header it read, to `_skip_undefined`, the one nested
+walker. The pixel data element is located but never decoded here (see
 pixels.decode_pixels). The walk also records where BodyPartExamined is, or
 would go, so that tag-write splices without walking the file again.
 
@@ -52,19 +54,18 @@ _LONG_VR_NAMES = {vr.decode() for vr in _LONG_VRS}
 
 # Header layouts, little endian. Implicit VR, and every item or delimiter
 # header (group FFFE), is tag + 4-byte length; explicit VR is tag + VR +
-# 2-byte length, or tag + VR + 2 reserved + 4-byte length for the long VRs.
+# 2-byte length, or for a long VR tag + VR + 2 reserved + 4-byte length.
 _IMPLICIT_HEADER = struct.Struct("<HHI")
-_EXPLICIT_LAYOUTS = {vr: (vr.decode(), struct.Struct(
-    "<HH4xI" if vr in _LONG_VRS else "<HH2xH")) for vr in _KNOWN_VRS}
-_ITEM_GROUP = b"\xfe\xff"
+_EXPLICIT_HEADER = struct.Struct("<HH2sH")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
 TAG_PIXEL_DATA = (0x7FE0, 0x0010)
 TAG_BODY_PART = (0x0018, 0x0015)
-TAG_ITEM = (0xFFFE, 0xE000)
-TAG_ITEM_DELIM = (0xFFFE, 0xE00D)
-TAG_SEQ_DELIM = (0xFFFE, 0xE0DD)
+# Item and delimiter tags as one int, the way `_header` reads a tag.
+TAG_ITEM = 0xFFFEE000
+TAG_ITEM_DELIM = 0xFFFEE00D
+TAG_SEQ_DELIM = 0xFFFEE0DD
 UNDEFINED_LENGTH = 0xFFFFFFFF
 
 # Tag -> (keyword, VR, record field) for everything the pipeline extracts or
@@ -103,42 +104,36 @@ VR_BY_TAG = {tag: vr for tag, (_, vr, _) in TAG_TABLE.items()}
 _TAG_BY_KEYWORD = {kw: tag for tag, (kw, _, _) in TAG_TABLE.items()}
 
 
-@dataclass
-class ElementRef:
-    """One element or item header located in a byte buffer (value not
-    copied)."""
-
-    tag: tuple
-    vr: Optional[str]
-    element_start: int
-    value_start: int
-    value_length: int  # UNDEFINED_LENGTH for encapsulated/undefined
-
-    @property
-    def value_end(self) -> int:
-        return self.value_start + self.value_length
+def _int_tag(tag: tuple) -> int:
+    return tag[0] << 16 | tag[1]
 
 
-def _read_header(data: bytes, pos: int, explicit: bool) -> ElementRef:
-    """Read the element or item header at `pos`, in either VR encoding."""
-    if pos + 8 > len(data):
-        raise Malformed("truncated element header", offset=pos)
-    if explicit and data[pos:pos + 2] != _ITEM_GROUP:
-        vr = data[pos + 4:pos + 6]
-        layout = _EXPLICIT_LAYOUTS.get(vr)
-        if layout is None:
+_PIXEL_DATA = _int_tag(TAG_PIXEL_DATA)
+_TRANSFER_SYNTAX = _int_tag((0x0002, 0x0010))
+_BODY_PART = _int_tag(TAG_BODY_PART)
+
+
+def _header(data: bytes, pos: int, explicit: bool):
+    """Read the element or item header at `pos`, whose first 8 bytes the
+    caller has checked are there, in either VR encoding: (tag as one int,
+    VR bytes or None, value start, value length). An item or delimiter
+    header (group FFFE) is implicit in either encoding."""
+    if explicit:
+        group, element, vr, length = _EXPLICIT_HEADER.unpack_from(data, pos)
+        if group != 0xFFFE:
+            if vr in _LONG_VRS:
+                if pos + 12 > len(data):
+                    raise Malformed("truncated long-VR header", offset=pos)
+                return (group << 16 | element, vr, pos + 12,
+                        _U32.unpack_from(data, pos + 8)[0])
+            if vr in _KNOWN_VRS:
+                return group << 16 | element, vr, pos + 8, length
             raise Malformed(f"unknown VR {vr!r}", offset=pos + 4)
-        name, header = layout
-        if pos + header.size > len(data):
-            raise Malformed("truncated long-VR header", offset=pos)
-        group, element, length = header.unpack_from(data, pos)
-        return ElementRef((group, element), name, pos, pos + header.size,
-                          length)
     group, element, length = _IMPLICIT_HEADER.unpack_from(data, pos)
-    return ElementRef((group, element), None, pos, pos + 8, length)
+    return group << 16 | element, None, pos + 8, length
 
 
-def _opened(head: ElementRef, explicit: bool):
+def _opened(tag: int, vr: Optional[bytes], explicit: bool):
     """What an undefined-length header opens: (in_item, explicit, fragments).
 
     An item opens a nested dataset in the same encoding. A sequence opens a
@@ -146,50 +141,50 @@ def _opened(head: ElementRef, explicit: bool):
     implicit VR (PS3.5 6.2.2), and pixel data or any other VR a list of
     defined-length fragments.
     """
-    if head.tag == TAG_ITEM:
+    if tag == TAG_ITEM:
         return True, explicit, False
-    if head.vr == "SQ" or (head.vr is None and head.tag != TAG_PIXEL_DATA):
+    if vr == b"SQ" or (vr is None and tag != _PIXEL_DATA):
         return False, explicit, False
-    return False, False, head.vr != "UN"
+    return False, False, vr != b"UN"
 
 
-def _skip_undefined(data: bytes, ref: ElementRef, explicit: bool) -> int:
-    """Step over the value of an undefined-length element: a list of items
-    closed by a sequence delimiter, where an undefined-length item is a
-    dataset closed by an item delimiter. Returns the position just past
-    the element's sequence delimiter.
+def _skip_undefined(data: bytes, tag: int, vr: Optional[bytes], pos: int,
+                    explicit: bool) -> int:
+    """Step over the value, from `pos`, of the undefined-length element
+    whose header `_header` read as `tag` and `vr`: a list of items closed
+    by a sequence delimiter, where an undefined-length item is a dataset
+    closed by an item delimiter. Returns the position just past the
+    element's sequence delimiter.
     """
     n = len(data)
     # Open containers, innermost last: (in_item, explicit, fragments).
-    stack = [_opened(ref, explicit)]
-    pos = ref.value_start
+    stack = [_opened(tag, vr, explicit)]
     while True:
         if pos + 8 > n:
             raise Malformed("unterminated undefined-length element", offset=pos)
         in_item, enc, fragments = stack[-1]
         # A list holds only item and delimiter headers, read as implicit.
-        head = _read_header(data, pos, in_item and enc)
-        tag = head.tag
+        tag, vr, value_start, length = _header(data, pos, in_item and enc)
         if tag == TAG_ITEM_DELIM or tag == TAG_SEQ_DELIM:
             if (tag == TAG_ITEM_DELIM) != in_item:
                 kind = "sequence" if in_item else "item"
                 raise Malformed(f"unexpected {kind} delimiter", offset=pos)
             stack.pop()
             if not stack:
-                return head.value_start
-            pos = head.value_start
+                return value_start
+            pos = value_start
         elif (tag == TAG_ITEM) == in_item:
             raise Malformed("unexpected tag in undefined-length element",
                             offset=pos)
-        elif head.value_length == UNDEFINED_LENGTH:
+        elif length == UNDEFINED_LENGTH:
             if fragments:
                 raise Malformed("undefined-length fragment", offset=pos)
-            stack.append(_opened(head, enc))
-            pos = head.value_start
-        elif head.value_length > n - head.value_start:
+            stack.append(_opened(tag, vr, enc))
+            pos = value_start
+        elif length > n - value_start:
             raise Malformed("value length past end of data", offset=pos)
         else:
-            pos = head.value_end
+            pos = value_start + length
 
 
 # VRs whose value is text.
@@ -248,10 +243,6 @@ _DEFAULTS = tuple({name: default for name, _, _, _, default
                    in SIDECAR_FIELDS[cls]} for cls in _RECORDS)
 
 
-def _int_tag(tag: tuple) -> int:
-    return tag[0] << 16 | tag[1]
-
-
 # Tag as one int -> (table VR, index into _RECORDS, field name, type,
 # conversion, default) for each tag that fills a record field.
 _TAG_FIELDS = {_int_tag(tag): (vr.encode(), i, name, typ, convert, default)
@@ -261,14 +252,6 @@ _TAG_FIELDS = {_int_tag(tag): (vr.encode(), i, name, typ, convert, default)
                if field_name == name}
 # A value in one of these VRs is decoded by the table's VR.
 _TABLE_DECODED_VRS = {b"UN", b"OB", b"OW"}
-
-# The top-level walk reads an explicit-VR header as tag + VR + 2-byte
-# length; a long VR's 4-byte length follows at +8.
-_EXPLICIT_HEADER = struct.Struct("<HH2sH")
-_PIXEL_DATA = _int_tag(TAG_PIXEL_DATA)
-_TRANSFER_SYNTAX = _int_tag((0x0002, 0x0010))
-_BODY_PART = _int_tag(TAG_BODY_PART)
-
 
 def _field_value(vr: bytes, raw: bytes, offset: int, table_vr: bytes, typ,
                  convert, default):
@@ -310,18 +293,17 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
     `keep_group` to the first element of another group.
 
     This is the one top-level walk: of the file meta group and of the
-    dataset. A dataset element costs one header unpack (a second for a
-    long VR's length) and builds no object. An undefined-length value (a sequence or encapsulated
-    pixel data) is stepped over by `_skip_undefined`. Each element whose
-    tag fills a field of `records` (a field dict per record of _RECORDS)
-    sets that field; sequences and undefined-length values fill nothing.
+    dataset. A dataset element costs one `_header` call and builds no
+    object. An undefined-length value (a sequence or encapsulated pixel
+    data) is stepped over by `_skip_undefined`, from the header read here.
+    Each element whose tag fills a field of `records` (a field dict per
+    record of _RECORDS) sets that field; sequences and undefined-length
+    values fill nothing.
     """
     n = len(data)
     get_field = (_TAG_FIELDS if records is not None else {}).get
-    unpack_explicit = _EXPLICIT_HEADER.unpack_from
-    unpack_implicit = _IMPLICIT_HEADER.unpack_from
+    header = _header
     u16 = _U16.unpack_from
-    u32 = _U32.unpack_from
     pixel_data = transfer_syntax = body_part = insert_at = None
     while pos < n:
         if n - pos < 8:
@@ -329,30 +311,9 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
                             offset=pos)
         if keep_group is not None and u16(data, pos)[0] != keep_group:
             break
-        if explicit:
-            group, element, vr, length = unpack_explicit(data, pos)
-            if group == 0xFFFE:  # an item or delimiter header: implicit
-                vr = None
-                length = u32(data, pos + 4)[0]
-                value_start = pos + 8
-            elif vr in _LONG_VRS:
-                if pos + 12 > n:
-                    raise Malformed("truncated long-VR header", offset=pos)
-                length = u32(data, pos + 8)[0]
-                value_start = pos + 12
-            elif vr in _KNOWN_VRS:
-                value_start = pos + 8
-            else:
-                raise Malformed(f"unknown VR {vr!r}", offset=pos + 4)
-        else:
-            group, element, length = unpack_implicit(data, pos)
-            vr = None
-            value_start = pos + 8
-        tag = group << 16 | element
-
+        tag, vr, value_start, length = header(data, pos, explicit)
         if length == UNDEFINED_LENGTH:
-            end = _skip_undefined(data, _read_header(data, pos, explicit),
-                                  explicit)
+            end = _skip_undefined(data, tag, vr, value_start, explicit)
         elif length > n - value_start:
             raise Malformed("element length past end of file", offset=pos)
         else:
@@ -442,9 +403,8 @@ def _find_dataset_start(data: bytes):
     if group == 0x0000 or group > 0x7FE0:
         raise NotDicom("not a DICOM file (no DICM magic, implausible "
                        "first tag)", offset=0)
-    first = _read_header(data, 0, explicit)
-    if (first.value_length != UNDEFINED_LENGTH
-            and first.value_length > len(data) - first.value_start):
+    _, _, value_start, length = _header(data, 0, explicit)
+    if length != UNDEFINED_LENGTH and length > len(data) - value_start:
         raise NotDicom("not a DICOM file (no DICM magic, first element "
                        "length past end of file)", offset=0)
     return 0, explicit, tsuid

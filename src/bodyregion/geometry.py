@@ -77,17 +77,14 @@ def series_geometry(series: SeriesRecord) -> SliceGeometry:
     """Normal and per-image positions along it.
 
     Missing orientation with present positions assumes the axial identity
-    (common in legacy CT) and logs a warning. Missing positions fall back
-    to index spacing = slice_thickness.
+    (common in legacy CT); the filter stage reports each such series.
+    Missing positions fall back to index spacing = slice_thickness.
     """
     if not series.images:
         raise EmptySeries(series.series_uid)
     orientation = next((im.image_orientation_patient for im in series.images
-                        if im.image_orientation_patient is not None), None)
-    if orientation is None:
-        log.warning("series %s: no orientation, assuming axial identity",
-                    series.series_uid)
-        orientation = AXIAL_IDENTITY
+                        if im.image_orientation_patient is not None),
+                       AXIAL_IDENTITY)
     normal = slice_normal(orientation)
 
     if all(im.image_position_patient is not None for im in series.images):

@@ -29,15 +29,15 @@ def _unwrap_fragments(raw: bytes) -> bytes:
     n = len(raw)
     fragments = []
     while pos + 8 <= n:
-        item = dicomio._read_header(raw, pos, explicit=False)
-        if item.tag == dicomio.TAG_SEQ_DELIM:
+        tag, _, value_start, length = dicomio._header(raw, pos, False)
+        if tag == dicomio.TAG_SEQ_DELIM:
             break
-        if item.tag != dicomio.TAG_ITEM:
+        if tag != dicomio.TAG_ITEM:
             raise Malformed("unexpected tag in pixel fragment stream", offset=pos)
-        if item.value_length > n - item.value_start:
+        if length > n - value_start:
             raise Malformed("fragment length past end of data", offset=pos)
-        fragments.append(raw[item.value_start:item.value_end])
-        pos = item.value_end
+        pos = value_start + length
+        fragments.append(raw[value_start:pos])
     return b"".join(fragments[1:])
 
 
@@ -87,8 +87,8 @@ def decode_pixels(image: ImageRecord, raw: bytes) -> np.ndarray:
 
     if ts == dicomio.RLE_LOSSLESS:
         frame = raw
-        if (len(raw) >= 8 and dicomio._read_header(raw, 0, explicit=False).tag
-                == dicomio.TAG_ITEM):
+        if (len(raw) >= 8
+                and dicomio._header(raw, 0, False)[0] == dicomio.TAG_ITEM):
             frame = _unwrap_fragments(raw)
         matrix = _decode_rle_frame(frame, rows, cols, image.bits_allocated)
     else:

@@ -423,6 +423,36 @@ class TestLabelsProject:
             assert sum(not r["region"] for r in csv.DictReader(fh)) == 24
 
 
+class TestOrientationlessSeries:
+    def test_no_line_per_series(self, pipeline_dirs, tmp_path, caplog):
+        # Three series without orientation: filter reports them once per
+        # run, and labels-project and evaluate stay quiet about them (each
+        # logged "series <uid>: no orientation, assuming axial identity").
+        root = pipeline_dirs
+        rows = [json.loads(line) for line in
+                (root / "filt" / "filtered.ndjson").read_text().splitlines()]
+        bare = sorted({row["series_uid"] for row in rows})[:3]
+        for row in rows:
+            if row["series_uid"] in bare:
+                row["image_orientation_patient"] = None
+        filtered = tmp_path / "filtered.ndjson"
+        filtered.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        truth = tmp_path / "truth.csv"
+        with caplog.at_level("INFO", logger="bodyregion"):
+            assert main(["labels-project", "--in", str(filtered),
+                         "--boxes", str(root / "ph" / "labels.json"),
+                         "--out", str(truth)]) == 0
+            assert main(["evaluate", "--in", str(filtered),
+                         "--results", str(root / "results.ndjson"),
+                         "--truth", str(truth),
+                         "--out", str(tmp_path / "eval"),
+                         "--bootstrap", "50"]) == 0
+        assert truth.read_bytes() == (root / "truth.csv").read_bytes()
+        messages = [r.getMessage() for r in caplog.records]
+        assert not [m for m in messages
+                    if "orientation" in m or any(uid in m for uid in bare)]
+
+
 class TestTagWrite:
     # Image labels per series; None marks a series rejected as uncertain.
     SERIES = {"1.2.3.2.1": ["Head", "Head", "Arm"],
@@ -546,10 +576,11 @@ class TestClassifyDecodeFailures:
         with open(tmp_path / "scores.csv") as fh:
             assert sum(1 for _ in fh) - 1 == len(files) - 1
         out = capsys.readouterr().out
-        assert out.count("skipped 1 undecodable images (1 UnsupportedCodec)") == 1
+        assert out.count("skipped 1 images (1 UnsupportedCodec) -> ") == 1
 
     def test_file_removed_after_the_walk_is_skipped(self, small_phantom,
-                                                    tmp_path, monkeypatch):
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
         ph, truth, files = small_phantom
         gone = files[len(files) // 2]
         walk = cli.ingest_tree
@@ -560,6 +591,7 @@ class TestClassifyDecodeFailures:
             return walked
 
         monkeypatch.setattr(cli, "ingest_tree", walk_then_remove)
+        capsys.readouterr()
         assert self._classify(ph, truth, tmp_path / "scores.csv") == 0
         with open(tmp_path / "scores.skip_report.csv") as fh:
             rows = list(csv.reader(fh))
@@ -567,6 +599,9 @@ class TestClassifyDecodeFailures:
         assert rows[1][1].startswith("FileNotFoundError: ")
         with open(tmp_path / "scores.csv") as fh:
             assert sum(1 for _ in fh) - 1 == len(files) - 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "skipped 1 images (1 FileNotFoundError) -> "
+            f"{tmp_path / 'scores.skip_report.csv'}")
 
     def test_nothing_scored_is_data_error(self, small_phantom, tmp_path):
         ph, truth, files = small_phantom
@@ -631,7 +666,7 @@ class TestExitCodes:
         assert self._run_on_results(stage, pipeline_dirs, tmp_path,
                                     '{"series_uid": ') == 2
         assert capsys.readouterr().err.startswith(
-            "data error: line 3: invalid JSON: ")
+            "data error: SchemaError: line 3: invalid JSON: ")
 
     @staticmethod
     def _set_label(row, label):
@@ -674,7 +709,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert self._run_on_results(stage, pipeline_dirs, tmp_path,
                                     json.dumps(row)) == 2
-        assert capsys.readouterr().err == f"data error: line 3: {message}\n"
+        assert capsys.readouterr().err == (
+            f"data error: SchemaError: line 3: {message}\n")
 
     BOX = {"frame_of_reference_uid": "1.2.3.3", "region": "Chest",
            "min_corner": [0, 0, 0], "max_corner": [10, 10, 10]}
@@ -704,7 +740,8 @@ class TestExitCodes:
                      "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
                      "--boxes", str(boxes),
                      "--out", str(tmp_path / "truth.csv")]) == 2
-        assert capsys.readouterr().err.startswith(f"data error: {message}")
+        assert capsys.readouterr().err.startswith(
+            f"data error: SchemaError: {message}")
 
     @pytest.mark.parametrize("edit,message", [
         (lambda text: text.replace('"n_images"', '"images"'),
@@ -753,7 +790,8 @@ class TestExitCodes:
             (pipeline_dirs / "eval" / "summary.json").read_text()))
         capsys.readouterr()
         assert main(["report", "--summary", str(summary)]) == 2
-        assert capsys.readouterr().err == f"data error: {message}"
+        assert capsys.readouterr().err == (
+            f"data error: SchemaError: {message}")
 
     @pytest.mark.parametrize("text,message", [
         ("CHEST: Chest", "synonym map is not valid JSON: Expecting value"),
@@ -780,7 +818,8 @@ class TestExitCodes:
                      "--results", str(root / "results.ndjson"),
                      "--truth", str(root / "truth.csv"),
                      "--out", str(tmp_path / "eval")]) == 2
-        assert capsys.readouterr().err.startswith(f"data error: {message}")
+        assert capsys.readouterr().err.startswith(
+            f"data error: SchemaError: {message}")
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("stage,value,message", [
@@ -821,7 +860,8 @@ class TestExitCodes:
         assert main(["filter", "--in", str(bad),
                      "--out", str(tmp_path / "filt")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: line 2: invalid UTF-8 at byte ")
+        assert err.startswith(
+            "data error: SchemaError: line 2: invalid UTF-8 at byte ")
         column = int(err.split("at byte ")[1].split(":")[0])
         assert lines[1][column - 1:column] == b"\xff"
 
@@ -871,7 +911,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv + [str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"data error: {bad}: line {line}: not UTF-8 text: "
+            f"data error: SchemaError: {bad}: line {line}: "
+            "not UTF-8 text: "
             "invalid start byte\n")
         assert not out.exists()
 
@@ -889,7 +930,8 @@ class TestExitCodes:
                      "--truth", str(root / "truth.csv"),
                      "--out", str(tmp_path / "eval")]) == 2
         assert capsys.readouterr().err == (
-            f"data error: {synonyms}: line 2: not UTF-8 text: "
+            f"data error: SchemaError: {synonyms}: line 2: "
+            "not UTF-8 text: "
             "invalid start byte\n")
 
     @pytest.mark.parametrize("stage", ["filter", "postprocess", "evaluate"])
@@ -929,7 +971,8 @@ class TestExitCodes:
                      "--scores", str(scores),
                      "--out", str(tmp_path / "results.ndjson")]) == 2
         assert capsys.readouterr().err == (
-            "data error: line 1: header lists AbdomenChest but not Abdomen\n")
+            "data error: SchemaError: line 1: header lists AbdomenChest "
+            "but not Abdomen\n")
 
     @staticmethod
     def _run_on_truth(stage, pipeline_dirs, tmp_path, edit):
@@ -974,7 +1017,8 @@ class TestExitCodes:
         # column, every image was read as unlabelled.
         capsys.readouterr()
         assert self._run_on_truth(stage, pipeline_dirs, tmp_path, edit) == 2
-        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"data error: SchemaError: {message}\n")
 
     def test_internal_truth_region_is_evaluate_data_error(
             self, pipeline_dirs, tmp_path, capsys):
@@ -985,7 +1029,8 @@ class TestExitCodes:
             "evaluate", pipeline_dirs, tmp_path,
             lambda lines: self._set_region(lines, "AbdomenChest")) == 2
         assert capsys.readouterr().err == (
-            "data error: line 3: 'AbdomenChest' is not a final region\n")
+            "data error: SchemaError: line 3: 'AbdomenChest' is not a "
+            "final region\n")
 
     def test_internal_truth_region_is_a_classify_label(self, pipeline_dirs,
                                                        tmp_path):

@@ -13,9 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bodyregion.cli import main
-from bodyregion.dicomio import (_EXPLICIT_LAYOUTS, _IMPLICIT_HEADER,
-                                _ITEM_GROUP, _KNOWN_VRS, _LONG_VRS, _U16,
-                                _U32, EXPLICIT_VR_LE, IMPLICIT_VR_LE,
+from bodyregion.dicomio import (_U16, _U32, EXPLICIT_VR_LE, IMPLICIT_VR_LE,
                                 RLE_LOSSLESS, TAG_BODY_PART, TAG_PIXEL_DATA,
                                 TAG_TABLE, UNDEFINED_LENGTH, ParsedFile,
                                 _decode_string, _parse_age, _skip_undefined,
@@ -35,9 +33,23 @@ import cohorts  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # The walk parse_dicom used before its inline walk, kept as the oracle: a
-# generator that builds a header object per element, and a value decoder
-# taking every element through the general rule. It shares only
-# _skip_undefined, the nested walker, with parse_dicom.
+# generator that builds a header object per element from its own header
+# layouts, and a value decoder taking every element through the general
+# rule. It shares only _skip_undefined, the nested walker, with parse_dicom.
+
+# Implicit VR, and every item or delimiter header (group FFFE), is tag +
+# 4-byte length; explicit VR is tag + VR + 2-byte length, or for a long VR
+# tag + VR + 2 reserved + 4-byte length (PS3.5 7.1.2).
+LONG_VRS = {b"OB", b"OW", b"OF", b"OD", b"OL", b"SQ", b"UC", b"UR", b"UT",
+            b"UN"}
+KNOWN_VRS = LONG_VRS | {
+    b"AE", b"AS", b"AT", b"CS", b"DA", b"DS", b"DT", b"FL", b"FD", b"IS",
+    b"LO", b"LT", b"PN", b"SH", b"SL", b"SS", b"ST", b"TM", b"UI", b"UL",
+    b"US"}
+IMPLICIT_HEADER = struct.Struct("<HHI")
+EXPLICIT_LAYOUTS = {vr: (vr.decode(), struct.Struct(
+    "<HH4xI" if vr in LONG_VRS else "<HH2xH")) for vr in KNOWN_VRS}
+ITEM_GROUP = b"\xfe\xff"
 
 
 @dataclass
@@ -57,9 +69,9 @@ class WalkedElement:
 def read_header(data, pos, explicit) -> WalkedElement:
     if pos + 8 > len(data):
         raise Malformed("truncated element header", offset=pos)
-    if explicit and data[pos:pos + 2] != _ITEM_GROUP:
+    if explicit and data[pos:pos + 2] != ITEM_GROUP:
         vr = data[pos + 4:pos + 6]
-        layout = _EXPLICIT_LAYOUTS.get(vr)
+        layout = EXPLICIT_LAYOUTS.get(vr)
         if layout is None:
             raise Malformed(f"unknown VR {vr!r}", offset=pos + 4)
         name, header = layout
@@ -68,7 +80,7 @@ def read_header(data, pos, explicit) -> WalkedElement:
         group, element, length = header.unpack_from(data, pos)
         return WalkedElement((group, element), name, pos, pos + header.size,
                              length)
-    group, element, length = _IMPLICIT_HEADER.unpack_from(data, pos)
+    group, element, length = IMPLICIT_HEADER.unpack_from(data, pos)
     return WalkedElement((group, element), None, pos, pos + 8, length)
 
 
@@ -87,7 +99,9 @@ def iter_elements(data, start, explicit,
             return
         ref = read_header(data, pos, explicit)
         if ref.value_length == UNDEFINED_LENGTH:
-            pos = _skip_undefined(data, ref, explicit)
+            pos = _skip_undefined(data, ref.tag[0] << 16 | ref.tag[1],
+                                  ref.vr and ref.vr.encode(), ref.value_start,
+                                  explicit)
         elif ref.value_length > n - ref.value_start:
             raise Malformed("element length past end of file", offset=pos)
         else:
@@ -740,6 +754,62 @@ SPLICE_BASES = {implicit: make_dicom(
     for implicit in (False, True)}
 
 
+def at_dataset_start(data, element):
+    """`data` with `element` put first in its dataset."""
+    start = find_dataset_start(data)[0]
+    return data[:start] + element + data[start:]
+
+
+def fragment_tag_replaced(tag):
+    """An encapsulated RLE file whose fragment item has `tag` instead, and
+    where that header starts."""
+    data = make_dicom(pixels=b"\x01\x02\x03\x04", transfer_syntax=RLE_LOSSLESS,
+                      encapsulated=True)
+    at = parse_dicom(data).image.pixel_data_offset + 8  # past the offset table
+    return data[:at] + struct.pack("<HH", *tag) + data[at + 4:], at
+
+
+EXPLICIT_BASE = SPLICE_BASES[False]
+EXPLICIT_START = find_dataset_start(EXPLICIT_BASE)[0]
+NON_ITEM_FRAGMENT, NON_ITEM_AT = fragment_tag_replaced((0x0008, 0x0018))
+# Headers the spliced elements never produce, and the outcome each has: a
+# fault's (class, offset, message start), or None where the file parses.
+HEADER_CASES = {
+    # A long-VR header cut after 10 of its 12 bytes, in an undefined-length
+    # item of an explicit-VR sequence at the end of a file.
+    "truncated_long_vr_in_item": (
+        EXPLICIT_BASE + long_vr_element(
+            (0x0009, 0x1010), b"SQ", struct.pack(
+                "<HHI", 0xFFFE, 0xE000, UNDEFINED_LENGTH) + struct.pack(
+                "<HH", 0x0009, 0x0011) + b"OB\x00\x00\x00\x00"),
+        ("Malformed", len(EXPLICIT_BASE) + 12 + 8,
+         "truncated long-VR header")),
+    "unknown_vr_in_item": (
+        at_dataset_start(EXPLICIT_BASE, sequence((0x0008, 0x1140), item(
+            element((0x0009, 0x0010), b"ZZ", b"ab")))),
+        ("Malformed", EXPLICIT_START + 12 + 8 + 4, "unknown VR b'ZZ'")),
+    # Item and delimiter headers at the top level read as implicit VR.
+    "defined_item_at_top_level": (
+        at_dataset_start(EXPLICIT_BASE, item(b"abcd", defined=True)), None),
+    "undefined_item_at_top_level": (
+        at_dataset_start(EXPLICIT_BASE, item(ref_uid())), None),
+    "sequence_delimiter_at_top_level": (
+        at_dataset_start(EXPLICIT_BASE, SEQ_DELIM), None),
+    # An undefined-length one other than an item opens a list of items,
+    # like any undefined-length header without a VR.
+    "undefined_item_delimiter_at_top_level": (
+        at_dataset_start(EXPLICIT_BASE, struct.pack(
+            "<HHI", 0xFFFE, 0xE00D, UNDEFINED_LENGTH) + item() + SEQ_DELIM),
+        None),
+    "implicit_item_at_top_level": (
+        at_dataset_start(SPLICE_BASES[True], item(ref_uid(False))), None),
+    "non_item_tag_in_fragments": (
+        NON_ITEM_FRAGMENT,
+        ("Malformed", NON_ITEM_AT,
+         "unexpected tag in undefined-length element")),
+}
+
+
 class TestInlineWalk:
     def test_matches_walk_on_mutation_stream(self):
         mismatched = parsed = 0
@@ -765,8 +835,8 @@ class TestInlineWalk:
     @settings(max_examples=300, deadline=None)
     @given(tag=st.sampled_from(sorted(TAG_TABLE)) | st.tuples(
                st.integers(0x0008, 0x7FE0), st.integers(0, 0xFFFF)),
-           vr=st.sampled_from(sorted(_KNOWN_VRS)) | st.binary(min_size=2,
-                                                               max_size=2),
+           vr=st.sampled_from(sorted(KNOWN_VRS)) | st.binary(min_size=2,
+                                                              max_size=2),
            raw=st.binary(max_size=24),
            length=st.sampled_from(["actual", "undefined", "past_end"])
            | st.integers(0, 40),
@@ -778,7 +848,7 @@ class TestInlineWalk:
         head = struct.pack("<HH", *tag)
         if implicit:
             element = head + struct.pack("<I", declared) + raw
-        elif vr in _LONG_VRS:
+        elif vr in LONG_VRS:
             element = head + vr + b"\x00\x00" + struct.pack("<I",
                                                             declared) + raw
         else:
@@ -824,6 +894,18 @@ class TestInlineWalk:
             "unterminated_sequence"])
     def test_matches_walk_on_nested_fixtures(self, nested):
         assert_matches_walk(nested)
+
+    @pytest.mark.parametrize("case", HEADER_CASES)
+    def test_matches_walk_on_header_cases(self, case):
+        data, fault = HEADER_CASES[case]
+        assert_matches_walk(data)
+        outcome = walk_outcome(parse_dicom, data)
+        if fault is None:
+            assert outcome[0].startswith("ParsedFile(")
+        else:
+            name, offset, message = fault
+            assert outcome[:2] == (name, offset)
+            assert outcome[2].startswith(message)
 
     @pytest.mark.parametrize("meta", [
         # Undefined length: the value runs to the end of the data.

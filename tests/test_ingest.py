@@ -188,7 +188,8 @@ class TestNdjsonSchema:
         assert main(["filter", "--in", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(
-            f"data error: line 3: {record}: {key} is {value!r}, but line 1 ")
+            f"data error: SchemaError: line 3: {record}: {key} is "
+            f"{value!r}, but line 1 ")
 
     def test_agreeing_rows_with_nan_are_accepted(self, tmp_path):
         row = {"sop_uid": "1", "series_uid": "2", "study_uid": "3",
@@ -270,4 +271,5 @@ class TestNdjsonFields:
         assert main(["filter", "--in", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: line 2: {message}")
+        assert err.startswith(
+            f"data error: SchemaError: line 2: {message}")

@@ -292,6 +292,19 @@ class TestRLE:
                   + struct.pack("<HHI", 0xFFFE, 0xE0DD, 0))
         assert np.array_equal(decode_pixels(self._image(), stream), matrix)
 
+    @pytest.mark.parametrize("second,message", [
+        (struct.pack("<HHI", 0x0008, 0x0018, 4),
+         "unexpected tag in pixel fragment stream"),
+        (struct.pack("<HHI", 0xFFFE, 0xE000, 1 << 20),
+         "fragment length past end of data"),
+    ], ids=["non_item_tag", "fragment_past_end"])
+    def test_fragment_stream_faults(self, second, message):
+        stream = struct.pack("<HHI", 0xFFFE, 0xE000, 0) + second + b"\x00" * 4
+        with pytest.raises(Malformed) as err:
+            decode_pixels(self._image(), stream)
+        assert type(err.value) is Malformed and err.value.offset == 8
+        assert str(err.value) == f"{message} (at byte offset 8)"
+
     def test_wrong_segment_count(self):
         frame = rle_encode_frame(np.zeros((8, 8), dtype=np.uint8), 8)
         with pytest.raises(LengthMismatch):
