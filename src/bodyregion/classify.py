@@ -5,22 +5,25 @@ per image over its class set. It is where an externally trained network
 plugs in: the postprocess stage reads it. The desk-scale centroid baseline
 writes one, so the full pipeline runs end to end without a trained
 network. The baseline's feature is a 16 x 16 block mean of the letterboxed
-image; `pixel_feature` computes it from the clipped image through cached
-operators, without building the letterbox. A score vector is a plain
-float64 array in class order; `load_scores` is the one place where
-vectors from outside are checked (finite, non-negative, summing to 1),
-never trusted from the producer.
+image; `pixel_feature` computes it from the integer pixels: exact integer
+moments give the mean and std, the clipped, centred matrix goes through
+the shape's cached operators, and the normalization is applied to the 256
+block values, so neither the normalized image nor the letterbox is built.
+A score vector is a plain float64 array in class order; `load_scores` is
+the one place where vectors from outside are checked (finite,
+non-negative, summing to 1), never trusted from the producer.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import preprocess
 from .errors import EmptyClass, NotNormalized, SchemaError, read_text
 from .preprocess import NormalizedImage, letterbox_block_operators
 from .taxonomy import CANONICAL_ORDER, BodyRegion
@@ -115,15 +118,73 @@ def centroid_feature(values: np.ndarray) -> np.ndarray:
     return cropped.reshape(_THUMB, bh, _THUMB, bw).mean(axis=(1, 3)).ravel()
 
 
+@functools.lru_cache(maxsize=32)
+def _feature_operators(h: int, w: int):
+    """The shape's `letterbox_block_operators` and the feature of an
+    all-ones image, `(A 1)(B 1)^T` flattened, cached beside them."""
+    a, b = letterbox_block_operators(h, w, _THUMB)
+    ones = np.outer(a.sum(axis=1), b.sum(axis=1)).ravel()
+    ones.flags.writeable = False
+    return a, b, ones
+
+
+def _exact_moments(pixels: np.ndarray):
+    """`(c, d, s1, s2)`: an integer `c` within 1 of the mean, the float64
+    matrix `d = pixels - c`, and `s1 = sum(d)`, `s2 = sum(d**2)` as exact
+    Python ints.
+
+    `c` is the floor of the mean, from numpy's integer sum (exact below
+    2**48 pixels). A float64 sum of integers is exact in any order while
+    every partial sum stays below 2**53, so `s2` is summed over flat
+    chunks of at most 2**53 // maxabs**2 elements, `maxabs` bounding |d|
+    by the dtype's range: one chunk for any 16-bit image up to 2**21
+    pixels.
+    """
+    info = np.iinfo(pixels.dtype)
+    chunk = 2**53 // (info.max - info.min) ** 2
+    n = pixels.size
+    total = int(pixels.sum())
+    c = total // n
+    d = np.subtract(pixels, c, dtype=np.float64)
+    flat = d.ravel()
+    s2 = 0
+    for start in range(0, n, chunk):
+        part = flat[start:start + chunk]
+        s2 += int(part @ part)
+    return c, d, total - n * c, s2
+
+
 def pixel_feature(pixels: np.ndarray) -> np.ndarray:
     """`centroid_feature(preprocess_image(pixels).values)`, equal to
-    round-off, without building the 224 x 224 letterbox: the clipped image
-    goes straight through the shape's cached row and column operators."""
-    h, w = np.shape(pixels)
-    a, b = letterbox_block_operators(h, w, _THUMB)
-    # Called through the module so a wrapper installed on
-    # preprocess.clip_normalize (perfbench/tracing.py) sees this call.
-    return (a @ preprocess.clip_normalize(pixels) @ b.T).ravel()
+    round-off, without building the normalized image or the 224 x 224
+    letterbox.
+
+    `pixels` is an 8- or 16-bit integer matrix, as `decode_pixels` returns
+    it; any other dtype raises TypeError. Mean and std come from exact
+    integer moments (`_exact_moments`), and only the centred matrix is
+    clipped to mean +/- 4 std before the shape's cached operators reduce
+    it. Normalizing is affine, so it is applied to the 256 block values:
+    `(A d B^T - m (A 1)(B 1)^T) / (2 std)`, with `m` the mean of `d`. A
+    constant image gives zeros.
+    """
+    pixels = np.asarray(pixels)
+    if pixels.dtype.kind not in "iu" or pixels.dtype.itemsize > 2:
+        raise TypeError(f"pixel_feature takes an 8- or 16-bit integer "
+                        f"matrix, not {pixels.dtype}")
+    h, w = pixels.shape
+    a, b, ones = _feature_operators(h, w)
+    _, d, s1, s2 = _exact_moments(pixels)
+    n = pixels.size
+    spread = n * s2 - s1 * s1
+    if spread == 0:
+        return np.zeros(_THUMB * _THUMB)
+    m = s1 / n
+    std = math.sqrt(spread / (n * n))
+    np.clip(d, m - 4.0 * std, m + 4.0 * std, out=d)
+    feat = (a @ d @ b.T).ravel()
+    feat -= m * ones
+    feat /= 2.0 * std
+    return feat
 
 
 class CentroidBackend:

@@ -62,7 +62,9 @@ _U32 = struct.Struct("<I")
 
 TAG_PIXEL_DATA = (0x7FE0, 0x0010)
 TAG_BODY_PART = (0x0018, 0x0015)
-# Item and delimiter tags as one int, the way `_header` reads a tag.
+# Item and delimiter tags as one int, the way `_header` reads a tag, and
+# the bounds of their group FFFE, which holds no top-level element.
+_ITEM_GROUP_START, _ITEM_GROUP_END = 0xFFFE0000, 0xFFFF0000
 TAG_ITEM = 0xFFFEE000
 TAG_ITEM_DELIM = 0xFFFEE00D
 TAG_SEQ_DELIM = 0xFFFEE0DD
@@ -296,6 +298,9 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
     dataset. A dataset element costs one `_header` call and builds no
     object. An undefined-length value (a sequence or encapsulated pixel
     data) is stepped over by `_skip_undefined`, from the header read here.
+    An item or delimiter header (group FFFE) belongs inside a sequence or
+    a fragment list, so one at the top level raises Malformed at its
+    offset.
     Each element whose tag fills a field of `records` (a field dict per
     record of _RECORDS) sets that field; sequences and undefined-length
     values fill nothing.
@@ -312,6 +317,9 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
         if keep_group is not None and u16(data, pos)[0] != keep_group:
             break
         tag, vr, value_start, length = header(data, pos, explicit)
+        if _ITEM_GROUP_START <= tag < _ITEM_GROUP_END:
+            raise Malformed("item or delimiter outside a sequence",
+                            offset=pos)
         if length == UNDEFINED_LENGTH:
             end = _skip_undefined(data, tag, vr, value_start, explicit)
         elif length > n - value_start:

@@ -23,10 +23,14 @@ from .records import ImageRecord
 _RLE_HEADER_LEN = 64
 
 
-def _unwrap_fragments(raw: bytes) -> bytes:
-    """Concatenate encapsulated pixel fragments, skipping the offset table."""
+def _unwrap_fragments(raw: bytes) -> bytes | memoryview:
+    """Concatenate encapsulated pixel fragments, skipping the offset table.
+
+    A lone fragment comes back as a memoryview of `raw`, not a copy.
+    """
     pos = 0
     n = len(raw)
+    view = memoryview(raw)
     fragments = []
     while pos + 8 <= n:
         tag, _, value_start, length = dicomio._header(raw, pos, False)
@@ -37,7 +41,9 @@ def _unwrap_fragments(raw: bytes) -> bytes:
         if length > n - value_start:
             raise Malformed("fragment length past end of data", offset=pos)
         pos = value_start + length
-        fragments.append(raw[value_start:pos])
+        fragments.append(view[value_start:pos])
+    if len(fragments) == 2:
+        return fragments[1]
     return b"".join(fragments[1:])
 
 

@@ -7,7 +7,10 @@ resizing scales the longer side to 224 with centered zero padding; that
 224 x 224 matrix is the model input (`preprocess_image`). A consumer that
 only block-averages the letterbox (the centroid baseline) can skip it:
 resize, padding and block mean are linear, so `letterbox_block_operators`
-folds them into one cached matrix per axis.
+folds them into one cached matrix per axis. The normalization is affine,
+so such a consumer can also apply it to the block values and skip
+`clip_normalize`; `classify.pixel_feature` does, and this chain is its
+test oracle.
 """
 
 from __future__ import annotations

@@ -148,10 +148,11 @@ def _splice_body_part(data: bytes, parsed: ParsedFile,
                              CANONICAL_TAG_STRINGS[region],
                              explicit=parsed.explicit)
     if parsed.body_part_span is None:
-        cut = parsed.body_part_insert_at
-        return data[:cut] + element + data[cut:]
-    element_start, _, value_end = parsed.body_part_span
-    return data[:element_start] + element + data[value_end:]
+        head_end = tail_start = parsed.body_part_insert_at
+    else:
+        head_end, _, tail_start = parsed.body_part_span
+    view = memoryview(data)
+    return b"".join((view[:head_end], element, view[tail_start:]))
 
 
 def write_body_part_tags(files: Sequence[str],

@@ -1,13 +1,16 @@
 """Score-file I/O and validation, and the centroid baseline."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bodyregion.classify import (centroid_feature, fit_centroids,
-                                 load_scores, pixel_feature, save_scores,
-                                 train_centroid_baseline)
+from bodyregion.classify import (_exact_moments, centroid_feature,
+                                 fit_centroids, load_scores, pixel_feature,
+                                 save_scores, train_centroid_baseline)
 from bodyregion.errors import EmptyClass, NotNormalized, SchemaError
 from bodyregion.preprocess import NormalizedImage, preprocess_image
 from bodyregion.taxonomy import BodyRegion
@@ -180,3 +183,92 @@ class TestPixelFeature:
             0, np.iinfo(dtype).max, (h, w), dtype=dtype, endpoint=True)
         assert np.abs(pixel_feature(pixels)
                       - self._reference(pixels)).max() <= 1e-12
+
+
+def letterbox_feature(pixels):
+    return centroid_feature(preprocess_image(pixels).values)
+
+
+def exact_moments_oracle(pixels):
+    """The mean and population variance of `pixels` as Fractions."""
+    values = [int(v) for v in pixels.ravel()]
+    mean = Fraction(sum(values), len(values))
+    return mean, sum((v - mean) ** 2 for v in values) / len(values)
+
+
+class TestExactMoments:
+    """pixel_feature's statistics from exact integer moments, and the
+    cases where a float mean and variance would lose digits."""
+
+    @staticmethod
+    def _moments(pixels):
+        c, d, s1, s2 = _exact_moments(pixels)
+        n = pixels.size
+        assert np.array_equal(d, pixels.astype(np.int64) - c)
+        assert d.dtype == np.float64
+        return c + Fraction(s1, n), Fraction(n * s2 - s1 * s1, n * n), c
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_fraction_oracle(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        info = np.iinfo(dtype)
+        shape = tuple(rng.integers(1, 90, 2))
+        pixels = rng.integers(info.min, info.max, shape, dtype=dtype,
+                              endpoint=True)
+        mean, var, c = self._moments(pixels)
+        assert (mean, var) == exact_moments_oracle(pixels)
+        assert 0 <= mean - c < 1
+        assert np.abs(pixel_feature(pixels)
+                      - letterbox_feature(pixels)).max() <= 1e-12
+
+    def test_two_top_values(self):
+        pixels = np.array([[65535, 65534]], dtype=np.uint16)
+        mean, var, _ = self._moments(pixels)
+        assert (mean, var) == (Fraction(131069, 2), Fraction(1, 4))
+        assert np.abs(pixel_feature(pixels)
+                      - letterbox_feature(pixels)).max() <= 1e-12
+
+    def test_near_constant_bright_image(self):
+        # Mean about 60000 and std about 0.3: the +2 pixels lie past
+        # mean + 4 std and are clipped.
+        rng = np.random.default_rng(5)
+        pixels = np.full((512, 512), 60000, dtype=np.uint16)
+        pixels[rng.random((512, 512)) < 0.05] += 1
+        pixels[rng.random((512, 512)) < 0.01] += 2
+        mean, var, _ = self._moments(pixels)
+        assert (mean, var) == exact_moments_oracle(pixels)
+        assert 60001 < float(mean) + 4 * math.sqrt(var) < 60002
+        feat = pixel_feature(pixels)
+        assert np.abs(feat - letterbox_feature(pixels)).max() <= 1e-12
+
+    def test_full_range_image_past_one_chunk(self):
+        # More pixels than one exact float64 chunk of 16-bit deviations
+        # holds, so the moments are summed over two chunks.
+        shape = (1449, 1449)
+        assert shape[0] * shape[1] > 2**53 // 65535**2
+        pixels = np.random.default_rng(6).integers(
+            0, 65535, shape, dtype=np.uint16, endpoint=True)
+        pixels[0, 0], pixels[-1, -1] = 0, 65535
+        c, _, s1, s2 = _exact_moments(pixels)
+        wide = pixels.astype(np.int64)
+        total, squares = int(wide.sum()), int((wide * wide).sum())
+        n = pixels.size
+        assert s1 == total - n * c
+        assert s2 == squares - 2 * c * total + n * c * c
+        assert np.abs(pixel_feature(pixels)
+                      - letterbox_feature(pixels)).max() <= 1e-12
+
+    @pytest.mark.parametrize("value,dtype", [(0, np.uint8), (917, np.uint16),
+                                             (65535, np.uint16),
+                                             (-1024, np.int16)])
+    @pytest.mark.parametrize("shape", [(1, 1), (40, 70)])
+    def test_constant_image_gives_zeros(self, value, dtype, shape):
+        pixels = np.full(shape, value, dtype=dtype)
+        assert np.array_equal(pixel_feature(pixels), np.zeros(256))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_,
+                                       np.int32, np.uint64])
+    def test_only_8_and_16_bit_integers(self, dtype):
+        with pytest.raises(TypeError, match="8- or 16-bit integer matrix"):
+            pixel_feature(np.ones((4, 4), dtype=dtype))

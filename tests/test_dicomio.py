@@ -98,6 +98,8 @@ def iter_elements(data, start, explicit,
         if stop and data[pos:pos + 2] != stop:
             return
         ref = read_header(data, pos, explicit)
+        if ref.tag[0] == 0xFFFE:
+            raise Malformed("item or delimiter outside a sequence", offset=pos)
         if ref.value_length == UNDEFINED_LENGTH:
             pos = _skip_undefined(data, ref.tag[0] << 16 | ref.tag[1],
                                   ref.vr and ref.vr.encode(), ref.value_start,
@@ -772,6 +774,8 @@ def fragment_tag_replaced(tag):
 EXPLICIT_BASE = SPLICE_BASES[False]
 EXPLICIT_START = find_dataset_start(EXPLICIT_BASE)[0]
 NON_ITEM_FRAGMENT, NON_ITEM_AT = fragment_tag_replaced((0x0008, 0x0018))
+OUTSIDE_SEQUENCE = ("Malformed", EXPLICIT_START,
+                    "item or delimiter outside a sequence")
 # Headers the spliced elements never produce, and the outcome each has: a
 # fault's (class, offset, message start), or None where the file parses.
 HEADER_CASES = {
@@ -788,21 +792,23 @@ HEADER_CASES = {
         at_dataset_start(EXPLICIT_BASE, sequence((0x0008, 0x1140), item(
             element((0x0009, 0x0010), b"ZZ", b"ab")))),
         ("Malformed", EXPLICIT_START + 12 + 8 + 4, "unknown VR b'ZZ'")),
-    # Item and delimiter headers at the top level read as implicit VR.
+    # An item or delimiter header (group FFFE) at the top level, of
+    # defined or undefined length, is a fault at its own offset.
     "defined_item_at_top_level": (
-        at_dataset_start(EXPLICIT_BASE, item(b"abcd", defined=True)), None),
+        at_dataset_start(EXPLICIT_BASE, item(b"abcd", defined=True)),
+        OUTSIDE_SEQUENCE),
     "undefined_item_at_top_level": (
-        at_dataset_start(EXPLICIT_BASE, item(ref_uid())), None),
+        at_dataset_start(EXPLICIT_BASE, item(ref_uid())), OUTSIDE_SEQUENCE),
     "sequence_delimiter_at_top_level": (
-        at_dataset_start(EXPLICIT_BASE, SEQ_DELIM), None),
-    # An undefined-length one other than an item opens a list of items,
-    # like any undefined-length header without a VR.
+        at_dataset_start(EXPLICIT_BASE, SEQ_DELIM), OUTSIDE_SEQUENCE),
     "undefined_item_delimiter_at_top_level": (
         at_dataset_start(EXPLICIT_BASE, struct.pack(
             "<HHI", 0xFFFE, 0xE00D, UNDEFINED_LENGTH) + item() + SEQ_DELIM),
-        None),
+        OUTSIDE_SEQUENCE),
     "implicit_item_at_top_level": (
-        at_dataset_start(SPLICE_BASES[True], item(ref_uid(False))), None),
+        at_dataset_start(SPLICE_BASES[True], item(ref_uid(False))),
+        ("Malformed", find_dataset_start(SPLICE_BASES[True])[0],
+         "item or delimiter outside a sequence")),
     "non_item_tag_in_fragments": (
         NON_ITEM_FRAGMENT,
         ("Malformed", NON_ITEM_AT,

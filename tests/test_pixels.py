@@ -12,8 +12,9 @@ from bodyregion import phantom
 from bodyregion._kernels import packbits_decode
 from bodyregion.dicomio import EXPLICIT_VR_LE, RLE_LOSSLESS
 from bodyregion.errors import LengthMismatch, Malformed, UnsupportedCodec
-from bodyregion.pixels import (decode_pixels, decode_pixels_from_file,
-                               packbits_encode, rle_encode_frame)
+from bodyregion.pixels import (_unwrap_fragments, decode_pixels,
+                               decode_pixels_from_file, packbits_encode,
+                               rle_encode_frame)
 from bodyregion.taxonomy import BodyRegion
 
 from conftest import make_image
@@ -291,6 +292,31 @@ class TestRLE:
                   + struct.pack("<HHI", 0xFFFE, 0xE000, len(frame)) + frame
                   + struct.pack("<HHI", 0xFFFE, 0xE0DD, 0))
         assert np.array_equal(decode_pixels(self._image(), stream), matrix)
+
+    @staticmethod
+    def _fragments(*parts):
+        """An encapsulated stream: an empty offset table, then one item per
+        part, then the sequence delimiter."""
+        return (struct.pack("<HHI", 0xFFFE, 0xE000, 0)
+                + b"".join(struct.pack("<HHI", 0xFFFE, 0xE000, len(part))
+                           + part for part in parts)
+                + struct.pack("<HHI", 0xFFFE, 0xE0DD, 0))
+
+    def test_lone_fragment_is_a_view(self):
+        frame = rle_encode_frame(np.arange(64, dtype=np.uint16).reshape(8, 8),
+                                 16)
+        stream = self._fragments(frame)
+        unwrapped = _unwrap_fragments(stream)
+        assert isinstance(unwrapped, memoryview) and unwrapped.obj is stream
+        assert unwrapped == frame
+
+    def test_split_frame_is_joined(self):
+        matrix = np.arange(64, dtype=np.uint16).reshape(8, 8) * 97
+        frame = rle_encode_frame(matrix, 16)
+        stream = self._fragments(frame[:40], frame[40:90], frame[90:])
+        assert _unwrap_fragments(stream) == frame
+        assert np.array_equal(decode_pixels(self._image(), stream), matrix)
+        assert _unwrap_fragments(self._fragments()) == b""
 
     @pytest.mark.parametrize("second,message", [
         (struct.pack("<HHI", 0x0008, 0x0018, 4),
