@@ -9,8 +9,10 @@ the record fields of the TAG_TABLE elements, skips every other element by
 length, and hands an undefined-length value (a sequence or encapsulated
 pixel data), with the header it read, to `_skip_undefined`, the one nested
 walker. The pixel data element is located but never decoded here (see
-pixels.decode_pixels). The walk also records where BodyPartExamined is, or
-would go, so that tag-write splices without walking the file again.
+pixels.decode_pixels). Top-level tags ascend strictly, so every field comes
+from the one occurrence of its tag. The walk also records the byte range
+BodyPartExamined takes, or the empty range where it would go, so that
+tag-write splices without walking the file again.
 
 Every structural fault raises Malformed with the byte offset of the fault,
 NotDicom (a Malformed) for input that does not start like DICOM at all;
@@ -279,14 +281,12 @@ class _Walk(NamedTuple):
     """What a top-level walk found, as byte offsets into the data."""
 
     end: int  # where the walk stopped
-    pixel_data: Optional[tuple]  # last (7FE0,0010): (value start, length)
-    # Last (0002,0010): (value start, value end).
-    transfer_syntax: Optional[tuple]
-    # First (0018,0015): (element start, value start, value end).
-    body_part: Optional[tuple]
-    # Start of the first element with a larger tag than (0018,0015), or
-    # the end of the data.
-    insert_at: int
+    pixel_data: Optional[tuple]  # (7FE0,0010): (value start, length)
+    transfer_syntax: Optional[tuple]  # (0002,0010): (value start, value end)
+    # (0018,0015): (element start, where the walk resumed after it); when
+    # absent, the empty range at the first element with a larger tag, or
+    # at the end of the walk.
+    body_part: tuple
 
 
 def _walk(data: bytes, pos: int, explicit: bool, records=None,
@@ -298,9 +298,11 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
     dataset. A dataset element costs one `_header` call and builds no
     object. An undefined-length value (a sequence or encapsulated pixel
     data) is stepped over by `_skip_undefined`, from the header read here.
-    An item or delimiter header (group FFFE) belongs inside a sequence or
-    a fragment list, so one at the top level raises Malformed at its
-    offset.
+    Tags must ascend strictly (PS3.5 7.1), so each tag occurs at most once;
+    a tag not greater than the one before it raises Malformed at its
+    element's offset. An item or delimiter header (group FFFE) belongs
+    inside a sequence or a fragment list, so one at the top level raises
+    Malformed at its offset.
     Each element whose tag fills a field of `records` (a field dict per
     record of _RECORDS) sets that field; sequences and undefined-length
     values fill nothing.
@@ -309,7 +311,8 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
     get_field = (_TAG_FIELDS if records is not None else {}).get
     header = _header
     u16 = _U16.unpack_from
-    pixel_data = transfer_syntax = body_part = insert_at = None
+    pixel_data = transfer_syntax = body_part = None
+    last = -1
     while pos < n:
         if n - pos < 8:
             raise Malformed("trailing garbage shorter than an element",
@@ -317,9 +320,14 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
         if keep_group is not None and u16(data, pos)[0] != keep_group:
             break
         tag, vr, value_start, length = header(data, pos, explicit)
-        if _ITEM_GROUP_START <= tag < _ITEM_GROUP_END:
-            raise Malformed("item or delimiter outside a sequence",
-                            offset=pos)
+        if not last < tag < _ITEM_GROUP_START:
+            if tag <= last:
+                raise Malformed("duplicate tag" if tag == last
+                                else "tag out of order", offset=pos)
+            if tag < _ITEM_GROUP_END:
+                raise Malformed("item or delimiter outside a sequence",
+                                offset=pos)
+        last = tag
         if length == UNDEFINED_LENGTH:
             end = _skip_undefined(data, tag, vr, value_start, explicit)
         elif length > n - value_start:
@@ -347,19 +355,15 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
                                          default)
                 records[i][name] = value
 
-        if tag > _BODY_PART:
+        if tag >= _BODY_PART:
+            if body_part is None:
+                body_part = (pos, end if tag == _BODY_PART else pos)
             if tag == _PIXEL_DATA:
                 pixel_data = (value_start, length)
-            if insert_at is None:
-                insert_at = pos
-        elif tag == _BODY_PART:
-            if body_part is None:
-                body_part = (pos, value_start, value_start + length)
         elif tag == _TRANSFER_SYNTAX:
             transfer_syntax = (value_start, value_start + length)
         pos = end
-    return _Walk(pos, pixel_data, transfer_syntax, body_part,
-                 n if insert_at is None else insert_at)
+    return _Walk(pos, pixel_data, transfer_syntax, body_part or (pos, pos))
 
 
 @dataclass
@@ -370,14 +374,10 @@ class ParsedFile:
     series_attrs: dict = field(default_factory=dict)
     study_attrs: dict = field(default_factory=dict)
     explicit: bool = True
-    dataset_start: int = 0
-    # Where tag-write puts (0018,0015), as the walk found it: the first
-    # top-level one's (element start, value start, value end), or None;
-    # and the start of the first top-level element with a larger tag, or
-    # the end of the data.
-    body_part_span: Optional[tuple] = field(default=None, compare=False,
-                                            repr=False)
-    body_part_insert_at: int = field(default=0, compare=False, repr=False)
+    # The byte range tag-write replaces with its (0018,0015), as the walk
+    # recorded it: the element from its start to where the walk resumed
+    # after it, or the empty range where the element would go.
+    body_part_span: tuple = field(default=(0, 0), compare=False, repr=False)
 
 
 def _sniff_explicit(data: bytes, pos: int) -> bool:
@@ -441,9 +441,7 @@ def parse_dicom(data: bytes, source_path: Optional[str] = None) -> ParsedFile:
                                             else length)
     return ParsedFile(image=ImageRecord(**image_attrs),
                       series_attrs=series_attrs, study_attrs=study_attrs,
-                      explicit=explicit, dataset_start=start,
-                      body_part_span=walk.body_part,
-                      body_part_insert_at=walk.insert_at)
+                      explicit=explicit, body_part_span=walk.body_part)
 
 
 # ---------------------------------------------------------------------------

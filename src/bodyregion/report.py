@@ -125,32 +125,19 @@ class TagChange:
     detail: str = ""
 
 
-def _old_body_part(data: bytes, parsed: ParsedFile) -> str:
-    """The value of the first top-level (0018,0015), "" when absent.
-
-    `parsed` is `parse_dicom(data)`.
-    """
-    if parsed.body_part_span is None:
-        return ""
-    _, value_start, value_end = parsed.body_part_span
-    return data[value_start:value_end].decode("latin-1").strip("\x00 ")
-
-
 def _splice_body_part(data: bytes, parsed: ParsedFile,
                       region: BodyRegion) -> bytes:
-    """Replace the first top-level (0018,0015), or insert one before the
-    first top-level element with a larger tag, preserving every other byte.
+    """`data` with the byte range the parse recorded for (0018,0015)
+    replaced by a new element, preserving every other byte.
 
-    `parsed` is `parse_dicom(data)`, whose walk recorded both positions;
-    the file is not walked again.
+    `parsed` is `parse_dicom(data)`, whose walk recorded the range: the one
+    top-level (0018,0015), or the empty range where it would go. The file
+    is not walked again.
     """
     element = encode_element(TAG_BODY_PART, "CS",
                              CANONICAL_TAG_STRINGS[region],
                              explicit=parsed.explicit)
-    if parsed.body_part_span is None:
-        head_end = tail_start = parsed.body_part_insert_at
-    else:
-        head_end, _, tail_start = parsed.body_part_span
+    head_end, tail_start = parsed.body_part_span
     view = memoryview(data)
     return b"".join((view[:head_end], element, view[tail_start:]))
 
@@ -187,8 +174,8 @@ def write_body_part_tags(files: Sequence[str],
                 path, SeriesStatus.REJECTED_UNCERTAIN.value,
                 "series rejected as uncertain")))
             continue
-        changes.append(TagChange(path, "rewritten",
-                                 old_value=_old_body_part(data, parsed),
+        old_value = parsed.study_attrs["body_part_examined"] or ""
+        changes.append(TagChange(path, "rewritten", old_value=old_value,
                                  new_value=CANONICAL_TAG_STRINGS[region]))
         if not dry_run:
             with open(path, "wb") as fh:

@@ -13,7 +13,8 @@ import pytest
 
 from bodyregion import cli, stats
 from bodyregion.cli import build_parser, main
-from bodyregion.dicomio import EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1, encode_element
+from bodyregion.dicomio import (EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1,
+                                TAG_BODY_PART, encode_element, parse_dicom)
 from bodyregion.ingest import tree_files
 from bodyregion.phantom import (PhantomSpec, RegionSpec, generate_phantom)
 from bodyregion.stats import bootstrap_counts
@@ -498,6 +499,12 @@ class TestSkipReasons:
         good = make_dicom(pixels=np.zeros(64, dtype="<u2"))
         (tree / "cut.dcm").write_bytes(good[:-40])
         (tree / "good.dcm").write_bytes(good)
+        # A second (0018,0015) right after the first, and one after the
+        # pixel data: each a fault at its own offset.
+        pelvis = encode_element(TAG_BODY_PART, "CS", "PELVIS")
+        end = parse_dicom(good).body_part_span[1]
+        (tree / "dup.dcm").write_bytes(good[:end] + pelvis + good[end:])
+        (tree / "late.dcm").write_bytes(good + pelvis)
         (tree / "labels.json").write_text('[\n  {"region": "Head"}\n]\n')
         results = tmp_path / "results.ndjson"
         results.write_text("")
@@ -516,6 +523,10 @@ class TestSkipReasons:
             "Malformed: element length past end of file")
         assert skips[str(tree / "labels.json")].startswith(
             "NotDicom: not a DICOM file")
+        assert skips[str(tree / "dup.dcm")] == (
+            f"Malformed: duplicate tag (at byte offset {end})")
+        assert skips[str(tree / "late.dcm")] == (
+            f"Malformed: tag out of order (at byte offset {len(good)})")
         assert [(r["action"], r["detail"]) for r in rows
                 if r["path"] == str(tree / "good.dcm")] == [
             ("skipped", "NotInResults: image not in results")]

@@ -1,9 +1,12 @@
 """Report tables (golden layout with NA rows) and tag write-back."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from bodyregion.dicomio import parse_dicom
+from bodyregion.dicomio import (TAG_BODY_PART, UNDEFINED_LENGTH,
+                                encode_element, parse_dicom)
 from bodyregion.report import (TagChange, emit_factor_report,
                                emit_region_report, write_body_part_tags,
                                write_change_log)
@@ -112,6 +115,24 @@ class TestTagWriteBack:
         write_body_part_tags([str(path)], {SOP: BodyRegion.HEAD})
         parsed = parse_dicom(path.read_bytes())
         assert parsed.study_attrs["body_part_examined"] == "HEAD"
+
+    def test_undefined_length_body_part_keeps_later_bytes(self, tmp_path):
+        # An undefined-length UN (0018,0015), before the pixel data: an
+        # empty item and the sequence delimiter that closes it.
+        plain = make_dicom(pixels=np.arange(64, dtype="<u2"),
+                           BodyPartExamined=None)
+        at, _ = parse_dicom(plain).body_part_span
+        element = (struct.pack("<HH", *TAG_BODY_PART) + b"UN\x00\x00"
+                   + struct.pack("<IHHIHHI", UNDEFINED_LENGTH,
+                                 0xFFFE, 0xE000, 0, 0xFFFE, 0xE0DD, 0))
+        path = tmp_path / "a.dcm"
+        path.write_bytes(plain[:at] + element + plain[at:])
+        changes, _ = write_body_part_tags([str(path)], {SOP: BodyRegion.HEAD})
+        assert (changes[0].action, changes[0].old_value) == ("rewritten", "")
+        # The element is replaced whole, and every byte after it is kept.
+        assert path.read_bytes() == (
+            plain[:at] + encode_element(TAG_BODY_PART, "CS", "HEAD")
+            + plain[at:])
 
     def test_other_bytes_preserved(self, tmp_path):
         path = tmp_path / "a.dcm"
