@@ -20,11 +20,12 @@ import csv
 import functools
 import io
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyClass, NotNormalized, SchemaError, read_text
+from .errors import (EmptyClass, NotNormalized, SchemaError, read_text,
+                     write_csv)
 from .preprocess import NormalizedImage, letterbox_block_operators
 from .taxonomy import CANONICAL_ORDER, BodyRegion
 
@@ -35,8 +36,7 @@ _CSV_SUM_TOL = 1e-6
 # Score files
 
 
-def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
-                ) -> Tuple[Dict[str, np.ndarray], Tuple[BodyRegion, ...]]:
+def load_scores(path) -> Tuple[Dict[str, np.ndarray], Tuple[BodyRegion, ...]]:
     """Read a score CSV: header `sop_uid,<class names>`, one row per image.
 
     Every entry must be finite and non-negative. Vectors within 1e-6 of
@@ -61,9 +61,6 @@ def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
         if (BodyRegion.ABDOMEN_CHEST in file_classes
                 and BodyRegion.ABDOMEN not in file_classes):
             raise SchemaError("header lists AbdomenChest but not Abdomen",
-                              line=1)
-        if classes is not None and tuple(classes) != file_classes:
-            raise SchemaError("score file classes do not match expected set",
                               line=1)
 
         scores: Dict[str, np.ndarray] = {}
@@ -92,11 +89,9 @@ def load_scores(path, classes: Optional[Sequence[BodyRegion]] = None
 
 def save_scores(scores: Dict[str, np.ndarray],
                 classes: Sequence[BodyRegion], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sop_uid"] + [c.value for c in classes])
-        for uid in scores:
-            writer.writerow([uid] + [f"{p:.10g}" for p in scores[uid]])
+    write_csv(path, ["sop_uid"] + [c.value for c in classes],
+              ([uid] + [f"{p:.10g}" for p in vec]
+               for uid, vec in scores.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +210,9 @@ class CentroidBackend:
 
 
 def fit_centroids(
-        examples: Iterable[Tuple[np.ndarray, BodyRegion]],
-        classes: Optional[Sequence[BodyRegion]] = None) -> CentroidBackend:
-    """Fit per-class means of `centroid_feature` vectors, summed in order.
-
-    `classes` defaults to the regions observed in the training set, in
-    canonical order. Any advertised class without an example is an error.
-    """
+        examples: Iterable[Tuple[np.ndarray, BodyRegion]]) -> CentroidBackend:
+    """Fit per-class means of `centroid_feature` vectors, summed in order,
+    over the regions observed in the training set, in canonical order."""
     sums: Dict[BodyRegion, np.ndarray] = {}
     counts: Dict[BodyRegion, int] = {}
     for feat, region in examples:
@@ -233,21 +224,15 @@ def fit_centroids(
             counts[region] = 1
     if not sums:
         raise EmptyClass("empty training set")
-    if classes is None:
-        classes = tuple(r for r in CANONICAL_ORDER if r in sums)
-    else:
-        classes = tuple(classes)
-        missing = [c for c in classes if c not in sums]
-        if missing:
-            raise EmptyClass(f"no training examples for {missing}")
+    classes = tuple(r for r in CANONICAL_ORDER if r in sums)
     centroids = np.stack([sums[c] / counts[c] for c in classes])
     return CentroidBackend(classes, centroids)
 
 
 def train_centroid_baseline(
-        labeled: Iterable[Tuple[NormalizedImage, BodyRegion]],
-        classes: Optional[Sequence[BodyRegion]] = None) -> CentroidBackend:
+        labeled: Iterable[Tuple[NormalizedImage, BodyRegion]]
+        ) -> CentroidBackend:
     """Fit per-class mean thumbnails of preprocessed images (see
     `fit_centroids`)."""
-    return fit_centroids(((centroid_feature(image.values), region)
-                          for image, region in labeled), classes)
+    return fit_centroids((centroid_feature(image.values), region)
+                         for image, region in labeled)

@@ -33,7 +33,7 @@ from .classify import fit_centroids, load_scores, pixel_feature, save_scores
 from .classify import train_centroid_baseline  # noqa: F401
 from .config import load_config, load_synonym_map
 from .errors import (ITEM_ERRORS, BodyRegionError, SchemaError, SkipReport,
-                     describe, read_text)
+                     describe, read_text, write_csv)
 from .geometry import (boxes_by_frame, load_boxes, project_box_labels,
                        series_geometry, warn_foreign_frames)
 from .ingest import (ingest_tree, read_metadata_ndjson, tree_files,
@@ -44,13 +44,6 @@ from .pixels import decode_pixels_from_file
 from .preprocess import preprocess_image  # noqa: F401
 from .stats import EvalSeries, EvalStudy, sample_size
 from .taxonomy import FINAL_REGIONS, BodyRegion
-
-
-def _write_truth(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sop_uid", "series_uid", "study_uid", "region"])
-        writer.writerows(rows)
 
 
 def _read_truth(path, final_only=False) -> Dict[str, BodyRegion]:
@@ -124,7 +117,8 @@ def cmd_labels_project(args):
                 rows.append([image.sop_uid, series.series_uid, study.study_uid,
                              label.value if label else ""])
     warn_foreign_frames(frames, [s for st in studies for s in st.series])
-    _write_truth(rows, args.out)
+    write_csv(args.out, ["sop_uid", "series_uid", "study_uid", "region"],
+              rows)
     labeled = sum(1 for r in rows if r[3])
     print(f"labeled {labeled}/{len(rows)} images -> {args.out}")
     return 0

@@ -7,7 +7,6 @@ constants below; no configuration overrides them.
 
 from __future__ import annotations
 
-import csv
 import enum
 import logging
 import re
@@ -15,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import dicomio
-from .errors import EmptyCohort, InvalidParams
+from .errors import DegenerateOrientation, EmptyCohort, write_csv
 from .geometry import AXIAL_MAX_ANGLE_DEG, axial_angle
 from .records import ImageRecord, SeriesRecord, StudyRecord
 from .taxonomy import BodyRegion
@@ -141,7 +140,7 @@ def filter_series(series: SeriesRecord,
         return _included(_ASSUMED_AXIAL)
     try:
         angle = axial_angle(orientation)
-    except Exception as exc:
+    except DegenerateOrientation as exc:
         return FilterDecision(False, FilterReason.NOT_AXIAL, f"degenerate: {exc}")
     if angle > AXIAL_MAX_ANGLE_DEG:
         return FilterDecision(False, FilterReason.NOT_AXIAL, f"{angle:.1f} deg")
@@ -205,12 +204,9 @@ def apply_filters(studies: List[StudyRecord],
 
 
 def write_filter_report(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["uid", "level", "included", "reason", "detail"])
-        for uid, level, dec in rows:
-            writer.writerow([uid, level, str(dec.included).lower(),
-                             dec.reason.value, dec.detail])
+    write_csv(path, ["uid", "level", "included", "reason", "detail"],
+              ([uid, level, str(dec.included).lower(), dec.reason.value,
+                dec.detail] for uid, level, dec in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +226,16 @@ class PartitionAssignment:
 
 
 def partition_patients(studies: Sequence[StudyRecord],
-                       regions: Dict[str, BodyRegion],
-                       ratio: float = 0.75) -> List[PartitionAssignment]:
+                       regions: Dict[str, BodyRegion]
+                       ) -> List[PartitionAssignment]:
     """75/25 train/validation split per main body region.
 
     Within each region group, studies are sorted descending by image count
-    and assigned round-robin 3:1 so each split's share stays within one
-    study of the ratio. Ratios other than 0.75 scale the round-robin cycle.
+    and assigned round-robin, three to Train then one to Validation, so
+    each split's share stays within one study of 3:1.
     """
-    if not 0.0 < ratio < 1.0:  # also rejects NaN
-        raise InvalidParams(f"train ratio must be in (0, 1), got {ratio!r}")
     if not studies:
         raise EmptyCohort("no studies to partition")
-    cycle_len = max(2, round(1.0 / (1.0 - ratio)))
-    n_train = round(cycle_len * ratio)
     groups: Dict[BodyRegion, List[StudyRecord]] = {}
     for s in studies:
         region = regions[s.study_uid]
@@ -253,7 +245,7 @@ def partition_patients(studies: Sequence[StudyRecord],
         ordered = sorted(groups[region],
                          key=lambda s: (-s.image_count(), s.study_uid))
         for i, s in enumerate(ordered):
-            split = Split.TRAIN if i % cycle_len < n_train else Split.VALIDATION
+            split = Split.TRAIN if i % 4 < 3 else Split.VALIDATION
             assignments.append(PartitionAssignment(s.study_uid, split, region))
     return assignments
 

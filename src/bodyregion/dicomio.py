@@ -305,7 +305,8 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
     Malformed at its offset.
     Each element whose tag fills a field of `records` (a field dict per
     record of _RECORDS) sets that field; sequences and undefined-length
-    values fill nothing.
+    values fill nothing, and an undefined-length (0002,0010) declares no
+    transfer syntax.
     """
     n = len(data)
     get_field = (_TAG_FIELDS if records is not None else {}).get
@@ -360,8 +361,8 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
                 body_part = (pos, end if tag == _BODY_PART else pos)
             if tag == _PIXEL_DATA:
                 pixel_data = (value_start, length)
-        elif tag == _TRANSFER_SYNTAX:
-            transfer_syntax = (value_start, value_start + length)
+        elif tag == _TRANSFER_SYNTAX and length != UNDEFINED_LENGTH:
+            transfer_syntax = (value_start, end)
         pos = end
     return _Walk(pos, pixel_data, transfer_syntax, body_part or (pos, pos))
 

@@ -1,7 +1,8 @@
 """Exception types shared across the pipeline, whose class names are the
-reasons every per-item row gives, and `read_text`, the one read of a whole
+reasons every per-item row gives; `read_text`, the one read of a whole
 text input (CSV, JSON, YAML, uid list), which raises SchemaError for bytes
-that are not UTF-8. NDJSON is decoded line by line in `ingest.read_ndjson`."""
+that are not UTF-8; and `write_csv`, the one writer of a stage table.
+NDJSON is read and written line by line in ingest.py."""
 
 import csv
 from collections import Counter
@@ -68,7 +69,7 @@ class EmptyImage(BodyRegionError):
 
 
 class EmptyClass(BodyRegionError):
-    """Baseline training set is missing examples for an advertised class."""
+    """Baseline training set has no examples."""
 
 
 class EmptyMatrix(BodyRegionError):
@@ -135,11 +136,18 @@ class SkipReport:
 
     def write_csv(self, path) -> None:
         """A `path,error` CSV, one spelled row per item."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "error"])
-            writer.writerows((item, _spell(reason, message))
-                             for item, reason, message in self.rows)
+        write_csv(path, ["path", "error"],
+                  ((item, _spell(reason, message))
+                   for item, reason, message in self.rows))
+
+
+def write_csv(path, header, rows) -> None:
+    """`header`, then each row of the iterable `rows`, as UTF-8 CSV in the
+    csv module's default dialect (CRLF line ends, minimal quoting)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_text(path) -> str:

@@ -58,6 +58,8 @@ def slice_normal(orientation: Sequence[float]) -> np.ndarray:
     o = np.asarray(orientation, dtype=float)
     if o.shape != (6,):
         raise DegenerateOrientation(f"orientation must have 6 components, got {o.shape}")
+    if not np.isfinite(o).all():
+        raise DegenerateOrientation("orientation cosines are not finite")
     row, col = o[:3], o[3:]
     if abs(np.linalg.norm(row) - 1.0) > _UNIT_TOL or abs(np.linalg.norm(col) - 1.0) > _UNIT_TOL:
         raise DegenerateOrientation("row/column cosines are not unit vectors")
@@ -101,14 +103,21 @@ def series_geometry(series: SeriesRecord) -> SliceGeometry:
 
 def sort_series_images(series: SeriesRecord) -> None:
     """Order images by position along the normal; fall back to
-    InstanceNumber, then existing (file) order. Deterministic, in place."""
+    InstanceNumber, then existing (file) order, when a position is missing
+    or the orientation is degenerate (the filter stage excludes such a
+    series as NotAxial). Deterministic, in place."""
     if not series.images:
         return
     if all(im.image_position_patient is not None for im in series.images):
-        geo = series_geometry(series)
-        order = np.argsort(geo.positions, kind="stable")
-        series.images = [series.images[i] for i in order]
-    elif all(im.instance_number is not None for im in series.images):
+        try:
+            positions = series_geometry(series).positions
+        except DegenerateOrientation:
+            pass
+        else:
+            order = np.argsort(positions, kind="stable")
+            series.images = [series.images[i] for i in order]
+            return
+    if all(im.instance_number is not None for im in series.images):
         series.images.sort(key=lambda im: im.instance_number)
 
 

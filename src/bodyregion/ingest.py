@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .dicomio import parse_dicom
 from .errors import ITEM_ERRORS, SchemaError, SkipReport
@@ -122,16 +122,27 @@ def read_ndjson(path) -> Iterator[Tuple[int, dict]]:
             yield lineno, row
 
 
+def write_ndjson(path, rows: Iterable[dict]) -> None:
+    """Each of `rows` as one line of UTF-8 JSON with sorted keys, the text
+    of `json.dumps(row, sort_keys=True)`, ended by "\n"."""
+    encode = _ENCODER.encode
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(encode(row) + "\n")
+
+
 def write_metadata_ndjson(studies: List[StudyRecord], path) -> None:
     """Export the cohort metadata, one flat JSON object per image line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for study in studies:
-            study_part = sidecar_row(study)
-            for series in study.series:
-                series_part = {**study_part, **sidecar_row(series)}
-                for image in series.images:
-                    row = {**series_part, **sidecar_row(image)}
-                    fh.write(_ENCODER.encode(row) + "\n")
+    write_ndjson(path, _metadata_rows(studies))
+
+
+def _metadata_rows(studies: List[StudyRecord]) -> Iterator[dict]:
+    for study in studies:
+        study_part = sidecar_row(study)
+        for series in study.series:
+            series_part = {**study_part, **sidecar_row(series)}
+            for image in series.images:
+                yield {**series_part, **sidecar_row(image)}
 
 
 def _uids(row: dict, lineno: int) -> Tuple[str, str]:

@@ -14,14 +14,13 @@ AbdomenChest class never survives this module.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptySeries, SchemaError
-from .ingest import read_ndjson
+from .ingest import read_ndjson, write_ndjson
 from .taxonomy import FINAL_REGIONS, BodyRegion
 
 DEFAULT_MIN_RUN = 3
@@ -206,22 +205,21 @@ def run_pipeline(sop_uids: Sequence[str], probs: np.ndarray,
 
 
 def write_series_results(results: Sequence[SeriesResult], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in results:
-            labels = ([x.value for x in r.final_labels]
-                      or [None] * len(r.sop_uids))
-            row = {
-                "series_uid": r.series_uid,
-                "status": r.series_status.value,
-                "series_regions": sorted(x.value for x in r.series_regions),
-                "images": [
-                    {"sop_uid": uid, "label": label,
-                     "margin": round(m, 10), "entropy": round(e, 10)}
-                    for uid, label, m, e in zip(r.sop_uids, labels,
-                                                r.margin.tolist(),
-                                                r.entropy.tolist())],
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_ndjson(path, map(_result_json, results))
+
+
+def _result_json(r: SeriesResult) -> dict:
+    labels = [x.value for x in r.final_labels] or [None] * len(r.sop_uids)
+    return {
+        "series_uid": r.series_uid,
+        "status": r.series_status.value,
+        "series_regions": sorted(x.value for x in r.series_regions),
+        "images": [
+            {"sop_uid": uid, "label": label,
+             "margin": round(m, 10), "entropy": round(e, 10)}
+            for uid, label, m, e in zip(r.sop_uids, labels, r.margin.tolist(),
+                                        r.entropy.tolist())],
+    }
 
 
 @dataclass(frozen=True)

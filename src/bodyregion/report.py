@@ -8,14 +8,13 @@ files are stable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
-from .errors import ITEM_ERRORS, SkipReport
+from .errors import ITEM_ERRORS, SkipReport, write_csv
 from .postprocess import SeriesStatus
 from .stats import (CIResult, ClassSums, EvalStudy, FactorReport,
                     ci_from_counts, class_recall, class_specificity,
@@ -85,31 +84,21 @@ def _fmt_p(p: Optional[float]) -> str:
 
 
 def emit_region_report(rows: Sequence[RegionRow], path) -> None:
-    header = ["region", "n", "sensitivity_95ci", "specificity_95ci"]
-    table = [[r.name, str(r.n_images),
-              _fmt_metric(r.sensitivity, r.sensitivity_ci),
-              _fmt_metric(r.specificity, r.specificity_ci)] for r in rows]
-    _emit_table(header, table, path)
+    write_csv(path, ["region", "n", "sensitivity_95ci", "specificity_95ci"],
+              ([r.name, str(r.n_images),
+                _fmt_metric(r.sensitivity, r.sensitivity_ci),
+                _fmt_metric(r.specificity, r.specificity_ci)] for r in rows))
 
 
 def emit_factor_report(report: FactorReport, path) -> None:
     header = ["factor", "category", "n", "n_images",
               "sensitivity_95ci", "specificity_95ci", "p_value"]
-    table = []
-    for i, row in enumerate(report.rows):
-        table.append([
-            report.factor, row.category, str(row.n_units), str(row.n_images),
-            _fmt_metric(row.sensitivity, row.sensitivity_ci),
-            _fmt_metric(row.specificity, row.specificity_ci),
-            _fmt_p(report.p_value) if i == 0 else ""])
-    _emit_table(header, table, path)
-
-
-def _emit_table(header: List[str], rows: List[List[str]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(path, header, (
+        [report.factor, row.category, str(row.n_units), str(row.n_images),
+         _fmt_metric(row.sensitivity, row.sensitivity_ci),
+         _fmt_metric(row.specificity, row.specificity_ci),
+         _fmt_p(report.p_value) if i == 0 else ""]
+        for i, row in enumerate(report.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +173,6 @@ def write_body_part_tags(files: Sequence[str],
 
 
 def write_change_log(changes: Sequence[TagChange], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "action", "old_value", "new_value", "detail"])
-        for c in changes:
-            writer.writerow([c.path, c.action, c.old_value, c.new_value, c.detail])
+    write_csv(path, ["path", "action", "old_value", "new_value", "detail"],
+              ([c.path, c.action, c.old_value, c.new_value, c.detail]
+               for c in changes))

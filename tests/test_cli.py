@@ -531,6 +531,35 @@ class TestSkipReasons:
                 if r["path"] == str(tree / "good.dcm")] == [
             ("skipped", "NotInResults: image not in results")]
 
+    def test_degenerate_orientation_ends_no_stage(self, tmp_path):
+        # Row cosines of length 2: the series cannot be ordered along its
+        # normal, so ingest orders it by InstanceNumber, classify scores
+        # it, and filter excludes it.
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        for i in (1, 2):
+            (tree / f"{i}.dcm").write_bytes(make_dicom(
+                pixels=np.zeros(64, dtype="<u2"), InstanceNumber=3 - i,
+                SOPInstanceUID=f"1.2.3.4.{i}",
+                ImagePositionPatient=(0.0, 0.0, float(i)),
+                ImageOrientationPatient=(2.0, 0.0, 0.0, 0.0, 1.0, 0.0)))
+        ing, flt = tmp_path / "ing", tmp_path / "flt"
+        assert main(["ingest", "--dicom", str(tree), "--out", str(ing)]) == 0
+        with open(ing / "metadata.ndjson") as fh:
+            assert [json.loads(line)["sop_uid"] for line in fh] == [
+                "1.2.3.4.2", "1.2.3.4.1"]
+        assert main(["filter", "--in", str(ing / "metadata.ndjson"),
+                     "--out", str(flt)]) == 0
+        with open(flt / "filter_report.csv") as fh:
+            assert [(r["level"], r["reason"], r["detail"])
+                    for r in csv.DictReader(fh)] == [
+                ("series", "NotAxial",
+                 "degenerate: row/column cosines are not unit vectors")]
+        truth = tmp_path / "truth.csv"
+        truth.write_text("sop_uid,region\n1.2.3.4.1,Head\n")
+        assert main(["classify", "--dicom", str(tree), "--truth", str(truth),
+                     "--out", str(tmp_path / "scores.csv")]) == 0
+
 
 def _file_meta(syntax):
     meta = encode_element((0x0002, 0x0010), "UI", syntax)

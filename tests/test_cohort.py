@@ -8,7 +8,7 @@ import pytest
 from bodyregion.cohort import (FilterReason, Split, apply_filters,
                                filter_image, filter_series, mri_sequence_type,
                                partition_patients)
-from bodyregion.errors import EmptyCohort, InvalidParams
+from bodyregion.errors import EmptyCohort
 from bodyregion.taxonomy import BodyRegion
 
 from conftest import make_image, make_series, make_study
@@ -57,6 +57,17 @@ class TestSeriesFilter:
         for im in series.images:
             im.image_orientation_patient = tilted
         assert filter_series(series).reason is reason
+
+    @pytest.mark.parametrize("orientation", [
+        (2.0, 0.0, 0.0, 0.0, 1.0, 0.0), (math.nan, 0.0, 0.0, 0.0, 1.0, 0.0)],
+        ids=["not_unit", "nan"])
+    def test_degenerate_orientation_excluded(self, orientation):
+        series = make_series()
+        for im in series.images:
+            im.image_orientation_patient = orientation
+        dec = filter_series(series)
+        assert dec.reason is FilterReason.NOT_AXIAL
+        assert dec.detail.startswith("degenerate: ")
 
     def test_missing_orientation_lenient_vs_strict(self):
         series = make_series()
@@ -210,10 +221,4 @@ class TestPartition:
     def test_empty(self):
         with pytest.raises(EmptyCohort):
             partition_patients([], {})
-
-    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.1, float("nan")])
-    def test_ratio_outside_open_unit_interval_rejected(self, ratio):
-        studies, regions = self._cohort(3)
-        with pytest.raises(InvalidParams):
-            partition_patients(studies, regions, ratio=ratio)
 

@@ -149,7 +149,8 @@ def find_dataset_start(data):
         tsuid = ""
         last = pos
         for ref in iter_elements(data, pos, explicit=True, stop_before_group=0x0002):
-            if ref.tag == (0x0002, 0x0010):
+            if (ref.tag == (0x0002, 0x0010)
+                    and ref.value_length != UNDEFINED_LENGTH):
                 tsuid = _decode_string(data[ref.value_start:ref.value_end])
             last = ref.end
         if not tsuid:
@@ -940,25 +941,29 @@ class TestInlineWalk:
             assert outcome[:2] == (name, offset)
             assert outcome[2].startswith(message)
 
-    @pytest.mark.parametrize("meta,replaces", [
-        # Undefined length: the value runs to the end of the data.
-        (long_vr_element((0x0002, 0x0010), b"UN", item() + SEQ_DELIM), True),
+    @pytest.mark.parametrize("meta,replaces,fault", [
+        # Undefined length: a value with no defined end declares no
+        # transfer syntax, so the meta group has none.
+        (long_vr_element((0x0002, 0x0010), b"UN", item() + SEQ_DELIM), True,
+         ("Malformed", 132, "file meta group missing TransferSyntaxUID "
+          "(at byte offset 132)")),
         # A second one after the file's own: a duplicate tag.
-        (encode_element((0x0002, 0x0010), "UI", IMPLICIT_VR_LE), False),
+        (encode_element((0x0002, 0x0010), "UI", IMPLICIT_VR_LE), False,
+         ("Malformed", EXPLICIT_START,
+          f"duplicate tag (at byte offset {EXPLICIT_START})")),
         # Read as text whatever its VR.
-        (element((0x0002, 0x0010), b"US", b""), True),
-        (element((0x0002, 0x0010), b"SQ", b"1.2.840.10008.1.2\x00"), True),
+        (element((0x0002, 0x0010), b"US", b""), True, None),
+        (element((0x0002, 0x0010), b"SQ", b"1.2.840.10008.1.2\x00"), True,
+         None),
     ], ids=["undefined_length", "repeated", "empty_us", "defined_sq"])
-    def test_meta_transfer_syntax_element(self, meta, replaces):
-        data = make_dicom(pixels=np.arange(64, dtype="<u2"))
-        start = find_dataset_start(data)[0]
+    def test_meta_transfer_syntax_element(self, meta, replaces, fault):
+        data, start = EXPLICIT_BASE, EXPLICIT_START
         # The file's own (0002,0010) follows the 12-byte group length at
         # 132 and ends the meta group.
         spliced = data[:144 if replaces else start] + meta + data[start:]
         assert_matches_walk(spliced)
-        if not replaces:
-            assert walk_outcome(parse_dicom, spliced) == (
-                "Malformed", start, f"duplicate tag (at byte offset {start})")
+        if fault is not None:
+            assert walk_outcome(parse_dicom, spliced) == fault
 
     @pytest.mark.parametrize("case", ["present", "absent", "after_larger"])
     def test_body_part_positions(self, case):

@@ -1,13 +1,14 @@
 """`errors.read_text`, the one decode of a whole text input, the message
-SchemaError builds from its path and line, and `SkipReport`, the one
-record of the items a stage could not process."""
+SchemaError builds from its path and line, `SkipReport`, the one record of
+the items a stage could not process, and `write_csv`, the one writer of a
+stage table."""
 
 from collections import Counter
 
 import pytest
 
 from bodyregion.errors import (Malformed, NotDicom, SchemaError, SkipReport,
-                               read_text)
+                               read_text, write_csv)
 
 
 class TestReadText:
@@ -74,3 +75,15 @@ class TestSkipReport:
         assert report.reasons == {"Malformed": 2, "NotDicom": 1,
                                   "FileNotFoundError": 1,
                                   "RejectedUncertain": 1}
+
+
+class TestWriteCsv:
+    def test_header_then_rows_in_utf8_with_crlf(self, tmp_path):
+        # `rows` may be a generator; a cell holding a comma is quoted.
+        path = tmp_path / "table.csv"
+        write_csv(path, ["uid", "detail"],
+                  ((uid, detail) for uid, detail in [
+                      ("1.2", "région"), ("1.3", "a, b"), ("1.4", "")]))
+        assert path.read_bytes() == (
+            "uid,detail\r\n1.2,région\r\n1.3,\"a, b\"\r\n1.4,\r\n"
+            .encode("utf-8"))

@@ -48,6 +48,8 @@ class TestOrientation:
         (1, 0, 0, 0, 1),                 # wrong length
         (2, 0, 0, 0, 1, 0),              # not unit
         (1, 0, 0, 1, 0, 0),              # parallel
+        (math.nan, 0, 0, 0, 1, 0),       # not finite
+        (1, 0, 0, 0, math.inf, 0),
     ])
     def test_degenerate(self, orientation):
         with pytest.raises(DegenerateOrientation):
@@ -98,6 +100,15 @@ class TestSorting:
             im.image_position_patient = None
             im.instance_number = n
         series.images[0].image_position_patient = None
+        sort_series_images(series)
+        assert [im.instance_number for im in series.images] == [1, 2, 3]
+
+    def test_degenerate_orientation_falls_back_to_instance_number(self):
+        # By position the order would be 3, 2, 1.
+        series = make_series(zs=(4.0, 0.0, 2.0))
+        for im, n in zip(series.images, (1, 3, 2)):
+            im.image_orientation_patient = (2.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+            im.instance_number = n
         sort_series_images(series)
         assert [im.instance_number for im in series.images] == [1, 2, 3]
 

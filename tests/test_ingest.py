@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bodyregion.cli import main
 from bodyregion.errors import SchemaError
 from bodyregion.ingest import (ingest_tree, read_metadata_ndjson, tree_files,
-                               write_metadata_ndjson)
+                               write_metadata_ndjson, write_ndjson)
 from bodyregion.records import (SIDECAR_FIELDS, ImageRecord, SeriesRecord,
                                 StudyRecord, sidecar_row)
 
@@ -111,6 +111,16 @@ class TestNdjsonRoundTrip:
         write_metadata_ndjson(studies, p1)
         write_metadata_ndjson(read_metadata_ndjson(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWriteNdjson:
+    def test_one_sorted_key_line_per_row(self, tmp_path):
+        rows = [{"b": 1, "a": [None, 0.5]},
+                {"uid": "é", "x": {"z": 1, "y": 2}}, {}]
+        path = tmp_path / "rows.ndjson"
+        write_ndjson(path, iter(rows))
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 class TestNdjsonSchema:
