@@ -52,7 +52,6 @@ _KNOWN_VRS = _LONG_VRS | {
     b"LO", b"LT", b"PN", b"SH", b"SL", b"SS", b"ST", b"TM", b"UI", b"UL",
     b"US",
 }
-_LONG_VR_NAMES = {vr.decode() for vr in _LONG_VRS}
 
 # Header layouts, little endian. Implicit VR, and every item or delimiter
 # header (group FFFE), is tag + 4-byte length; explicit VR is tag + VR +
@@ -192,40 +191,12 @@ def _skip_undefined(data: bytes, tag: int, vr: Optional[bytes], pos: int,
 
 
 # VRs whose value is text.
-_STRING_VR_NAMES = {"UI", "CS", "LO", "SH", "AS", "AE", "PN", "ST", "LT",
-                    "DA", "TM"}
-_STRING_VRS = {vr.encode() for vr in _STRING_VR_NAMES}
+_STRING_VRS = {b"UI", b"CS", b"LO", b"SH", b"AS", b"AE", b"PN", b"ST", b"LT",
+               b"DA", b"TM"}
 
 
 def _decode_string(raw: bytes) -> str:
-    return raw.decode("latin-1", errors="replace").strip("\x00 ")
-
-
-def _decode_value(vr: str, raw: bytes, offset: int):
-    """Decode a value by VR into python types. Multi-valued DS/IS -> list."""
-    if vr in _STRING_VR_NAMES:
-        return _decode_string(raw)
-    if vr == "US":
-        if len(raw) < 2:
-            raise Malformed("US value shorter than 2 bytes", offset=offset)
-        return _U16.unpack_from(raw)[0]
-    if vr == "UL":
-        if len(raw) < 4:
-            raise Malformed("UL value shorter than 4 bytes", offset=offset)
-        return _U32.unpack_from(raw)[0]
-    if vr in ("DS", "IS"):
-        text = _decode_string(raw)
-        if not text:
-            return None
-        parts = [p.strip() for p in text.split("\\")]
-        try:
-            vals = [float(p) if vr == "DS" else int(float(p)) for p in parts if p]
-        except (ValueError, OverflowError):  # int(float("inf")) overflows
-            raise Malformed(f"bad {vr} value {text!r}", offset=offset)
-        if not vals:
-            return None
-        return vals if len(vals) > 1 else vals[0]
-    return raw
+    return raw.decode("latin-1").strip("\x00 ")
 
 
 def _parse_age(text: str) -> Optional[float]:
@@ -259,18 +230,35 @@ _TABLE_DECODED_VRS = {b"UN", b"OB", b"OW"}
 
 def _field_value(vr: bytes, raw: bytes, offset: int, table_vr: bytes, typ,
                  convert, default):
-    """A record field's value from its element's value bytes `raw`, by the
-    general rule: decode by VR, then convert leniently."""
-    value = _decode_value(vr.decode(), raw, offset)
+    """A record field's value from its element's value bytes `raw`, which
+    start at `offset`, by the general rule: decode by VR (text, US, UL, DS
+    or IS; any other VR leaves the bytes), then convert leniently."""
+    if vr in _STRING_VRS:
+        value = _decode_string(raw)
+    elif vr == b"US" or vr == b"UL":
+        unpack = _U16 if vr == b"US" else _U32
+        if len(raw) < unpack.size:
+            raise Malformed(f"{vr.decode()} value shorter than "
+                            f"{unpack.size} bytes", offset=offset)
+        value = unpack.unpack_from(raw)[0]
+    elif vr == b"DS" or vr == b"IS":
+        text = _decode_string(raw)
+        try:
+            values = [float(p) if vr == b"DS" else int(float(p))
+                      for p in map(str.strip, text.split("\\")) if p]
+        except (ValueError, OverflowError):  # int(float("inf")) overflows
+            raise Malformed(f"bad {vr.decode()} value {text!r}", offset=offset)
+        # A corrupted VR can turn any tag into arbitrary data, so the policy
+        # is lenient: a scalar field takes the first of several values.
+        value = (values if len(values) > 1 and typ is None
+                 else values[0] if values else None)
+    else:
+        value = raw
     if table_vr == b"AS":
         value = _parse_age(value) if isinstance(value, str) else None
-    # A corrupted VR can turn any tag into arbitrary data, so the policy is
-    # lenient: a multi-valued scalar gives its first value, and an empty or
-    # unconvertible value gives the field's default.
+    # An empty or unconvertible value gives the field's default.
     if value is None or value == "":
         return default
-    if value.__class__ is list and typ is not None:
-        value = value[0]  # a scalar field; a number, never empty
     try:
         return value if value.__class__ is typ else convert(value)
     except (TypeError, ValueError, OverflowError):
@@ -480,7 +468,7 @@ def encode_element(tag: tuple, vr: str, value, explicit: bool = True) -> bytes:
     raw = _encode_value(vr, value)
     head = struct.pack("<HH", tag[0], tag[1])
     if explicit:
-        if vr in _LONG_VR_NAMES:
+        if vr.encode() in _LONG_VRS:
             return head + vr.encode() + b"\x00\x00" + struct.pack("<I", len(raw)) + raw
         return head + vr.encode() + struct.pack("<H", len(raw)) + raw
     return head + struct.pack("<I", len(raw)) + raw

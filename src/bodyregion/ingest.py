@@ -21,13 +21,19 @@ from .records import (SIDECAR_FIELDS, ImageRecord, SeriesRecord, StudyRecord,
                       sidecar_row)
 
 
-def _merge_attrs(target, attrs: dict) -> None:
-    """First-wins merge of per-file attributes onto a series/study record."""
-    for key, value in attrs.items():
-        if value in (None, ""):
-            continue
-        if getattr(target, key, None) in (None, "", "other"):
-            setattr(target, key, value)
+def _merge_attrs(records: dict, key, cls, attrs: dict):
+    """Merge one file's `attrs` into the `cls` record at `key` in
+    `records`, and return it. The first file naming the record builds it;
+    a later one only fills the fields still at their defaults (first
+    wins)."""
+    record = records.get(key)
+    if record is None:
+        record = records[key] = cls(**attrs)
+    else:
+        for name, _, _, _, default in SIDECAR_FIELDS[cls]:
+            if getattr(record, name) == default:
+                setattr(record, name, attrs[name])
+    return record
 
 
 def tree_files(path) -> List[str]:
@@ -47,7 +53,8 @@ def ingest_tree(path) -> Tuple[List[StudyRecord], SkipReport]:
     series end up ordered by geometry (fallback InstanceNumber, then file
     order).
     """
-    studies: dict = {}
+    studies: dict = {}  # study uid -> StudyRecord
+    series_by_uid: dict = {}  # (study uid, series uid) -> SeriesRecord
     skipped = SkipReport()
     for fp in tree_files(path):
         try:
@@ -57,31 +64,20 @@ def ingest_tree(path) -> Tuple[List[StudyRecord], SkipReport]:
         except ITEM_ERRORS as exc:
             skipped.add(fp, exc)
             continue
-        # The file's own study and series. The first file of each founds
-        # it; later files fill in the attributes it lacks.
-        study = StudyRecord(**parsed.study_attrs)
-        series = SeriesRecord(**parsed.series_attrs)
-        if not (study.study_uid and series.series_uid and parsed.image.sop_uid):
+        study_uid = parsed.study_attrs["study_uid"]
+        key = study_uid, parsed.series_attrs["series_uid"]
+        if not (all(key) and parsed.image.sop_uid):
             skipped.add(fp, SchemaError("missing study/series/sop UID"))
             continue
-        study = studies.setdefault(study.study_uid, study)
-        _merge_attrs(study, parsed.study_attrs)
-        known = study.find_series(series.series_uid)
-        if known is None:
-            study.series.append(series)
-        else:
-            series = known
-            _merge_attrs(series, parsed.series_attrs)
+        _merge_attrs(studies, study_uid, StudyRecord, parsed.study_attrs)
+        series = _merge_attrs(series_by_uid, key, SeriesRecord,
+                              parsed.series_attrs)
         series.images.append(parsed.image)
 
-    result = []
-    for study_uid in sorted(studies):
-        study = studies[study_uid]
-        study.series.sort(key=lambda s: s.series_uid)
-        for series in study.series:
-            sort_series_images(series)
-        result.append(study)
-    return result, skipped
+    for (study_uid, _), series in sorted(series_by_uid.items()):
+        sort_series_images(series)
+        studies[study_uid].series.append(series)
+    return [studies[uid] for uid in sorted(studies)], skipped
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,6 @@ class StudyRecord:
     def image_count(self) -> int:
         return sum(len(s.images) for s in self.series)
 
-    def find_series(self, series_uid: str) -> Optional[SeriesRecord]:
-        for s in self.series:
-            if s.series_uid == series_uid:
-                return s
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Field conversion rules

@@ -8,6 +8,9 @@ files are stable.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -114,21 +117,29 @@ class TagChange:
     detail: str = ""
 
 
-def _splice_body_part(data: bytes, parsed: ParsedFile,
-                      region: BodyRegion) -> bytes:
-    """`data` with the byte range the parse recorded for (0018,0015)
-    replaced by a new element, preserving every other byte.
-
-    `parsed` is `parse_dicom(data)`, whose walk recorded the range: the one
-    top-level (0018,0015), or the empty range where it would go. The file
-    is not walked again.
-    """
-    element = encode_element(TAG_BODY_PART, "CS",
-                             CANONICAL_TAG_STRINGS[region],
+def _replace_body_part(path: str, data: bytes, parsed: ParsedFile,
+                       value: str) -> None:
+    """Replace the file at `path`, whose bytes `data` parsed as `parsed`,
+    with a copy in which a new (0018,0015) of `value` takes the byte range
+    the parse recorded: the one top-level (0018,0015), or the empty range
+    where it would go. The copy goes to a temporary file in the same
+    directory, which takes the original's mode and is renamed over it; on
+    any failure it is removed, so no file is left half-written."""
+    element = encode_element(TAG_BODY_PART, "CS", value,
                              explicit=parsed.explicit)
     head_end, tail_start = parsed.body_part_span
     view = memoryview(data)
-    return b"".join((view[:head_end], element, view[tail_start:]))
+    target = os.path.realpath(path)
+    fd, temp = tempfile.mkstemp(prefix=".tag-write-",
+                                dir=os.path.dirname(target))
+    try:
+        with open(fd, "wb") as fh:
+            fh.writelines((view[:head_end], element, view[tail_start:]))
+        shutil.copymode(target, temp)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def write_body_part_tags(files: Sequence[str],
@@ -164,11 +175,16 @@ def write_body_part_tags(files: Sequence[str],
                 "series rejected as uncertain")))
             continue
         old_value = parsed.study_attrs["body_part_examined"] or ""
-        changes.append(TagChange(path, "rewritten", old_value=old_value,
-                                 new_value=CANONICAL_TAG_STRINGS[region]))
+        new_value = CANONICAL_TAG_STRINGS[region]
         if not dry_run:
-            with open(path, "wb") as fh:
-                fh.write(_splice_body_part(data, parsed, region))
+            try:
+                _replace_body_part(path, data, parsed, new_value)
+            except OSError as exc:
+                changes.append(TagChange(path, "error",
+                                         detail=skipped.add(path, exc)))
+                continue
+        changes.append(TagChange(path, "rewritten", old_value=old_value,
+                                 new_value=new_value))
     return changes, skipped
 
 

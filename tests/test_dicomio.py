@@ -983,3 +983,49 @@ class TestInlineWalk:
         assert data[start:end] == (BODY_PART_CS if case == "present" else b"")
         # (0018,0050) SliceThickness is the first larger tag.
         assert data[end:end + 4] == struct.pack("<HH", 0x0018, 0x0050)
+
+
+# ---------------------------------------------------------------------------
+# The field decoder's branches against the walk it replaced
+
+SOP_CLASS = (0x0008, 0x0016)
+MODALITY = (0x0008, 0x0060)
+PATIENT_AGE = (0x0010, 0x1010)
+SLICE_THICKNESS = (0x0018, 0x0050)
+
+# Each case: the element, the make_dicom keyword whose own element it
+# replaces, and the field value it gives, or the message of the fault at
+# its value's offset (past an 8-byte header).
+DECODER_CASES = {
+    "ul_int_field": (element(ROWS, b"UL", struct.pack("<I", 12)), "Rows",
+                     ("rows", 12)),
+    "short_us_int_field": (element(ROWS, b"US", b"\x01"), "Rows",
+                           "US value shorter than 2 bytes"),
+    "short_us_text_field": (element(SOP_CLASS, b"US", b"\x01"),
+                            "SOPClassUID", "US value shorter than 2 bytes"),
+    "multi_valued_ds_scalar": (element(SLICE_THICKNESS, b"DS", b"2.5\\3.0 "),
+                               "SliceThickness", ("slice_thickness", 2.5)),
+    "infinite_is": (element(INSTANCE_NUMBER, b"IS", b"inf "),
+                    "InstanceNumber", "bad IS value 'inf'"),
+    "as_field_non_text_vr": (element(PATIENT_AGE, b"US", _U16.pack(45)),
+                             "PatientAge", ("patient_age", None)),
+    "ob_text_field": (long_vr_element(MODALITY, b"OB", b"MR", length=2),
+                      "Modality", ("modality", "MR")),
+}
+
+
+class TestFieldDecoder:
+    @pytest.mark.parametrize("case", DECODER_CASES)
+    def test_branch_matches_walk(self, case):
+        spliced, keyword, expected = DECODER_CASES[case]
+        _, data = with_element(spliced, **{keyword: None})
+        assert_matches_walk(data)
+        if isinstance(expected, str):
+            offset = data.index(spliced) + 8
+            assert walk_outcome(parse_dicom, data) == (
+                "Malformed", offset, f"{expected} (at byte offset {offset})")
+        else:
+            parsed = parse_dicom(data)
+            name, value = expected
+            assert {**vars(parsed.image), **parsed.series_attrs,
+                    **parsed.study_attrs}[name] == value

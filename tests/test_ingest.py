@@ -80,6 +80,32 @@ class TestIngestTree:
         assert [os.path.relpath(p, tmp_path) for p in tree_files(tmp_path)] == [
             "c", "a/y", "a/z/1", "b/10", "b/2"]
 
+    def test_later_file_fills_only_fields_at_their_default(self, tmp_path):
+        # The first file's Manufacturer "other" is a value, not a blank; its
+        # missing Modality (default "other") is a blank a later file fills.
+        for i, overrides in enumerate([dict(Manufacturer="other",
+                                            Modality=None),
+                                       dict(Manufacturer="GE",
+                                            Modality="CT")]):
+            (tmp_path / f"im{i}.dcm").write_bytes(make_dicom(
+                pixels=np.zeros(64, dtype="<u2"), SOPInstanceUID=f"1.0.{i}",
+                InstanceNumber=i + 1, **overrides))
+        [study], _ = ingest_tree(tmp_path)
+        assert study.manufacturer == "other"
+        assert study.series[0].modality == "CT"
+        assert study.image_count() == 2
+
+    def test_same_series_uid_in_two_studies_is_two_series(self, tmp_path):
+        for i, (study_uid, description) in enumerate([("1.5", "COR"),
+                                                      ("1.3", "AX")]):
+            (tmp_path / f"im{i}.dcm").write_bytes(make_dicom(
+                pixels=np.zeros(64, dtype="<u2"), SOPInstanceUID=f"1.0.{i}",
+                StudyInstanceUID=study_uid, SeriesDescription=description))
+        studies, _ = ingest_tree(tmp_path)
+        assert [(s.study_uid, s.series[0].series_description)
+                for s in studies] == [("1.3", "AX"), ("1.5", "COR")]
+        assert all(len(s.series) == 1 for s in studies)
+
 
 class TestNdjsonRoundTrip:
     def test_lossless(self, tmp_path):

@@ -1,10 +1,16 @@
 """Report tables (golden layout with NA rows) and tag write-back."""
 
+import csv
+import errno
+import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+import bodyregion.report as report_mod
+from bodyregion.cli import main
 from bodyregion.dicomio import (TAG_BODY_PART, UNDEFINED_LENGTH,
                                 encode_element, parse_dicom)
 from bodyregion.report import (TagChange, emit_factor_report,
@@ -253,3 +259,96 @@ class TestTagWriteBack:
         write_change_log(changes, log_path)
         text = log_path.read_text()
         assert "rewritten" in text and "CHEST" in text and "HEAD" in text
+
+
+class _FullDisk:
+    """A file opened for writing that takes a few bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data[:3]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def _fail_writes(monkeypatch):
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if "w" in mode else fh
+    monkeypatch.setattr(report_mod, "open", full_disk_open, raising=False)
+
+
+def _fail(target):
+    def fail(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EIO, f"{target} failed")
+        monkeypatch.setattr(target, refuse)
+    return fail
+
+
+class TestAtomicTagWrite:
+    """A rewrite goes through a temporary file renamed over the target."""
+
+    def _tree(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        path = tree / "a.dcm"
+        path.write_bytes(make_dicom(pixels=np.zeros(64, dtype="<u2")))
+        path.chmod(0o640)
+        results = tmp_path / "results.ndjson"
+        results.write_text(json.dumps({
+            "series_uid": "1.2.3.2", "series_regions": ["Head"],
+            "status": "Accepted",
+            "images": [{"sop_uid": SOP, "label": "Head"}]}) + "\n")
+        return tree, path, results
+
+    @pytest.mark.parametrize("inject", [_fail_writes, _fail("shutil.copymode"),
+                                        _fail("os.replace")],
+                             ids=["write", "chmod", "rename"])
+    def test_failure_leaves_target_intact(self, tmp_path, monkeypatch,
+                                          inject):
+        tree, path, results = self._tree(tmp_path)
+        original = path.read_bytes()
+        log = tmp_path / "changes.csv"
+        with monkeypatch.context() as patched:
+            inject(patched)
+            assert main(["tag-write", "--dicom", str(tree), "--results",
+                         str(results), "--out", str(log)]) == 0
+        assert path.read_bytes() == original
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tree) == ["a.dcm"]  # no temporary file is left
+        with open(log) as fh:
+            [row] = list(csv.DictReader(fh))
+        assert (row["path"], row["action"]) == (str(path), "error")
+        assert row["detail"].startswith("OSError: ")
+
+    def test_rewrite_keeps_mode_and_leaves_no_temporary_file(self, tmp_path):
+        tree, path, results = self._tree(tmp_path)
+        log = tmp_path / "changes.csv"
+        assert main(["tag-write", "--dicom", str(tree), "--results",
+                     str(results), "--out", str(log)]) == 0
+        assert parse_dicom(path.read_bytes()).study_attrs[
+            "body_part_examined"] == "HEAD"
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tree) == ["a.dcm"]
+
+    def test_symlink_target_is_rewritten(self, tmp_path):
+        tree, path, _ = self._tree(tmp_path)
+        link = tmp_path / "link.dcm"
+        link.symlink_to(path)
+        write_body_part_tags([str(link)], {SOP: BodyRegion.HEAD})
+        assert link.is_symlink()
+        assert parse_dicom(path.read_bytes()).study_attrs[
+            "body_part_examined"] == "HEAD"
+        assert os.listdir(tree) == ["a.dcm"]
