@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -32,8 +33,8 @@ from .classify import fit_centroids, load_scores, pixel_feature, save_scores
 # and fails if the name is missing.
 from .classify import train_centroid_baseline  # noqa: F401
 from .config import load_config, load_synonym_map
-from .errors import (ITEM_ERRORS, BodyRegionError, SchemaError, SkipReport,
-                     describe, read_text, write_csv)
+from .errors import (ITEM_ERRORS, BodyRegionError, MissingGeometry,
+                     SchemaError, SkipReport, describe, read_text, write_csv)
 from .geometry import (boxes_by_frame, load_boxes, project_box_labels,
                        series_geometry, warn_foreign_frames)
 from .ingest import (ingest_tree, read_metadata_ndjson, tree_files,
@@ -44,6 +45,8 @@ from .pixels import decode_pixels_from_file
 from .preprocess import preprocess_image  # noqa: F401
 from .stats import EvalSeries, EvalStudy, sample_size
 from .taxonomy import FINAL_REGIONS, BodyRegion
+
+log = logging.getLogger(__name__)
 
 
 def _read_truth(path, final_only=False) -> Dict[str, BodyRegion]:
@@ -110,13 +113,23 @@ def cmd_labels_project(args):
     studies = read_metadata_ndjson(args.input)
     frames = boxes_by_frame(load_boxes(args.boxes))
     rows = []
+    unpositioned = []
     for study in studies:
         for series in study.series:
-            labels = project_box_labels(frames, series)
+            try:
+                labels = project_box_labels(frames, series)
+            except MissingGeometry:
+                # Projection and its overlap tie-break need the position of
+                # every image, so the whole series stays unlabelled.
+                unpositioned.append(series.series_uid)
+                labels = [None] * len(series.images)
             for image, label in zip(series.images, labels):
                 rows.append([image.sop_uid, series.series_uid, study.study_uid,
                              label.value if label else ""])
     warn_foreign_frames(frames, [s for st in studies for s in st.series])
+    if unpositioned:
+        log.warning("%d series: an image has no position, left unlabelled "
+                    "(first: %s)", len(unpositioned), unpositioned[0])
     write_csv(args.out, ["sop_uid", "series_uid", "study_uid", "region"],
               rows)
     labeled = sum(1 for r in rows if r[3])
@@ -236,17 +249,17 @@ def cmd_evaluate(args):
     studies = read_metadata_ndjson(args.input)
     truth = _read_truth(args.truth, final_only=True)
     label_by_sop = {}
-    regions_by_study: Dict[str, set] = {}
-    series_to_study = {s.series_uid: st.study_uid
-                       for st in studies for s in st.series}
     for row in post_mod.read_series_results(args.results):
-        labelled = [(sop, label) for sop, label in row.labels
-                    if label is not None]
-        label_by_sop.update(labelled)
-        study_uid = series_to_study.get(row.series_uid)
-        if study_uid:
-            regions_by_study.setdefault(study_uid, set()).update(
-                label for _, label in labelled)
+        label_by_sop.update((sop, label) for sop, label in row.labels
+                            if label is not None)
+    # Each study is credited with the labels of its own images: a series
+    # uid alone may name series of two studies.
+    regions_by_study = {
+        study.study_uid: {label_by_sop[image.sop_uid]
+                          for series in study.series
+                          for image in series.images
+                          if image.sop_uid in label_by_sop}
+        for study in studies}
 
     class_names = [r.value for r in FINAL_REGIONS]
     evals = _collect_evals(studies, truth, label_by_sop)
@@ -277,14 +290,14 @@ def cmd_evaluate(args):
         return sums
 
     rows = report_mod.region_rows(units, class_sums("regions"), class_names,
-                                  level=cfg.ci_level, seed=cfg.seed)
+                                  level=cfg.ci_level)
     report_mod.emit_region_report(rows, os.path.join(args.out, "by_region.csv"))
 
     for factor, units_by_cat, cats in zip(args.factors, by_factor, sampled):
         fr = stats_mod.factor_report(
             factor, units_by_cat,
             {cat: class_sums(f"{factor}={cat}") for cat in cats},
-            class_names, level=cfg.ci_level, seed=cfg.seed)
+            class_names, level=cfg.ci_level)
         report_mod.emit_factor_report(
             fr, os.path.join(args.out, f"by_{factor}.csv"))
     stats_mod.log_undefined_tnr(undefined_tnr)

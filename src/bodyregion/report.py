@@ -41,8 +41,8 @@ class RegionRow:
 
 
 def region_rows(evals: Sequence[EvalStudy], sums: ClassSums,
-                class_names: Sequence[str], level: float = 0.95,
-                seed: int = 0) -> List[RegionRow]:
+                class_names: Sequence[str],
+                level: float = 0.95) -> List[RegionRow]:
     """Overall row plus one row per region with bootstrap CIs.
 
     Every CI is read from `sums`, the class sums of the `bootstrap_counts`
@@ -53,7 +53,7 @@ def region_rows(evals: Sequence[EvalStudy], sums: ClassSums,
     cm = full_confusion(evals, len(class_names), class_names)
 
     def ci(metric) -> CIResult:
-        return ci_from_counts(sums, metric, level, seed)
+        return ci_from_counts(sums, metric, level)
 
     rows = [RegionRow("Overall", cm.total,
                       weighted_sensitivity(cm), ci(weighted_sensitivity),

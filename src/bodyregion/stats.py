@@ -255,59 +255,26 @@ def log_undefined_tnr(found: Dict[str, List[str]]) -> None:
 # ---------------------------------------------------------------------------
 # Chi-squared / Cramer's V
 
-_GAMMA_EPS = 1e-15
-_GAMMA_ITMAX = 1000
-
-
-def _gammainc_p_series(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma via its power series (x < a+1)."""
-    ap = a
-    summ = 1.0 / a
-    delta = summ
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        delta *= x / ap
-        summ += delta
-        if abs(delta) < abs(summ) * _GAMMA_EPS:
-            break
-    return summ * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gammainc_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma via Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
 
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-squared upper tail probability (survival function)."""
-    if x < 0 or df <= 0:
-        raise InvalidParams("chi2_sf needs x >= 0 and df > 0")
-    if x == 0:
-        return 1.0
-    a = df / 2.0
+    """Chi-squared upper tail probability (survival function), integer df.
+
+    The closed form of Q(df/2, x/2): erfc(sqrt(x/2)) for odd df, plus the
+    finite sum of (x/2)^j exp(-x/2) / j! over j = df/2 - 1, df/2 - 2, ...
+    down to 0 (even df) or 1/2 (odd df). Each term is taken in log space,
+    so none underflows while the tail is representable.
+    """
+    if not (x >= 0 and df > 0 and df % 1 == 0):
+        raise InvalidParams("chi2_sf needs x >= 0 and an integer df > 0")
     half = x / 2.0
-    if half < a + 1.0:
-        return 1.0 - _gammainc_p_series(a, half)
-    return _gammainc_q_contfrac(a, half)
+    if half == 0:
+        return 1.0
+    log_half = math.log(half)
+    terms = [math.exp(j * log_half - half - math.lgamma(j + 1.0))
+             for j in (df / 2.0 - i for i in range(1, df // 2 + 1))]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(half)))
+    return min(1.0, math.fsum(terms))
 
 
 def chi_square(table) -> Tuple[float, float]:
@@ -381,9 +348,7 @@ class CIResult:
     point: float
     lo: float
     hi: float
-    level: float
     resamples: int
-    seed: int
 
 
 @dataclass
@@ -542,7 +507,7 @@ def bootstrap_counts(unit_sets: Sequence[Sequence[EvalStudy]], k: int,
 
 
 def ci_from_counts(sums: ClassSums, metric: CountMetric,
-                   level: float = 0.95, seed: int = 0) -> CIResult:
+                   level: float = 0.95) -> CIResult:
     """Percentile CI of `metric` over the class sums of a set's
     `bootstrap_counts` (`ResampleCounts.class_sums()`).
 
@@ -556,12 +521,9 @@ def ci_from_counts(sums: ClassSums, metric: CountMetric,
     # undefined there; compute the percentiles over the defined resamples.
     defined = values[np.isfinite(values)]
     if defined.size == 0:
-        nan = float("nan")
-        return CIResult(point=nan, lo=nan, hi=nan, level=level,
-                        resamples=resamples, seed=seed)
+        return CIResult(math.nan, math.nan, math.nan, resamples)
     lo, point, hi = np.percentile(defined, [100 * alpha, 50, 100 * (1 - alpha)])
-    return CIResult(point=float(point), lo=float(lo), hi=float(hi),
-                    level=level, resamples=resamples, seed=seed)
+    return CIResult(float(point), float(lo), float(hi), resamples)
 
 
 def bootstrap_ci(studies: Sequence[EvalStudy],
@@ -588,7 +550,7 @@ def bootstrap_ci(studies: Sequence[EvalStudy],
     sums = counts.class_sums()
     if metric is weighted_specificity:
         log_undefined_tnr({"studies": undefined_tnr(sums, class_names)})
-    return ci_from_counts(sums, metric, level, seed)
+    return ci_from_counts(sums, metric, level)
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +695,8 @@ def factor_units(studies: Sequence[StudyRecord], evals: Dict[str, EvalStudy],
 
 def factor_report(factor: str, units: Dict[str, List[EvalStudy]],
                   sums: Dict[str, ClassSums],
-                  class_names: Sequence[str], level: float = 0.95,
-                  seed: int = 0) -> FactorReport:
+                  class_names: Sequence[str],
+                  level: float = 0.95) -> FactorReport:
     """Stratified performance table for one confounding factor.
 
     `units` is the factor's `factor_units`, and `sums` the class sums of
@@ -758,9 +720,9 @@ def factor_report(factor: str, units: Dict[str, List[EvalStudy]],
         rows.append(FactorRow(
             cat, len(units[cat]), cm.total,
             weighted_sensitivity(cm),
-            ci_from_counts(sums[cat], weighted_sensitivity, level, seed),
+            ci_from_counts(sums[cat], weighted_sensitivity, level),
             weighted_specificity(cm),
-            ci_from_counts(sums[cat], weighted_specificity, level, seed)))
+            ci_from_counts(sums[cat], weighted_specificity, level)))
 
     p = None
     if len(categories) >= 2:

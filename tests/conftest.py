@@ -93,7 +93,7 @@ def region_table(evals, class_names, resamples=1000, level=0.95, seed=0,
     """`region_rows` of `evals`, read from their `bootstrap_counts`."""
     [counts] = bootstrap_counts([evals], len(class_names), resamples, seed,
                                 step_mm)
-    return region_rows(evals, counts.class_sums(), class_names, level, seed)
+    return region_rows(evals, counts.class_sums(), class_names, level)
 
 
 def factor_table(studies, evals, factor, class_names, resamples=1000,
@@ -108,7 +108,7 @@ def factor_table(studies, evals, factor, class_names, resamples=1000,
                               len(class_names), resamples, seed, step_mm)
     return factor_report(factor, units,
                          {cat: c.class_sums() for cat, c in zip(sampled, counts)},
-                         class_names, level, seed)
+                         class_names, level)
 
 
 @pytest.fixture

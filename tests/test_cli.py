@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import math
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -289,6 +290,44 @@ class TestEvaluate:
             assert any(row.split(",")[1] == category and "(" in row
                        for row in rows[1:]), table
 
+    def test_tag_agreement_credits_each_study_its_own_labels(self,
+                                                             tmp_path):
+        # Two studies share the series uid SHARED, which ingest keeps as
+        # two series: each study's tag is checked against the labels of
+        # its own images, not those of the last series of that uid.
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        truth, rows = ["sop_uid,region"], []
+        for study_uid, tag, region in [("1.1", "HEAD", "Head"),
+                                       ("1.2", "CHEST", "Chest")]:
+            sops = [f"{study_uid}.{i}" for i in range(3)]
+            for i, sop in enumerate(sops):
+                (tree / f"{sop}.dcm").write_bytes(make_dicom(
+                    pixels=np.zeros(64, dtype="<u2"),
+                    StudyInstanceUID=study_uid, SeriesInstanceUID="SHARED",
+                    SOPInstanceUID=sop, BodyPartExamined=tag,
+                    ImagePositionPatient=(0.0, 0.0, 10.0 * i)))
+                truth.append(f"{sop},{region}")
+            rows.append({"series_uid": "SHARED", "series_regions": [region],
+                         "status": "Accepted",
+                         "images": [{"sop_uid": sop, "label": region}
+                                    for sop in sops]})
+        (tmp_path / "truth.csv").write_text("\n".join(truth) + "\n")
+        results = tmp_path / "results.ndjson"
+        results.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["ingest", "--dicom", str(tree),
+                     "--out", str(tmp_path / "ing")]) == 0
+        out = tmp_path / "eval"
+        assert main(["evaluate",
+                     "--in", str(tmp_path / "ing" / "metadata.ndjson"),
+                     "--results", str(results),
+                     "--truth", str(tmp_path / "truth.csv"),
+                     "--out", str(out), "--bootstrap", "10",
+                     "--factors"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_studies"] == 2
+        assert summary["tag_agreement"]["body_part"] == 1.0
+
     def test_single_class_truth_writes_valid_json(self, pipeline_dirs,
                                                   tmp_path, capsys):
         # Weighted specificity is undefined with one class in truth; the
@@ -452,6 +491,69 @@ class TestOrientationlessSeries:
         messages = [r.getMessage() for r in caplog.records]
         assert not [m for m in messages
                     if "orientation" in m or any(uid in m for uid in bare)]
+
+
+class TestImageWithoutPosition:
+    def test_series_left_unlabelled_and_no_stage_ends(self, pipeline_dirs,
+                                                      tmp_path, caplog):
+        # One file loses ImagePositionPatient. Filter admits its series
+        # and evaluate has an index-spacing fallback for it, but box
+        # projection needs every position of the series: labels-project
+        # leaves that series unlabelled, says so once, and every stage
+        # runs to the end.
+        root = pipeline_dirs
+        ph = tmp_path / "ph"
+        shutil.copytree(root / "ph", ph)
+        path = sorted(ph.rglob("*.dcm"))[3]
+        data = path.read_bytes()
+        header = b"\x20\x00\x32\x00DS"
+        assert data.count(header) == 1
+        at = data.index(header)
+        end = at + 8 + int.from_bytes(data[at + 6:at + 8], "little")
+        path.write_bytes(data[:at] + data[end:])
+
+        ing, flt = tmp_path / "ing", tmp_path / "flt"
+        assert main(["ingest", "--dicom", str(ph), "--out", str(ing)]) == 0
+        assert main(["filter", "--in", str(ing / "metadata.ndjson"),
+                     "--out", str(flt)]) == 0
+        filtered = flt / "filtered.ndjson"
+        rows = [json.loads(line)
+                for line in filtered.read_text().splitlines()]
+        [series_uid] = {row["series_uid"] for row in rows
+                        if row["image_position_patient"] is None}
+        truth = tmp_path / "truth.csv"
+        with caplog.at_level("WARNING", logger="bodyregion"):
+            assert main(["labels-project", "--in", str(filtered),
+                         "--boxes", str(ph / "labels.json"),
+                         "--out", str(truth)]) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"1 series: an image has no position, left unlabelled "
+            f"(first: {series_uid})"]
+        with open(truth) as fh:
+            labels = {r["sop_uid"]: r for r in csv.DictReader(fh)}
+        with open(root / "truth.csv") as fh:
+            untouched = {r["sop_uid"]: r for r in csv.DictReader(fh)}
+        assert labels.keys() == untouched.keys()
+        unlabelled = {uid for uid, r in labels.items()
+                      if r["series_uid"] == series_uid}
+        assert unlabelled and all(not labels[uid]["region"]
+                                  for uid in unlabelled)
+        assert {uid: r for uid, r in labels.items()
+                if uid not in unlabelled} == {
+            uid: r for uid, r in untouched.items() if uid not in unlabelled}
+
+        scores, results = tmp_path / "scores.csv", tmp_path / "results.ndjson"
+        assert main(["classify", "--dicom", str(ph), "--truth", str(truth),
+                     "--out", str(scores)]) == 0
+        assert main(["postprocess", "--in", str(filtered),
+                     "--scores", str(scores), "--out", str(results)]) == 0
+        assert main(["evaluate", "--in", str(filtered),
+                     "--results", str(results), "--truth", str(truth),
+                     "--out", str(tmp_path / "eval"),
+                     "--bootstrap", "20"]) == 0
+        assert main(["tag-write", "--dicom", str(ph),
+                     "--results", str(results),
+                     "--out", str(tmp_path / "changes.csv")]) == 0
 
 
 class TestTagWrite:

@@ -273,6 +273,24 @@ class TestChiSquared:
         with pytest.raises(InvalidParams):
             chi2_sf(1.0, 0)
 
+    def test_closed_form_on_a_wide_grid(self):
+        # Odd and even df, from just above 0 to deep in the tail: wherever
+        # the oracle is a normal double, the closed form is within 1e-12.
+        checked = 0
+        for df in (1, 2, 3, 4, 5, 7, 10, 26, 40, 101, 400):
+            for x in (1e-6, 0.1, 1.0, 5.0, 20.0, 75.0, 200.0, 700.0,
+                      1500.0, 3000.0):
+                oracle = mpmath_chi2_sf(x, df)
+                if oracle > 1e-300:
+                    checked += 1
+                    assert abs(chi2_sf(x, df) - oracle) <= 1e-12 * oracle, \
+                        (df, x)
+        assert checked == 92
+
+    def test_non_integer_df_is_invalid(self):
+        with pytest.raises(InvalidParams):
+            chi2_sf(1.0, 2.5)
+
     def test_zero_expected_degenerate(self):
         with pytest.raises(DegenerateTable):
             chi_square(np.array([[0, 0], [5, 5]]))
