@@ -38,7 +38,7 @@ from .errors import (ITEM_ERRORS, BodyRegionError, MissingGeometry,
 from .geometry import (boxes_by_frame, load_boxes, project_box_labels,
                        series_geometry, warn_foreign_frames)
 from .ingest import (ingest_tree, read_metadata_ndjson, tree_files,
-                     write_metadata_ndjson)
+                     write_metadata_ndjson, write_ndjson_lines)
 from .pixels import decode_pixels_from_file
 # Unused here since classify builds features without the letterbox, but
 # perfbench/tracing.py wraps `cli.preprocess_image` and fails if it is missing.
@@ -47,6 +47,14 @@ from .stats import EvalSeries, EvalStudy, sample_size
 from .taxonomy import FINAL_REGIONS, BodyRegion
 
 log = logging.getLogger(__name__)
+
+# The record fields `classify --dicom` decodes: the UIDs that group its
+# walk, the pixel description `decode_pixels` reads, and what
+# `sort_series_images` orders a series by.
+CLASSIFY_FIELDS = frozenset({
+    "study_uid", "series_uid", "sop_uid", "rows", "cols", "bits_allocated",
+    "bits_stored", "instance_number", "image_position_patient",
+    "image_orientation_patient"})
 
 
 def _read_truth(path, final_only=False) -> Dict[str, BodyRegion]:
@@ -96,13 +104,19 @@ def cmd_ingest(args):
 
 def cmd_filter(args):
     cfg = load_config(args.config, strict_geometry=args.strict_geometry or None)
-    studies = read_metadata_ndjson(args.input)
+    lines = {}  # id of an image record -> its input line
+    studies = read_metadata_ndjson(args.input, lines=lines)
     kept, rows = cohort_mod.apply_filters(studies,
                                           strict_geometry=cfg.strict_geometry)
     os.makedirs(args.out, exist_ok=True)
     cohort_mod.write_filter_report(rows, os.path.join(args.out,
                                                       "filter_report.csv"))
-    write_metadata_ndjson(kept, os.path.join(args.out, "filtered.ndjson"))
+    # Each admitted image's line as read, in record order: for a sidecar
+    # ingest wrote, the bytes `write_metadata_ndjson(kept)` would write.
+    write_ndjson_lines(os.path.join(args.out, "filtered.ndjson"),
+                       (lines[id(image)] for study in kept
+                        for series in study.series
+                        for image in series.images))
     n_in = sum(s.image_count() for s in studies)
     n_out = sum(s.image_count() for s in kept)
     print(f"kept {n_out}/{n_in} images across {len(kept)} studies")
@@ -143,15 +157,21 @@ def cmd_classify(args):
     letterbox is never built), fit the centroids on the training features,
     then score every feature.
 
-    An image that fails to decode or to read becomes a row of
+    The images are those of the sidecar `--in` (as `filter` admitted them),
+    each decoded from its locator, or those a walk of the tree `--dicom`
+    parses (`CLASSIFY_FIELDS` only). An image that fails to decode or to
+    read, a stale locator included, becomes a row of
     `<out stem>.skip_report.csv` (written even when empty); the stage fails
     only if nothing was scored.
     """
-    studies, _ = ingest_tree(args.dicom)
+    if args.input is not None:
+        studies = read_metadata_ndjson(args.input)
+    else:
+        studies, _ = ingest_tree(args.dicom, fields=CLASSIFY_FIELDS)
     truth = _read_truth(args.truth)
     train_uids = _read_uid_list(args.train_uids) if args.train_uids else None
 
-    features = []  # (sop_uid, feature) in walk order: the scores.csv order
+    features = []  # (sop_uid, feature) in record order: the scores.csv order
     training = []  # (feature, region), a subsequence of `features`
     skipped = SkipReport()
     for study in studies:
@@ -445,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify",
                        help="train the centroid baseline and score images")
-    p.add_argument("--dicom", required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="input",
+                        help="metadata sidecar of the images to score")
+    source.add_argument("--dicom", help="DICOM tree of the images to score")
     p.add_argument("--truth", required=True)
     p.add_argument("--train-uids", default=None,
                    help="file of study UIDs to train on (default: all)")

@@ -21,9 +21,10 @@ no input byte string may crash the reader or trigger unbounded allocation.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import Malformed, NotDicom
 from .records import SIDECAR_FIELDS, ImageRecord, SeriesRecord, StudyRecord
@@ -228,6 +229,18 @@ _TAG_FIELDS = {_int_tag(tag): (vr.encode(), i, name, typ, convert, default)
 # A value in one of these VRs is decoded by the table's VR.
 _TABLE_DECODED_VRS = {b"UN", b"OB", b"OW"}
 
+
+@functools.cache
+def _field_table(fields: frozenset) -> dict:
+    """The entries of _TAG_FIELDS that fill one of the record fields
+    `fields`."""
+    unknown = fields - {entry[2] for entry in _TAG_FIELDS.values()}
+    if unknown:
+        raise ValueError(f"no tag fills the fields {sorted(unknown)}")
+    return {tag: entry for tag, entry in _TAG_FIELDS.items()
+            if entry[2] in fields}
+
+
 def _field_value(vr: bytes, raw: bytes, offset: int, table_vr: bytes, typ,
                  convert, default):
     """A record field's value from its element's value bytes `raw`, which
@@ -278,7 +291,7 @@ class _Walk(NamedTuple):
 
 
 def _walk(data: bytes, pos: int, explicit: bool, records=None,
-          keep_group: Optional[int] = None) -> _Walk:
+          keep_group: Optional[int] = None, table=_TAG_FIELDS) -> _Walk:
     """Walk the top-level elements from `pos` to the end of `data`, or with
     `keep_group` to the first element of another group.
 
@@ -291,13 +304,13 @@ def _walk(data: bytes, pos: int, explicit: bool, records=None,
     element's offset. An item or delimiter header (group FFFE) belongs
     inside a sequence or a fragment list, so one at the top level raises
     Malformed at its offset.
-    Each element whose tag fills a field of `records` (a field dict per
-    record of _RECORDS) sets that field; sequences and undefined-length
-    values fill nothing, and an undefined-length (0002,0010) declares no
-    transfer syntax.
+    Each element whose tag `table` (entries of _TAG_FIELDS) lists sets its
+    field of `records` (a field dict per record of _RECORDS); sequences and
+    undefined-length values fill nothing, and an undefined-length
+    (0002,0010) declares no transfer syntax.
     """
     n = len(data)
-    get_field = (_TAG_FIELDS if records is not None else {}).get
+    get_field = (table if records is not None else {}).get
     header = _header
     u16 = _U16.unpack_from
     pixel_data = transfer_syntax = body_part = None
@@ -407,17 +420,24 @@ def _find_dataset_start(data: bytes):
     return 0, explicit, tsuid
 
 
-def parse_dicom(data: bytes, source_path: Optional[str] = None) -> ParsedFile:
+def parse_dicom(data: bytes, source_path: Optional[str] = None, *,
+                fields: Optional[Iterable[str]] = None) -> ParsedFile:
     """Parse one DICOM byte stream into an image record plus parent attrs.
 
-    All tags in TAG_TABLE are extracted when present; everything else is
-    skipped by length. Pixel data is located (offset/length) but not decoded.
+    The TAG_TABLE tags that fill the record fields named in `fields` (all
+    of them when None) are extracted when present; every other field keeps
+    its default, and everything else is skipped by length. The structure
+    checks, the pixel data locator (located, not decoded), the transfer
+    syntax, `explicit` and `body_part_span` do not depend on `fields`; a
+    value that cannot be decoded (a bad DS or IS, a short US or UL) raises
+    only when its field is listed.
     """
     start, explicit, tsuid = _find_dataset_start(data)
+    table = _TAG_FIELDS if fields is None else _field_table(frozenset(fields))
     # Field values of each record in _RECORDS; a missing tag leaves the
     # field at its default.
     records = [dict(defaults) for defaults in _DEFAULTS]
-    walk = _walk(data, start, explicit, records)
+    walk = _walk(data, start, explicit, records, table=table)
     image_attrs, series_attrs, study_attrs = records
     # The file meta group, not the dataset, declares the transfer syntax.
     image_attrs["transfer_syntax_uid"] = tsuid

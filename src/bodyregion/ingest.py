@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .dicomio import parse_dicom
 from .errors import ITEM_ERRORS, SchemaError, SkipReport
@@ -45,13 +45,17 @@ def tree_files(path) -> List[str]:
     return files
 
 
-def ingest_tree(path) -> Tuple[List[StudyRecord], SkipReport]:
+def ingest_tree(path, fields: Optional[Iterable[str]] = None
+                ) -> Tuple[List[StudyRecord], SkipReport]:
     """Parse every file under `path` into the study/series/image hierarchy.
 
     Returns (studies sorted by uid, skip report). Grouping is a
     deterministic reduction: the file walk is sorted, and images within a
     series end up ordered by geometry (fallback InstanceNumber, then file
-    order).
+    order). `fields` names the record fields to decode (see `parse_dicom`;
+    all when None); grouping and ordering need the three UIDs,
+    `instance_number`, `image_position_patient` and
+    `image_orientation_patient`.
     """
     studies: dict = {}  # study uid -> StudyRecord
     series_by_uid: dict = {}  # (study uid, series uid) -> SeriesRecord
@@ -60,7 +64,7 @@ def ingest_tree(path) -> Tuple[List[StudyRecord], SkipReport]:
         try:
             with open(fp, "rb") as fh:
                 data = fh.read()
-            parsed = parse_dicom(data, source_path=fp)
+            parsed = parse_dicom(data, source_path=fp, fields=fields)
         except ITEM_ERRORS as exc:
             skipped.add(fp, exc)
             continue
@@ -94,8 +98,10 @@ _SHARED_FIELDS = {cls: tuple(spec[0] for spec in SIDECAR_FIELDS[cls])
                   for cls in (StudyRecord, SeriesRecord)}
 
 
-def read_ndjson(path) -> Iterator[Tuple[int, dict]]:
-    """(line number, object) for each non-blank line of an NDJSON file.
+def read_ndjson(path) -> Iterator[Tuple[int, str, dict]]:
+    """(line number, line, object) for each non-blank line of an NDJSON
+    file, where `line` is the line's text stripped of surrounding
+    whitespace.
 
     Lines end at "\n". A line that is not UTF-8, or not a JSON object,
     raises SchemaError with its number.
@@ -115,16 +121,21 @@ def read_ndjson(path) -> Iterator[Tuple[int, dict]]:
                 raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno)
             if not isinstance(row, dict):
                 raise SchemaError("each line must be a JSON object", line=lineno)
-            yield lineno, row
+            yield lineno, line, row
+
+
+def write_ndjson_lines(path, lines: Iterable[str]) -> None:
+    """Each of `lines`, the text of one JSON object, as one line of UTF-8
+    ended by "\n"."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_ndjson(path, rows: Iterable[dict]) -> None:
     """Each of `rows` as one line of UTF-8 JSON with sorted keys, the text
     of `json.dumps(row, sort_keys=True)`, ended by "\n"."""
-    encode = _ENCODER.encode
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(encode(row) + "\n")
+    write_ndjson_lines(path, map(_ENCODER.encode, rows))
 
 
 def write_metadata_ndjson(studies: List[StudyRecord], path) -> None:
@@ -184,20 +195,25 @@ def _check_agrees(names: tuple, values: tuple, first: tuple, record: str,
                               f"{first[0]} gives {was!r}", line=lineno)
 
 
-def read_metadata_ndjson(path) -> List[StudyRecord]:
+def read_metadata_ndjson(path, lines: Optional[dict] = None
+                         ) -> List[StudyRecord]:
     """Rebuild the record hierarchy from an NDJSON sidecar (pixels absent).
 
     A study's and a series' fields are read from the first row that names
     it; every later row naming it must carry the same raw values there.
+    If `lines` is given, it maps the `id` of each image record returned to
+    its line as read (see `read_ndjson`).
     """
     studies: dict = {}  # study uid -> StudyRecord, in first-seen order
     series_by_uid: dict = {}  # (study uid, series uid) -> SeriesRecord
     first_rows: dict = {}  # study or series key -> (line, raw field values)
     study_names = _SHARED_FIELDS[StudyRecord]
     series_names = _SHARED_FIELDS[SeriesRecord]
-    for lineno, row in read_ndjson(path):
+    for lineno, line, row in read_ndjson(path):
         study_uid, series_uid = _uids(row, lineno)
         image = _record(ImageRecord, row, lineno)
+        if lines is not None:
+            lines[id(image)] = line
         study_values = tuple(map(row.get, study_names))
         study = studies.get(study_uid)
         if study is None:

@@ -57,6 +57,11 @@ def _decode_rle_frame(frame: bytes, rows: int, cols: int, bits_allocated: int):
         raise LengthMismatch(
             f"RLE frame has {n_segments} segments, expected {bytes_per_sample}")
     plane = rows * cols
+    # A PackBits piece of 2 bytes gives at most 128, so a frame that cannot
+    # fill a plane is refused before the matrix is allocated.
+    if plane > 64 * (len(frame) - _RLE_HEADER_LEN):
+        raise LengthMismatch(f"RLE frame of {len(frame)} bytes cannot hold "
+                             f"{rows}x{cols} samples")
     offsets = list(header[1:1 + n_segments]) + [len(frame)]
     src = np.frombuffer(frame, dtype=np.uint8)
     matrix = np.empty((rows, cols), dtype=np.dtype(f"<u{n_segments}"))
@@ -106,7 +111,8 @@ def decode_pixels(image: ImageRecord, raw: bytes) -> np.ndarray:
         dtype = np.dtype("<u2") if bytes_per_sample == 2 else np.uint8
         matrix = np.frombuffer(raw[:expected], dtype=dtype).reshape(rows, cols)
 
-    if image.bits_stored and image.bits_stored < image.bits_allocated:
+    # A BitsStored of 0, or a negative one from a sidecar, masks nothing.
+    if 0 < image.bits_stored < image.bits_allocated:
         matrix = matrix & ((1 << image.bits_stored) - 1)
     return np.ascontiguousarray(matrix)
 

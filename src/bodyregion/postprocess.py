@@ -279,4 +279,5 @@ def _result_row(row: dict, line: int) -> ResultRow:
 def read_series_results(path) -> List[ResultRow]:
     """The rows of a results NDJSON file, as write_series_results wrote them;
     SchemaError names the line of the first row `_result_row` rejects."""
-    return [_result_row(row, lineno) for lineno, row in read_ndjson(path)]
+    return [_result_row(row, lineno)
+            for lineno, _, row in read_ndjson(path)]

@@ -28,6 +28,8 @@ from .stats import bootstrap_ci  # noqa: F401
 from .taxonomy import CANONICAL_TAG_STRINGS, BodyRegion
 
 MIN_REGION_COUNT = 5
+# The record fields tag-write decodes from each file.
+TAG_WRITE_FIELDS = frozenset({"sop_uid", "body_part_examined"})
 
 
 @dataclass
@@ -151,6 +153,8 @@ def write_body_part_tags(files: Sequence[str],
     `region_by_sop` maps sop_uid to the region, or None for an image of a
     series rejected as uncertain. Returns a change per file, and the report
     of the files not rewritten, whose spellings are their changes' details.
+    Each file is parsed for TAG_WRITE_FIELDS only: a value of another field
+    that does not decode (a bad DS, say) is no error here.
     """
     changes = []
     skipped = SkipReport()
@@ -158,7 +162,7 @@ def write_body_part_tags(files: Sequence[str],
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
-            parsed = parse_dicom(data)
+            parsed = parse_dicom(data, fields=TAG_WRITE_FIELDS)
         except ITEM_ERRORS as exc:
             changes.append(TagChange(path, "error",
                                      detail=skipped.add(path, exc)))

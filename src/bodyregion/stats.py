@@ -608,7 +608,9 @@ def _age_bucket(age: Optional[float]) -> str:
 
 
 def _thickness_bucket(mm: Optional[float]) -> str:
-    if mm is None:
+    # A NaN, infinite or negative thickness (a corrupt value) is no
+    # thickness.
+    if mm is None or not 0 <= mm < math.inf:
         return "Unknown"
     if mm <= 2:
         return "<=2 mm"

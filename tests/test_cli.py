@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import shutil
+import struct
 from collections import Counter
 
 import numpy as np
@@ -14,9 +15,13 @@ import pytest
 
 from bodyregion import cli, stats
 from bodyregion.cli import build_parser, main
+from bodyregion.cohort import apply_filters
 from bodyregion.dicomio import (EXPLICIT_VR_LE, JPEG_LOSSLESS_SV1,
-                                TAG_BODY_PART, encode_element, parse_dicom)
-from bodyregion.ingest import tree_files
+                                RLE_LOSSLESS, TAG_BODY_PART, build_dicom,
+                                encode_element, parse_dicom)
+from bodyregion.ingest import (read_metadata_ndjson, tree_files,
+                               write_metadata_ndjson)
+from bodyregion.pixels import decode_pixels, rle_encode_frame
 from bodyregion.phantom import (PhantomSpec, RegionSpec, generate_phantom)
 from bodyregion.stats import bootstrap_counts
 from bodyregion.taxonomy import FINAL_REGIONS, BodyRegion
@@ -232,6 +237,73 @@ class TestClassify:
         assert out.read_bytes() == (pipeline_dirs / "scores.csv").read_bytes()
         with open(tmp_path / "scores.skip_report.csv") as fh:
             assert list(csv.reader(fh)) == [["path", "error"]]
+
+
+    def test_sidecar_scores_equal_walk_scores(self, pipeline_dirs,
+                                              tmp_path):
+        # This filter excludes nothing, and the sidecar lists the images in
+        # the walk's order (studies by uid, series by uid, images by
+        # geometry), so both inputs give the same scores.csv.
+        assert (pipeline_dirs / "filt" / "filtered.ndjson").read_bytes() == (
+            pipeline_dirs / "ing" / "metadata.ndjson").read_bytes()
+        scores = tmp_path / "scores.csv"
+        assert main(["classify",
+                     "--in", str(pipeline_dirs / "filt" / "filtered.ndjson"),
+                     "--truth", str(pipeline_dirs / "truth.csv"),
+                     "--out", str(scores)]) == 0
+        assert scores.read_bytes() == (pipeline_dirs
+                                       / "scores.csv").read_bytes()
+        assert (tmp_path / "scores.skip_report.csv").read_text() == (
+            "path,error\n")
+
+    @pytest.mark.parametrize("argv", [[], ["--in", "a", "--dicom", "b"]],
+                             ids=["neither", "both"])
+    def test_needs_one_input(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--truth", "t.csv", "--out", "s.csv", *argv])
+        assert err.value.code == 1
+        assert "--in" in capsys.readouterr().err
+
+
+class TestFilterPassThrough:
+    """filter writes each admitted image's sidecar line as it read it, in
+    record order."""
+
+    def test_ingest_sidecar_as_encoded(self, pipeline_dirs, tmp_path):
+        metadata = pipeline_dirs / "ing" / "metadata.ndjson"
+        kept, _ = apply_filters(read_metadata_ndjson(metadata))
+        write_metadata_ndjson(kept, tmp_path / "encoded.ndjson")
+        assert (pipeline_dirs / "filt" / "filtered.ndjson").read_bytes() == (
+            tmp_path / "encoded.ndjson").read_bytes()
+
+    def test_hand_edited_line_passes_through(self, pipeline_dirs, tmp_path):
+        lines = (pipeline_dirs / "ing" / "metadata.ndjson").read_text(
+            ).splitlines()
+        rows = [json.loads(line) for line in lines]
+
+        def key(row):
+            return row["study_uid"], row["series_uid"]
+
+        # The first series' lines come first; its first image moves to the
+        # end of the file, and its second is excluded.
+        n_first = sum(key(row) == key(rows[0]) for row in rows)
+        assert n_first > 2 and all(key(row) == key(rows[0])
+                                   for row in rows[:n_first])
+        edited = json.dumps({**rows[0], "rows": 64.0, "note": "by hand"},
+                            separators=(" ,  ", " :  "))
+        excluded = json.dumps({**rows[1], "bits_stored": 8})
+        sidecar = tmp_path / "edited.ndjson"
+        sidecar.write_text("\n".join([excluded, *lines[2:], f"  {edited}  "])
+                           + "\n")
+        out = tmp_path / "filt"
+        assert main(["filter", "--in", str(sidecar), "--out", str(out)]) == 0
+        # Record order: the moved image is the last of its series, before
+        # the next series' lines.
+        assert (out / "filtered.ndjson").read_text().splitlines() == (
+            lines[2:n_first] + [edited] + lines[n_first:])
+        with open(out / "filter_report.csv") as fh:
+            reasons = {r["uid"]: r["reason"] for r in csv.DictReader(fh)}
+        assert reasons[rows[1]["sop_uid"]] == "LowBitDepth"
 
 
 class TestPostprocess:
@@ -633,6 +705,56 @@ class TestSkipReasons:
                 if r["path"] == str(tree / "good.dcm")] == [
             ("skipped", "NotInResults: image not in results")]
 
+    def test_undecodable_unread_value_is_not_a_tag_write_error(self,
+                                                               tmp_path):
+        # A SliceThickness that is no number: ingest skips the file, so it
+        # is in no results, and tag-write, which decodes only the fields
+        # it uses, skips it as such. classify --dicom decodes only its own
+        # fields too and scores it; --in scores what ingest admitted.
+        ph = tmp_path / "ph"
+        generate_phantom(PhantomSpec(
+            regions=[RegionSpec(BodyRegion.ABDOMEN, 20.0),
+                     RegionSpec(BodyRegion.CHEST, 20.0)],
+            slice_spacing_mm=5.0, seed=3, n_studies=2, window=1), ph)
+        bad = ph / "study_0001" / "img_0002.dcm"
+        data = bad.read_bytes()
+        thickness = encode_element((0x0018, 0x0050), "DS", 5.0)
+        assert data.count(thickness) == 1
+        bad.write_bytes(data.replace(thickness, struct.pack(
+            "<HH", 0x0018, 0x0050) + b"DS" + struct.pack("<H", 4) + b"abc "))
+        bad_sop = parse_dicom(data).image.sop_uid
+        ing, flt = tmp_path / "ing", tmp_path / "flt"
+        truth, results = tmp_path / "truth.csv", tmp_path / "results.ndjson"
+        filtered = str(flt / "filtered.ndjson")
+        for argv in (
+                ["ingest", "--dicom", ph, "--out", ing],
+                ["filter", "--in", ing / "metadata.ndjson", "--out", flt],
+                ["labels-project", "--in", filtered,
+                 "--boxes", ph / "labels.json", "--out", truth],
+                ["classify", "--dicom", ph, "--truth", truth,
+                 "--out", tmp_path / "walk.csv"],
+                ["classify", "--in", filtered, "--truth", truth,
+                 "--out", tmp_path / "scores.csv"],
+                ["postprocess", "--in", filtered,
+                 "--scores", tmp_path / "scores.csv", "--out", results],
+                ["tag-write", "--dicom", ph, "--results", results,
+                 "--out", tmp_path / "changes.csv", "--dry-run"]):
+            assert main([str(a) for a in argv]) == 0, argv
+        with open(ing / "skip_report.csv") as fh:
+            skips = {r["path"]: r["error"] for r in csv.DictReader(fh)}
+        assert skips[str(bad)].startswith("Malformed: bad DS value 'abc'")
+        with open(tmp_path / "changes.csv") as fh:
+            changes = {r["path"]: r for r in csv.DictReader(fh)}
+        assert (changes[str(bad)]["action"], changes[str(bad)]["detail"]) == (
+            "skipped", "NotInResults: image not in results")
+        assert [p for p, r in changes.items() if r["action"] == "error"] == [
+            str(ph / "labels.json"), str(ph / "manifest.json")]
+        with open(tmp_path / "walk.csv") as fh:
+            walked = {r["sop_uid"] for r in csv.DictReader(fh)}
+        with open(tmp_path / "scores.csv") as fh:
+            admitted = {r["sop_uid"] for r in csv.DictReader(fh)}
+        assert walked - admitted == {bad_sop}
+
     def test_degenerate_orientation_ends_no_stage(self, tmp_path):
         # Row cosines of length 2: the series cannot be ordered along its
         # normal, so ingest orders it by InstanceNumber, classify scores
@@ -667,6 +789,22 @@ def _file_meta(syntax):
     meta = encode_element((0x0002, 0x0010), "UI", syntax)
     return (b"\x00" * 128 + b"DICM"
             + encode_element((0x0002, 0x0000), "UL", len(meta)) + meta)
+
+
+def _recode_rle(path):
+    """Re-encode a phantom file's pixels as one RLE fragment; its pixel
+    data element is its last."""
+    data = path.read_bytes()
+    image = parse_dicom(data).image
+    offset = image.pixel_data_offset
+    old = _file_meta(EXPLICIT_VR_LE)
+    assert data.startswith(old) and offset + image.pixel_data_length == len(
+        data)
+    frame = rle_encode_frame(decode_pixels(image, data[offset:]),
+                             image.bits_allocated)
+    path.write_bytes(_file_meta(RLE_LOSSLESS) + data[len(old):offset - 12]
+                     + build_dicom({}, RLE_LOSSLESS, pixel_payload=frame,
+                                   encapsulated=True, preamble=False))
 
 
 def _retag_jpeg_lossless(path):
@@ -727,8 +865,8 @@ class TestClassifyDecodeFailures:
         gone = files[len(files) // 2]
         walk = cli.ingest_tree
 
-        def walk_then_remove(path):
-            walked = walk(path)
+        def walk_then_remove(path, **kwargs):
+            walked = walk(path, **kwargs)
             gone.unlink()
             return walked
 
@@ -744,6 +882,29 @@ class TestClassifyDecodeFailures:
         assert capsys.readouterr().out.splitlines()[0] == (
             "skipped 1 images (1 FileNotFoundError) -> "
             f"{tmp_path / 'scores.skip_report.csv'}")
+
+    def test_stale_locator_is_skipped(self, small_phantom, tmp_path):
+        # Files cut short after ingest: the sidecar's locator runs past
+        # their end. A native payload reads short; an RLE fragment stream
+        # ends inside a fragment.
+        ph, truth, files = small_phantom
+        native, rle = files[1], files[-2]
+        _recode_rle(rle)
+        ing = tmp_path / "ing_rle"
+        assert main(["ingest", "--dicom", str(ph), "--out", str(ing)]) == 0
+        for path in (native, rle):
+            path.write_bytes(path.read_bytes()[:-40])
+        assert main(["classify", "--in", str(ing / "metadata.ndjson"),
+                     "--truth", str(truth),
+                     "--out", str(tmp_path / "scores.csv")]) == 0
+        with open(tmp_path / "scores.skip_report.csv") as fh:
+            skips = {r["path"]: r["error"] for r in csv.DictReader(fh)}
+        assert skips.keys() == {str(native), str(rle)}
+        assert skips[str(native)].startswith("LengthMismatch: pixel payload")
+        assert skips[str(rle)].startswith(
+            "Malformed: fragment length past end of data")
+        with open(tmp_path / "scores.csv") as fh:
+            assert sum(1 for _ in fh) - 1 == len(files) - 2
 
     def test_nothing_scored_is_data_error(self, small_phantom, tmp_path):
         ph, truth, files = small_phantom

@@ -2,8 +2,10 @@
 
 import json
 import pathlib
+import re
 import struct
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bodyregion.cli import main
+from bodyregion.cli import CLASSIFY_FIELDS, main
 from bodyregion.dicomio import (_U16, _U32, EXPLICIT_VR_LE, IMPLICIT_VR_LE,
                                 RLE_LOSSLESS, TAG_BODY_PART, TAG_PIXEL_DATA,
                                 TAG_TABLE, UNDEFINED_LENGTH, ParsedFile,
@@ -23,6 +25,7 @@ from bodyregion.errors import Malformed, NotDicom
 from bodyregion.ingest import ingest_tree, tree_files
 from bodyregion.records import (SIDECAR_FIELDS, ImageRecord, SeriesRecord,
                                 StudyRecord)
+from bodyregion.report import TAG_WRITE_FIELDS
 
 from conftest import AXIAL, base_dataset, make_dicom
 
@@ -843,6 +846,32 @@ HEADER_CASES = {
 }
 
 
+# The field sets of the stages that parse for some fields only.
+RESTRICTED_FIELDS = {"tag_write": TAG_WRITE_FIELDS,
+                     "classify": CLASSIFY_FIELDS}
+# What a parse fills whatever its fields: the locator and transfer syntax.
+ALWAYS_FILLED = {"transfer_syntax_uid", "source_path", "pixel_data_offset",
+                 "pixel_data_length"}
+FIELD_DEFAULTS = {name: default
+                  for cls in (ImageRecord, SeriesRecord, StudyRecord)
+                  for name, _, _, _, default in SIDECAR_FIELDS[cls]}
+# The faults of a value decode, which only a parse decoding the value has.
+VALUE_FAULT = re.compile(r"bad (DS|IS) value |U[SL] value shorter than ")
+
+
+def parse_fields(data, fields=None):
+    """Every field value of the parse of `data` (restricted to `fields`)
+    with its `explicit` and body-part range, or the fault's class name,
+    byte offset and message."""
+    try:
+        parsed = parse_dicom(data, source_path="a.dcm", fields=fields)
+    except Malformed as exc:
+        return type(exc).__name__, exc.offset, str(exc)
+    values = {**vars(parsed.image), **parsed.series_attrs,
+              **parsed.study_attrs}
+    return values, parsed.explicit, parsed.body_part_span
+
+
 class TestInlineWalk:
     def test_matches_walk_on_mutation_stream(self):
         mismatched = parsed = 0
@@ -853,6 +882,48 @@ class TestInlineWalk:
         assert mismatched == 0
         # 11,548 of these parse: a mutated tag is mostly out of order.
         assert parsed > 10_000
+
+    def test_restricted_parse_on_mutation_stream(self):
+        # A parse restricted to a stage's fields: where the full parse
+        # succeeds, the same values of those fields, locator, `explicit`
+        # and body-part range, and defaults everywhere else. The full parse
+        # alone fails only on a value it decodes and the other does not.
+        # Where the restricted parse fails, the full parse has the same
+        # fault, or stopped before it at such a value: each parse raises
+        # its first fault, and a truncated file may hold a bad DS or IS
+        # before the cut.
+        mismatched = []
+        parsed, full_only = Counter(), Counter()
+        for data in mutation_stream(120_000):
+            full = parse_fields(data)
+            for stage, fields in RESTRICTED_FIELDS.items():
+                part = parse_fields(data, fields)
+                if isinstance(full[0], dict):
+                    values = full[0]
+                    expected = {name: (values[name] if name in fields
+                                       or name in ALWAYS_FILLED
+                                       else FIELD_DEFAULTS[name])
+                                for name in values}
+                    # repr: a DS "NaN" is one NaN object per parse.
+                    ok = repr(part) == repr((expected, *full[1:]))
+                    parsed[stage] += 1
+                elif isinstance(part[0], dict):
+                    ok = bool(VALUE_FAULT.match(full[2]))
+                    full_only[stage] += 1
+                else:
+                    ok = part == full or bool(VALUE_FAULT.match(full[2])
+                                              and full[1] < part[1])
+                if not ok:
+                    mismatched.append((stage, data))
+        assert mismatched == []
+        for stage in RESTRICTED_FIELDS:
+            assert parsed[stage] > 10_000
+            assert full_only[stage] > 0
+
+    def test_restricted_parse_names_record_fields(self):
+        with pytest.raises(ValueError, match="no tag fills the fields "
+                                             r"\['pixel_data_offset'\]"):
+            parse_dicom(EXPLICIT_BASE, fields={"sop_uid", "pixel_data_offset"})
 
     @pytest.mark.parametrize("build", [cohorts.build_phantom42,
                                        cohorts.build_ct512_rle],

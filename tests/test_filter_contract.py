@@ -14,7 +14,8 @@ import pytest
 
 from bodyregion.cli import main
 from bodyregion.dicomio import TAG_TABLE, parse_dicom
-from bodyregion.ingest import read_metadata_ndjson
+from bodyregion.cohort import apply_filters
+from bodyregion.ingest import read_metadata_ndjson, write_metadata_ndjson
 from bodyregion.phantom import PhantomSpec, RegionSpec, generate_phantom
 from bodyregion.postprocess import read_series_results
 from bodyregion.taxonomy import BodyRegion
@@ -82,7 +83,7 @@ def chain(tmp_path_factory):
              "--out", root / "filt"],
             ["labels-project", "--in", filtered,
              "--boxes", ph / "labels.json", "--out", truth],
-            ["classify", "--dicom", ph, "--truth", truth, "--out", scores],
+            ["classify", "--in", filtered, "--truth", truth, "--out", scores],
             ["postprocess", "--in", filtered, "--scores", scores,
              "--out", results],
             ["evaluate", "--in", filtered, "--results", results,
@@ -121,9 +122,21 @@ def test_truth_covers_the_admitted_set(chain):
     assert {row["sop_uid"] for row in rows} == admitted
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "classify walks the DICOM tree, not filtered.ndjson, and scores the "
-    "images the filter dropped (ROADMAP item 2)"))
+def test_filtered_sidecar_is_the_admitted_lines(chain, tmp_path):
+    # filter passes each admitted line through; for a sidecar ingest wrote
+    # that is the encoding of the admitted records, and no excluded line.
+    root, admitted, _ = chain
+    metadata = root / "ing" / "metadata.ndjson"
+    kept, _ = apply_filters(read_metadata_ndjson(metadata))
+    write_metadata_ndjson(kept, tmp_path / "encoded.ndjson")
+    filtered = (root / "filt" / "filtered.ndjson").read_bytes()
+    assert filtered == (tmp_path / "encoded.ndjson").read_bytes()
+    lines = set(metadata.read_bytes().splitlines())
+    assert set(filtered.splitlines()) == {
+        line for line in lines if json.loads(line)["sop_uid"] in admitted}
+    assert len(lines) > len(admitted)
+
+
 def test_scores_cover_the_admitted_set(chain):
     root, admitted, _ = chain
     assert _read_csv(root / "scores.skip_report.csv") == []

@@ -340,6 +340,15 @@ class TestRLE:
         with pytest.raises(Malformed):
             decode_pixels(self._image(), b"\x00" * 10)
 
+    @pytest.mark.parametrize("rows", [4 * 64 + 1, 1 << 40])
+    def test_frame_too_short_for_its_shape(self, rows):
+        # Two segments of 2 bytes each decode to at most 256 bytes: a shape
+        # (from a sidecar, say) beyond that is refused before allocating.
+        frame = rle_encode_frame(np.zeros((8, 8), dtype=np.uint16), 16)
+        assert len(frame) == 64 + 4
+        with pytest.raises(LengthMismatch, match="cannot hold"):
+            decode_pixels(self._image(rows=rows, cols=1), frame)
+
     def test_segment_decodes_wrong_size(self):
         # Valid header, but the segment holds a single literal byte.
         header = struct.pack("<16I", 1, *( [64] + [0] * 14))
@@ -357,6 +366,12 @@ class TestNative:
         matrix = np.full((8, 8), 0xF123, dtype="<u2")
         image = make_image(rows=8, cols=8, bits_stored=12)
         assert np.all(decode_pixels(image, matrix.tobytes()) == 0x123)
+
+    @pytest.mark.parametrize("bits_stored", [0, -3])
+    def test_no_mask_without_positive_bits_stored(self, bits_stored):
+        matrix = np.full((8, 8), 0xF123, dtype="<u2")
+        image = make_image(rows=8, cols=8, bits_stored=bits_stored)
+        assert np.array_equal(decode_pixels(image, matrix.tobytes()), matrix)
 
     def test_bits_stored_mask_leaves_caller_buffer(self):
         """Masking writes a new matrix, never the caller's writable buffer."""

@@ -154,9 +154,9 @@ class TestTagWriteBack:
         import bodyregion.report as report_mod
         calls = []
 
-        def counting_parse(data):
+        def counting_parse(data, **kwargs):
             calls.append(len(data))
-            return parse_dicom(data)
+            return parse_dicom(data, **kwargs)
 
         monkeypatch.setattr(report_mod, "parse_dicom", counting_parse)
         paths = [tmp_path / "a.dcm", tmp_path / "b.dcm"]
@@ -176,11 +176,11 @@ class TestTagWriteBack:
         parses, walks, open_parses = [], [], []
         walk = dicomio_mod._walk
 
-        def counting_parse(data):
+        def counting_parse(data, **kwargs):
             parses.append(len(data))
             open_parses.append(data)
             try:
-                return parse_dicom(data)
+                return parse_dicom(data, **kwargs)
             finally:
                 open_parses.pop()
 

@@ -788,6 +788,16 @@ class TestFactorReport:
     def test_age_buckets(self, age, bucket):
         assert stats._age_bucket(age) == bucket
 
+    @pytest.mark.parametrize("mm,bucket", [
+        (None, "Unknown"), (math.nan, "Unknown"), (math.inf, "Unknown"),
+        (-math.inf, "Unknown"), (-0.5, "Unknown"), (0.0, "<=2 mm"),
+        (2.0, "<=2 mm"), (2.5, ">2 mm and <5 mm"), (5.0, ">=5 mm"),
+        (1e300, ">=5 mm"),
+    ])
+    def test_thickness_buckets(self, mm, bucket):
+        # A DS "NaN" or "inf" reaches the reader as a float, like an age.
+        assert stats._thickness_bucket(mm) == bucket
+
     def test_series_level_factor(self):
         studies, evals = self._setup()
         for st in studies:
