@@ -3,6 +3,8 @@
     ingest -> filter -> labels-project -> classify -> postprocess
            -> evaluate -> report / tag-write
 
+Each `cmd_*` stage yields the lines it reports, and `main` prints them as
+they come, so the lines reported before a data error still reach stdout.
 Exit codes: 0 success, 1 usage error, 2 data error (per-item reports are
 still written before a data error exits).
 """
@@ -10,16 +12,12 @@ still written before a data error exits).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import logging
-import math
 import os
 import sys
 from collections import Counter
-from typing import Dict
 
 import numpy as np
 
@@ -34,9 +32,10 @@ from .classify import fit_centroids, load_scores, pixel_feature, save_scores
 from .classify import train_centroid_baseline  # noqa: F401
 from .config import load_config, load_synonym_map
 from .errors import (ITEM_ERRORS, BodyRegionError, MissingGeometry,
-                     SchemaError, SkipReport, describe, read_text, write_csv)
+                     SkipReport, describe, read_text)
 from .geometry import (boxes_by_frame, load_boxes, project_box_labels,
-                       series_geometry, warn_foreign_frames)
+                       read_truth, series_geometry, warn_foreign_frames,
+                       write_truth)
 from .ingest import (ingest_tree, read_metadata_ndjson, tree_files,
                      write_metadata_ndjson, write_ndjson_lines)
 from .pixels import decode_pixels_from_file
@@ -44,7 +43,7 @@ from .pixels import decode_pixels_from_file
 # perfbench/tracing.py wraps `cli.preprocess_image` and fails if it is missing.
 from .preprocess import preprocess_image  # noqa: F401
 from .stats import EvalSeries, EvalStudy, sample_size
-from .taxonomy import FINAL_REGIONS, BodyRegion
+from .taxonomy import FINAL_REGIONS
 
 log = logging.getLogger(__name__)
 
@@ -57,36 +56,6 @@ CLASSIFY_FIELDS = frozenset({
     "image_orientation_patient"})
 
 
-def _read_truth(path, final_only=False) -> Dict[str, BodyRegion]:
-    """Truth region by sop_uid; a row with an empty region is unlabelled.
-
-    A missing `sop_uid` or `region` column, an unknown region, or (with
-    `final_only`) the internal AbdomenChest class is a SchemaError naming
-    its line.
-    """
-    truth = {}
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("sop_uid", "region"):
-            if column not in (reader.fieldnames or ()):
-                raise SchemaError(f"truth file has no {column} column",
-                                  line=1)
-        for row in reader:
-            name = row["region"]
-            if not name:
-                continue
-            try:
-                region = BodyRegion(name)
-            except ValueError:
-                raise SchemaError(f"unknown region {name!r}",
-                                  line=reader.line_num) from None
-            if final_only and region not in FINAL_REGIONS:
-                raise SchemaError(f"{name!r} is not a final region",
-                                  line=reader.line_num)
-            truth[row["sop_uid"]] = region
-    return truth
-
-
 def _read_uid_list(path) -> set:
     with io.StringIO(read_text(path), newline=None) as fh:
         return {line.strip() for line in fh if line.strip()}
@@ -97,9 +66,8 @@ def cmd_ingest(args):
     os.makedirs(args.out, exist_ok=True)
     write_metadata_ndjson(studies, os.path.join(args.out, "metadata.ndjson"))
     skipped.write_csv(os.path.join(args.out, "skip_report.csv"))
-    print(f"ingested {sum(s.image_count() for s in studies)} images in "
-          f"{len(studies)} studies; skipped {len(skipped)} files")
-    return 0
+    yield (f"ingested {sum(s.image_count() for s in studies)} images in "
+           f"{len(studies)} studies; skipped {len(skipped)} files")
 
 
 def cmd_filter(args):
@@ -119,8 +87,7 @@ def cmd_filter(args):
                         for image in series.images))
     n_in = sum(s.image_count() for s in studies)
     n_out = sum(s.image_count() for s in kept)
-    print(f"kept {n_out}/{n_in} images across {len(kept)} studies")
-    return 0
+    yield f"kept {n_out}/{n_in} images across {len(kept)} studies"
 
 
 def cmd_labels_project(args):
@@ -137,18 +104,15 @@ def cmd_labels_project(args):
                 # every image, so the whole series stays unlabelled.
                 unpositioned.append(series.series_uid)
                 labels = [None] * len(series.images)
-            for image, label in zip(series.images, labels):
-                rows.append([image.sop_uid, series.series_uid, study.study_uid,
-                             label.value if label else ""])
+            rows.extend((image.sop_uid, series.series_uid, study.study_uid,
+                         label) for image, label in zip(series.images, labels))
     warn_foreign_frames(frames, [s for st in studies for s in st.series])
     if unpositioned:
         log.warning("%d series: an image has no position, left unlabelled "
                     "(first: %s)", len(unpositioned), unpositioned[0])
-    write_csv(args.out, ["sop_uid", "series_uid", "study_uid", "region"],
-              rows)
+    write_truth(rows, args.out)
     labeled = sum(1 for r in rows if r[3])
-    print(f"labeled {labeled}/{len(rows)} images -> {args.out}")
-    return 0
+    yield f"labeled {labeled}/{len(rows)} images -> {args.out}"
 
 
 def cmd_classify(args):
@@ -168,7 +132,7 @@ def cmd_classify(args):
         studies = read_metadata_ndjson(args.input)
     else:
         studies, _ = ingest_tree(args.dicom, fields=CLASSIFY_FIELDS)
-    truth = _read_truth(args.truth)
+    truth = read_truth(args.truth)
     train_uids = _read_uid_list(args.train_uids) if args.train_uids else None
 
     features = []  # (sop_uid, feature) in record order: the scores.csv order
@@ -194,17 +158,16 @@ def cmd_classify(args):
     skipped.write_csv(skip_path)
     if skipped:
         reasons = sorted(skipped.reasons.items())
-        print(f"skipped {len(skipped)} images ("
-              + ", ".join(f"{n} {r}" for r, n in reasons)
-              + f") -> {skip_path}")
+        yield (f"skipped {len(skipped)} images ("
+               + ", ".join(f"{n} {r}" for r, n in reasons)
+               + f") -> {skip_path}")
     if not features:
         raise BodyRegionError("no image with pixel data could be decoded")
     backend = fit_centroids(training)
 
     scores = {uid: backend.predict(feat) for uid, feat in features}
     save_scores(scores, backend.classes, args.out)
-    print(f"trained on {len(training)} images, scored {len(scores)} -> {args.out}")
-    return 0
+    yield f"trained on {len(training)} images, scored {len(scores)} -> {args.out}"
 
 
 def cmd_postprocess(args):
@@ -229,8 +192,7 @@ def cmd_postprocess(args):
     post_mod.write_series_results(results, args.out)
     accepted = sum(1 for r in results
                    if r.series_status is post_mod.SeriesStatus.ACCEPTED)
-    print(f"{accepted}/{len(results)} series accepted -> {args.out}")
-    return 0
+    yield f"{accepted}/{len(results)} series accepted -> {args.out}"
 
 
 def _collect_evals(studies, truth, label_by_sop):
@@ -240,21 +202,15 @@ def _collect_evals(studies, truth, label_by_sop):
     for study in studies:
         ev = EvalStudy(study.study_uid)
         for series in study.series:
-            t, p, keep_idx = [], [], []
-            for i, image in enumerate(series.images):
-                region = truth.get(image.sop_uid)
-                label = label_by_sop.get(image.sop_uid)
-                if region is None or label is None:
-                    continue
-                t.append(code[region])
-                p.append(code[label])
-                keep_idx.append(i)
-            if not t:
+            kept = [(i, code[truth[uid]], code[label_by_sop[uid]])
+                    for i, uid in enumerate(im.sop_uid for im in series.images)
+                    if uid in truth and uid in label_by_sop]
+            if not kept:
                 continue
+            keep_idx, t, p = map(np.array, zip(*kept))
             positions = series_geometry(series).positions[keep_idx]
             order = np.argsort(positions, kind="stable")
-            ev.series.append(EvalSeries(positions[order], np.array(t)[order],
-                                        np.array(p)[order],
+            ev.series.append(EvalSeries(positions[order], t[order], p[order],
                                         series_uid=series.series_uid))
         if ev.series:
             evals[study.study_uid] = ev
@@ -267,7 +223,7 @@ def cmd_evaluate(args):
                       step_mm=args.step_mm)
     synonyms = load_synonym_map(cfg.synonym_map_path)
     studies = read_metadata_ndjson(args.input)
-    truth = _read_truth(args.truth, final_only=True)
+    truth = read_truth(args.truth, final_only=True)
     label_by_sop = {}
     for row in post_mod.read_series_results(args.results):
         label_by_sop.update((sop, label) for sop, label in row.labels
@@ -326,31 +282,21 @@ def cmd_evaluate(args):
         tag: stats_mod.tag_agreement(studies, regions_by_study, tag, synonyms)
         for tag in ("body_part", "procedure")}
 
-    summary = {
-        "n_studies": len(units),
-        "n_images": rows[0].n_images,
-        "overall_sensitivity": rows[0].sensitivity,
-        # Undefined (NaN) when the truth holds a single class; JSON has
-        # no NaN, so it is written as null.
-        "overall_specificity": (None if math.isnan(rows[0].specificity)
-                                else rows[0].specificity),
-        "tag_agreement": agreement,
-        "seed": cfg.seed,
-    }
-    with open(os.path.join(args.out, "summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"overall weighted sensitivity "
-          f"{100 * rows[0].sensitivity:.1f}% over {summary['n_images']} images")
-    return 0
+    overall = rows[0]
+    summary = report_mod.Summary(
+        n_studies=len(units), n_images=overall.n_images,
+        overall_sensitivity=overall.sensitivity,
+        overall_specificity=(None if np.isnan(overall.specificity)
+                             else overall.specificity),
+        tag_agreement=agreement, seed=cfg.seed)
+    report_mod.write_summary(summary, os.path.join(args.out, "summary.json"))
+    yield (f"overall weighted sensitivity {100 * overall.sensitivity:.1f}% "
+           f"over {overall.n_images} images")
 
 
 def cmd_sample_size(args):
-    n = sample_size(args.accuracy, args.confidence, args.relative_error,
-                    args.deff)
-    print(n)
-    return 0
+    yield str(sample_size(args.accuracy, args.confidence, args.relative_error,
+                          args.deff))
 
 
 def cmd_phantom(args):
@@ -358,8 +304,7 @@ def cmd_phantom(args):
                                                n_studies=args.studies)
     cohort = phantom_mod.generate_phantom(spec, args.out)
     n_images = sum(s.n_slices for s in cohort.studies)
-    print(f"wrote {len(cohort.studies)} studies / {n_images} slices to {args.out}")
-    return 0
+    yield f"wrote {len(cohort.studies)} studies / {n_images} slices to {args.out}"
 
 
 def cmd_tag_write(args):
@@ -376,56 +321,27 @@ def cmd_tag_write(args):
         tree_files(args.dicom), region_by_sop, dry_run=args.dry_run)
     report_mod.write_change_log(changes, args.out)
     mode = "would rewrite" if args.dry_run else "rewrote"
-    print(f"{mode} {len(changes) - len(skipped)}/{len(changes)} files; "
-          f"log -> {args.out}")
-    return 0
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number: an int or float that is not a bool, NaN or
-    infinite (Python's json reads NaN and Infinity)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    yield (f"{mode} {len(changes) - len(skipped)}/{len(changes)} files; "
+           f"log -> {args.out}")
 
 
 def cmd_report(args):
-    try:
-        summary = json.loads(read_text(args.summary))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}",
-                          line=exc.lineno) from None
-    for key in ("n_studies", "n_images", "overall_sensitivity",
-                "overall_specificity"):
-        value = summary.get(key) if isinstance(summary, dict) else None
-        # evaluate writes null for an undefined specificity.
-        if not (_is_number(value) or (key == "overall_specificity"
-                                      and key in summary and value is None)):
-            raise SchemaError(f"summary {key} must be a number, got {value!r}")
-    agreement = summary.get("tag_agreement", {})
-    if not isinstance(agreement, dict):
-        raise SchemaError(
-            f"summary tag_agreement must be an object, got {agreement!r}")
-    for tag, value in agreement.items():
-        if not _is_number(value):
-            raise SchemaError(f"summary tag_agreement {tag} must be a number, "
-                              f"got {value!r}")
-    specificity = summary["overall_specificity"]
-    lines = [f"# Evaluation summary", "",
-             f"- studies: {summary['n_studies']}",
-             f"- images: {summary['n_images']}",
+    summary = report_mod.read_summary(args.summary)
+    specificity = summary.overall_specificity
+    lines = ["# Evaluation summary", "",
+             f"- studies: {summary.n_studies}",
+             f"- images: {summary.n_images}",
              f"- overall weighted sensitivity: "
-             f"{100 * summary['overall_sensitivity']:.1f}%",
+             f"{100 * summary.overall_sensitivity:.1f}%",
              f"- overall weighted specificity: "
              + ("NA" if specificity is None else f"{100 * specificity:.1f}%")]
-    for tag, value in sorted(agreement.items()):
-        lines.append(f"- tag agreement ({tag}): {100 * value:.1f}%")
-    text = "\n".join(lines) + "\n"
+    lines += [f"- tag agreement ({tag}): {100 * value:.1f}%"
+              for tag, value in sorted(summary.tag_agreement.items())]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
     else:
-        print(text, end="")
-    return 0
+        yield from lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -444,27 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Body-region classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse a DICOM tree to NDJSON metadata")
+    def stage(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = stage("ingest", cmd_ingest, "parse a DICOM tree to NDJSON metadata")
     p.add_argument("--dicom", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("filter", help="apply inclusion/exclusion rules")
+    p = stage("filter", cmd_filter, "apply inclusion/exclusion rules")
     p.add_argument("--config", default=None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strict-geometry", action="store_true", default=False)
-    p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("labels-project",
-                       help="project 3-D boxes to per-image truth labels")
+    p = stage("labels-project", cmd_labels_project,
+              "project 3-D boxes to per-image truth labels")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--boxes", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_labels_project)
 
-    p = sub.add_parser("classify",
-                       help="train the centroid baseline and score images")
+    p = stage("classify", cmd_classify,
+              "train the centroid baseline and score images")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="input",
                         help="metadata sidecar of the images to score")
@@ -473,18 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-uids", default=None,
                    help="file of study UIDs to train on (default: all)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("postprocess", help="run the series rule engine")
+    p = stage("postprocess", cmd_postprocess, "run the series rule engine")
     p.add_argument("--config", default=None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--metric", choices=["margin", "entropy"], default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_postprocess)
 
-    p = sub.add_parser("evaluate", help="statistics and report tables")
+    p = stage("evaluate", cmd_evaluate, "statistics and report tables")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--in", dest="input", required=True)
@@ -497,43 +413,40 @@ def build_parser() -> argparse.ArgumentParser:
     # A tuple: the shared parser hands this one object to every call.
     p.add_argument("--factors", nargs="*",
                    default=("institution", "age", "gender", "manufacturer"))
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sample-size", help="survey sample-size model")
+    p = stage("sample-size", cmd_sample_size, "survey sample-size model")
     p.add_argument("--accuracy", type=float, default=0.9)
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--relative-error", type=float, default=0.1)
     p.add_argument("--deff", type=float, default=1.0)
-    p.set_defaults(func=cmd_sample_size)
 
-    p = sub.add_parser("phantom", help="generate a synthetic cohort")
+    p = stage("phantom", cmd_phantom, "generate a synthetic cohort")
     p.add_argument("--out", required=True)
     p.add_argument("--studies", type=int, default=42)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("tag-write", help="write BodyPartExamined back")
+    p = stage("tag-write", cmd_tag_write, "write BodyPartExamined back")
     p.add_argument("--dicom", required=True)
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dry-run", action="store_true", default=False)
-    p.set_defaults(func=cmd_tag_write)
 
-    p = sub.add_parser("report", help="render a saved evaluation summary")
+    p = stage("report", cmd_report, "render a saved evaluation summary")
     p.add_argument("--summary", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run the stage that `argv` (default: `sys.argv[1:]`) names and return
-    its exit code; a usage error raises SystemExit(1). One process may call
-    it any number of times."""
+    """Run the stage that `argv` (default: `sys.argv[1:]`) names, print the
+    lines it reports, and return its exit code; a usage error raises
+    SystemExit(1). One process may call it any number of times."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        for line in args.func(args):
+            print(line)
+        return 0
     except FileNotFoundError as exc:
         # Name the missing directory when that is what failed, e.g. an
         # output file whose parent does not exist.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -118,7 +119,8 @@ def mri_sequence_type(description: str) -> Optional[str]:
 
 def filter_series(series: SeriesRecord,
                   strict_geometry: bool = False) -> FilterDecision:
-    """Series-level inclusion: modality, derived/keyword lists, axial angle."""
+    """Series-level inclusion: modality, derived/keyword lists, finite
+    image positions, axial angle."""
     if series.modality not in ("CT", "MR"):
         return FilterDecision(False, FilterReason.WRONG_MODALITY, series.modality)
 
@@ -131,6 +133,13 @@ def filter_series(series: SeriesRecord,
                         else CT_EXCLUDE_KEYWORDS)
     if kw is not None:
         return FilterDecision(False, FilterReason.KEYWORD_EXCLUDED, kw)
+
+    # A NaN or infinite coordinate places its image nowhere on the normal.
+    if not all(math.isfinite(c) for im in series.images
+               if im.image_position_patient is not None
+               for c in im.image_position_patient):
+        return FilterDecision(False, FilterReason.NOT_AXIAL,
+                              "degenerate: image positions are not finite")
 
     orientation = next((im.image_orientation_patient for im in series.images
                         if im.image_orientation_patient is not None), None)

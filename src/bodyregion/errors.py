@@ -1,10 +1,12 @@
 """Exception types shared across the pipeline, whose class names are the
 reasons every per-item row gives; `read_text`, the one read of a whole
 text input (CSV, JSON, YAML, uid list), which raises SchemaError for bytes
-that are not UTF-8; and `write_csv`, the one writer of a stage table.
-NDJSON is read and written line by line in ingest.py."""
+that are not UTF-8, and `read_json` on top of it; and `write_csv`, the one
+writer of a stage table. NDJSON is read and written line by line in
+ingest.py."""
 
 import csv
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -160,3 +162,13 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc.reason}", path=path,
                           line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def read_json(path):
+    """The JSON value of the file at `path` (see `read_text`). Invalid JSON
+    is a SchemaError naming its line."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}",
+                          line=exc.lineno) from None

@@ -7,17 +7,19 @@ cosines; axial slices have a normal close to the z axis.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (DegenerateOrientation, EmptySeries, MissingGeometry,
-                     SchemaError, read_text)
+                     SchemaError, read_json, read_text, write_csv)
 from .records import SeriesRecord
-from .taxonomy import BodyRegion
+from .taxonomy import FINAL_REGIONS, BodyRegion
 
 log = logging.getLogger(__name__)
 
@@ -195,12 +197,10 @@ def project_box_labels(frames: Mapping[str, FrameBoxes],
         centers = [float(np.dot(mid, normal))
                    for mid in (group.lo + group.hi) / 2.0]
         for i in overlaps.tolist():
-            pos_n = geo.positions[i]
-            candidates = [(abs(centers[j] - pos_n), group.regions[j].value,
-                           group.regions[j])
-                          for j in np.flatnonzero(inside[i]).tolist()]
-            candidates.sort(key=lambda t: (t[0], t[1]))
-            labels[i] = candidates[0][2]
+            j = min(np.flatnonzero(inside[i]).tolist(),
+                    key=lambda j: (abs(centers[j] - geo.positions[i]),
+                                   group.regions[j].value))
+            labels[i] = group.regions[j]
     return labels
 
 
@@ -218,17 +218,14 @@ def warn_foreign_frames(frames: Mapping[str, FrameBoxes],
 
 
 # ---------------------------------------------------------------------------
-# Label file I/O (JSON array of box records, mm)
+# Label file I/O: boxes (a JSON array of box records, mm), and truth.csv (a
+# row per image, its region empty when it is unlabelled)
 
 
 def load_boxes(path) -> List[BoundingBox3D]:
     """The boxes of a JSON list as save_boxes writes it. Invalid JSON, or an
     entry that is not a box, is a SchemaError; the latter names its index."""
-    try:
-        entries = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}",
-                          line=exc.lineno) from None
+    entries = read_json(path)
     if not isinstance(entries, list):
         raise SchemaError("a boxes file must hold a JSON list")
     boxes = []
@@ -252,3 +249,41 @@ def save_boxes(boxes: Sequence[BoundingBox3D], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2)
         fh.write("\n")
+
+
+def write_truth(rows: Iterable[Tuple[str, str, str, Optional[BodyRegion]]],
+                path) -> None:
+    """truth.csv from (sop_uid, series_uid, study_uid, region) rows."""
+    write_csv(path, ["sop_uid", "series_uid", "study_uid", "region"],
+              ([sop, series, study, region.value if region else ""]
+               for sop, series, study, region in rows))
+
+
+def read_truth(path, final_only=False) -> Dict[str, BodyRegion]:
+    """Truth region by sop_uid; a row with an empty region is unlabelled.
+
+    A missing `sop_uid` or `region` column, an unknown region, or (with
+    `final_only`) the internal AbdomenChest class is a SchemaError naming
+    its line.
+    """
+    truth = {}
+    with io.StringIO(read_text(path), newline="") as fh:
+        reader = csv.DictReader(fh)
+        for column in ("sop_uid", "region"):
+            if column not in (reader.fieldnames or ()):
+                raise SchemaError(f"truth file has no {column} column",
+                                  line=1)
+        for row in reader:
+            name = row["region"]
+            if not name:
+                continue
+            try:
+                region = BodyRegion(name)
+            except ValueError:
+                raise SchemaError(f"unknown region {name!r}",
+                                  line=reader.line_num) from None
+            if final_only and region not in FINAL_REGIONS:
+                raise SchemaError(f"{name!r} is not a final region",
+                                  line=reader.line_num)
+            truth[row["sop_uid"]] = region
+    return truth

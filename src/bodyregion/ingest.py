@@ -52,13 +52,15 @@ def ingest_tree(path, fields: Optional[Iterable[str]] = None
     Returns (studies sorted by uid, skip report). Grouping is a
     deterministic reduction: the file walk is sorted, and images within a
     series end up ordered by geometry (fallback InstanceNumber, then file
-    order). `fields` names the record fields to decode (see `parse_dicom`;
-    all when None); grouping and ordering need the three UIDs,
-    `instance_number`, `image_position_patient` and
-    `image_orientation_patient`.
+    order). The first file in walk order holds each SOPInstanceUID; a later
+    file with the same one is a skip row that names the first. `fields`
+    names the record fields to decode (see `parse_dicom`; all when None);
+    grouping and ordering need the three UIDs, `instance_number`,
+    `image_position_patient` and `image_orientation_patient`.
     """
     studies: dict = {}  # study uid -> StudyRecord
     series_by_uid: dict = {}  # (study uid, series uid) -> SeriesRecord
+    first_path = {}  # sop uid -> the file that holds it
     skipped = SkipReport()
     for fp in tree_files(path):
         try:
@@ -70,9 +72,15 @@ def ingest_tree(path, fields: Optional[Iterable[str]] = None
             continue
         study_uid = parsed.study_attrs["study_uid"]
         key = study_uid, parsed.series_attrs["series_uid"]
-        if not (all(key) and parsed.image.sop_uid):
+        sop_uid = parsed.image.sop_uid
+        if not (all(key) and sop_uid):
             skipped.add(fp, SchemaError("missing study/series/sop UID"))
             continue
+        if sop_uid in first_path:
+            skipped.add(fp, SchemaError(f"duplicate sop_uid {sop_uid}, "
+                                        f"first in {first_path[sop_uid]}"))
+            continue
+        first_path[sop_uid] = fp
         _merge_attrs(studies, study_uid, StudyRecord, parsed.study_attrs)
         series = _merge_attrs(series_by_uid, key, SeriesRecord,
                               parsed.series_attrs)
@@ -201,17 +209,23 @@ def read_metadata_ndjson(path, lines: Optional[dict] = None
 
     A study's and a series' fields are read from the first row that names
     it; every later row naming it must carry the same raw values there.
+    A `sop_uid` that an earlier row holds is a SchemaError.
     If `lines` is given, it maps the `id` of each image record returned to
     its line as read (see `read_ndjson`).
     """
     studies: dict = {}  # study uid -> StudyRecord, in first-seen order
     series_by_uid: dict = {}  # (study uid, series uid) -> SeriesRecord
     first_rows: dict = {}  # study or series key -> (line, raw field values)
+    sop_lines = {}  # sop uid -> the line that holds it
     study_names = _SHARED_FIELDS[StudyRecord]
     series_names = _SHARED_FIELDS[SeriesRecord]
     for lineno, line, row in read_ndjson(path):
         study_uid, series_uid = _uids(row, lineno)
         image = _record(ImageRecord, row, lineno)
+        if image.sop_uid in sop_lines:
+            raise SchemaError(f"duplicate sop_uid {image.sop_uid}, first on "
+                              f"line {sop_lines[image.sop_uid]}", line=lineno)
+        sop_lines[image.sop_uid] = lineno
         if lines is not None:
             lines[id(image)] = line
         study_values = tuple(map(row.get, study_names))

@@ -19,13 +19,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import EmptySeries, SchemaError
 from .ingest import read_ndjson, write_ndjson
 from .taxonomy import FINAL_REGIONS, BodyRegion
 
-DEFAULT_MIN_RUN = 3
-DEFAULT_WINDOW = 3
-DEFAULT_UNCERTAINTY_THRESHOLD = 0.2
+# The rule engine's defaults are the pipeline config's.
+DEFAULT_MIN_RUN = PipelineConfig.min_run
+DEFAULT_WINDOW = PipelineConfig.smoothing_window
+DEFAULT_UNCERTAINTY_METRIC = PipelineConfig.uncertainty_metric
+DEFAULT_UNCERTAINTY_THRESHOLD = PipelineConfig.uncertainty_threshold
 
 
 class SeriesStatus(enum.Enum):
@@ -86,7 +89,7 @@ def merge_abdomen_chest(probs: np.ndarray, classes: Sequence[BodyRegion]
 
 
 def reject_uncertain(margin: np.ndarray, entropy: np.ndarray,
-                     metric: str = "margin",
+                     metric: str = DEFAULT_UNCERTAINTY_METRIC,
                      threshold: float = DEFAULT_UNCERTAINTY_THRESHOLD,
                      modality: str = "MR") -> SeriesStatus:
     """Uncertainty gate for MRI series, from their per-image margins and
@@ -155,7 +158,7 @@ def smooth_labels(probs: np.ndarray, window: int = DEFAULT_WINDOW
 
 def run_pipeline(sop_uids: Sequence[str], probs: np.ndarray,
                  classes: Sequence[BodyRegion], modality: str,
-                 uncertainty_metric: str = "margin",
+                 uncertainty_metric: str = DEFAULT_UNCERTAINTY_METRIC,
                  uncertainty_threshold: float = DEFAULT_UNCERTAINTY_THRESHOLD,
                  min_run: int = DEFAULT_MIN_RUN,
                  window: int = DEFAULT_WINDOW,

@@ -8,16 +8,18 @@ files are stable.
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
-from .errors import ITEM_ERRORS, SkipReport, write_csv
+from .errors import ITEM_ERRORS, SchemaError, SkipReport, read_json, write_csv
 from .postprocess import SeriesStatus
 from .stats import (CIResult, ClassSums, EvalStudy, FactorReport,
                     ci_from_counts, class_recall, class_specificity,
@@ -104,6 +106,55 @@ def emit_factor_report(report: FactorReport, path) -> None:
          _fmt_metric(row.specificity, row.specificity_ci),
          _fmt_p(report.p_value) if i == 0 else ""]
         for i, row in enumerate(report.rows)))
+
+
+@dataclass(frozen=True)
+class Summary:
+    """The headline figures of an evaluation, as summary.json holds them."""
+
+    n_studies: int
+    n_images: int
+    overall_sensitivity: float
+    # None where weighted specificity is undefined (the truth holds a single
+    # class); JSON has no NaN, so it is written as null.
+    overall_specificity: Optional[float]
+    tag_agreement: Dict[str, float]  # tag name -> agreement rate
+    seed: Optional[int]  # of the resample pass; recorded, not checked
+
+
+def write_summary(summary: Summary, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n")
+
+
+def _check_number(name: str, value, nullable: bool = False) -> None:
+    """Raise SchemaError unless `value` is an int or float that is not a
+    bool, NaN or infinite (json reads NaN), or is None where `nullable`."""
+    if not ((value is None and nullable)
+            or (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))):
+        raise SchemaError(f"summary {name} must be a number, got {value!r}")
+
+
+def read_summary(path) -> Summary:
+    """The Summary of a summary.json. Invalid JSON, a count or rate that is
+    not a finite number (save a null specificity), or a `tag_agreement` that
+    is present but not an object of finite numbers is a SchemaError."""
+    data = read_json(path)
+    data = data if isinstance(data, dict) else {}  # then it lacks every key
+    for key in ("n_studies", "n_images", "overall_sensitivity"):
+        _check_number(key, data.get(key))
+    _check_number("overall_specificity", data.get("overall_specificity"),
+                  nullable="overall_specificity" in data)
+    agreement = data.get("tag_agreement", {})
+    if not isinstance(agreement, dict):
+        raise SchemaError(
+            f"summary tag_agreement must be an object, got {agreement!r}")
+    for tag, value in agreement.items():
+        _check_number(f"tag_agreement {tag}", value)
+    return Summary(data["n_studies"], data["n_images"],
+                   data["overall_sensitivity"], data["overall_specificity"],
+                   tag_agreement=agreement, seed=data.get("seed"))
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,91 @@ class TestPipelineOutputs:
         assert "overall weighted sensitivity" in out
 
 
+def _stale_sidecar(root, tmp, every):
+    """A copy of the pipeline's filtered.ndjson in which the locator of
+    every `every`-th image names a file that does not exist."""
+    lines = (root / "filt" / "filtered.ndjson").read_text().splitlines()
+    sidecar = tmp / "stale.ndjson"
+    with open(sidecar, "w") as fh:
+        for i, line in enumerate(lines):
+            row = json.loads(line)
+            if i % every == 0:
+                row["source_path"] = str(tmp / f"gone{i}.dcm")
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    return sidecar
+
+
+# (stage argv from the pipeline_dirs root and a scratch dir, exit code,
+# the exact stdout with {root} and {tmp} in place of those dirs)
+STAGE_STDOUT = {
+    "phantom": (lambda root, tmp: [
+        "phantom", "--out", tmp / "ph", "--studies", "2", "--seed", "3"],
+        0, "wrote 2 studies / 72 slices to {tmp}/ph\n"),
+    "ingest": (lambda root, tmp: [
+        "ingest", "--dicom", root / "ph", "--out", tmp / "ing"],
+        0, "ingested 96 images in 8 studies; skipped 2 files\n"),
+    "filter": (lambda root, tmp: [
+        "filter", "--in", root / "ing" / "metadata.ndjson",
+        "--out", tmp / "filt"],
+        0, "kept 96/96 images across 8 studies\n"),
+    "labels-project": (lambda root, tmp: [
+        "labels-project", "--in", root / "filt" / "filtered.ndjson",
+        "--boxes", root / "ph" / "labels.json", "--out", tmp / "truth.csv"],
+        0, "labeled 96/96 images -> {tmp}/truth.csv\n"),
+    "classify": (lambda root, tmp: [
+        "classify", "--dicom", root / "ph", "--truth", root / "truth.csv",
+        "--out", tmp / "scores.csv"],
+        0, "trained on 96 images, scored 96 -> {tmp}/scores.csv\n"),
+    "classify-skips": (lambda root, tmp: [
+        "classify", "--in", _stale_sidecar(root, tmp, 10),
+        "--truth", root / "truth.csv", "--out", tmp / "scores.csv"],
+        0, "skipped 10 images (10 FileNotFoundError) -> "
+           "{tmp}/scores.skip_report.csv\n"
+           "trained on 86 images, scored 86 -> {tmp}/scores.csv\n"),
+    # A data error still prints the lines the stage reported before it.
+    "classify-all-skipped": (lambda root, tmp: [
+        "classify", "--in", _stale_sidecar(root, tmp, 1),
+        "--truth", root / "truth.csv", "--out", tmp / "scores.csv"],
+        2, "skipped 96 images (96 FileNotFoundError) -> "
+           "{tmp}/scores.skip_report.csv\n"),
+    "postprocess": (lambda root, tmp: [
+        "postprocess", "--in", root / "filt" / "filtered.ndjson",
+        "--scores", root / "scores.csv", "--out", tmp / "results.ndjson"],
+        0, "8/8 series accepted -> {tmp}/results.ndjson\n"),
+    "evaluate": (lambda root, tmp: [
+        "evaluate", "--in", root / "filt" / "filtered.ndjson",
+        "--results", root / "results.ndjson", "--truth", root / "truth.csv",
+        "--out", tmp / "eval", "--bootstrap", "20"],
+        0, "overall weighted sensitivity 100.0% over 96 images\n"),
+    "report": (lambda root, tmp: [
+        "report", "--summary", root / "eval" / "summary.json"],
+        0, "# Evaluation summary\n\n- studies: 8\n- images: 96\n"
+           "- overall weighted sensitivity: 100.0%\n"
+           "- overall weighted specificity: 100.0%\n"
+           "- tag agreement (body_part): 0.0%\n"
+           "- tag agreement (procedure): 0.0%\n"),
+    "report-out": (lambda root, tmp: [
+        "report", "--summary", root / "eval" / "summary.json",
+        "--out", tmp / "report.md"], 0, ""),
+    "sample-size": (lambda root, tmp: ["sample-size"], 0, "43\n"),
+    "tag-write": (lambda root, tmp: [
+        "tag-write", "--dicom", root / "ph",
+        "--results", root / "results.ndjson", "--out", tmp / "changes.csv",
+        "--dry-run"],
+        0, "would rewrite 96/98 files; log -> {tmp}/changes.csv\n"),
+}
+
+
+class TestStageStdout:
+    @pytest.mark.parametrize("stage", list(STAGE_STDOUT))
+    def test_exact_stdout(self, pipeline_dirs, tmp_path, capsys, stage):
+        argv, code, expected = STAGE_STDOUT[stage]
+        capsys.readouterr()
+        assert main([str(a) for a in argv(pipeline_dirs, tmp_path)]) == code
+        assert capsys.readouterr().out == expected.format(
+            root=pipeline_dirs, tmp=tmp_path)
+
+
 class TestClassify:
     def test_scores_unchanged(self, pipeline_dirs):
         data = (pipeline_dirs / "scores.csv").read_bytes()
@@ -626,6 +711,106 @@ class TestImageWithoutPosition:
         assert main(["tag-write", "--dicom", str(ph),
                      "--results", str(results),
                      "--out", str(tmp_path / "changes.csv")]) == 0
+
+
+def _set_position(path, text):
+    """Rewrite the one ImagePositionPatient (DS) of the explicit-VR file at
+    `path` to hold `text`, padded to even length."""
+    data = path.read_bytes()
+    header = b"\x20\x00\x32\x00DS"
+    assert data.count(header) == 1
+    at = data.index(header)
+    end = at + 8 + int.from_bytes(data[at + 6:at + 8], "little")
+    value = text.encode() + b" " * (len(text) % 2)
+    path.write_bytes(data[:at] + header + len(value).to_bytes(2, "little")
+                     + value + data[end:])
+
+
+def _filter_rows(out):
+    with open(out / "filter_report.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestNonFinitePosition:
+    """A series with an image position that is NaN or infinite is excluded
+    at filter, as NotAxial; it was admitted, and labels-project then left
+    the image unlabelled without a word."""
+
+    def _assert_excluded(self, metadata, series_uid, out):
+        assert main(["filter", "--in", str(metadata), "--out", str(out)]) == 0
+        [row] = [r for r in _filter_rows(out) if r["uid"] == series_uid]
+        assert row == {"uid": series_uid, "level": "series",
+                       "included": "false", "reason": "NotAxial",
+                       "detail": "degenerate: image positions are not finite"}
+        kept = [json.loads(line) for line in
+                (out / "filtered.ndjson").read_text().splitlines()]
+        assert len(kept) == 96 - 12
+        assert series_uid not in {row["series_uid"] for row in kept}
+
+    @pytest.mark.parametrize("text", ["inf\\0\\0", "0\\0\\NaN"])
+    def test_dicom_value(self, pipeline_dirs, tmp_path, text):
+        ph = tmp_path / "ph"
+        shutil.copytree(pipeline_dirs / "ph", ph)
+        path = sorted(ph.rglob("*.dcm"))[3]
+        _set_position(path, text)
+        series_uid = parse_dicom(path.read_bytes()).series_attrs["series_uid"]
+        assert main(["ingest", "--dicom", str(ph),
+                     "--out", str(tmp_path / "ing")]) == 0
+        self._assert_excluded(tmp_path / "ing" / "metadata.ndjson",
+                              series_uid, tmp_path / "filt")
+
+    def test_sidecar_value(self, pipeline_dirs, tmp_path):
+        source = pipeline_dirs / "ing" / "metadata.ndjson"
+        rows = [json.loads(line) for line in source.read_text().splitlines()]
+        rows[40]["image_position_patient"][2] = math.nan
+        metadata = tmp_path / "metadata.ndjson"
+        metadata.write_text("".join(json.dumps(row, sort_keys=True) + "\n"
+                                    for row in rows))
+        self._assert_excluded(metadata, rows[40]["series_uid"],
+                              tmp_path / "filt")
+
+
+class TestOneImagePerSop:
+    def test_copied_file_is_a_skip_row(self, pipeline_dirs, tmp_path):
+        # A copy that sorts after its original: ingest keeps the original
+        # and reports the copy, so every stage counts 96 images (the
+        # sidecar had 97 lines, scores.csv 96 rows, evaluate 97 images).
+        ph = tmp_path / "ph"
+        shutil.copytree(pipeline_dirs / "ph", ph)
+        original = sorted(ph.rglob("*.dcm"))[5]
+        copy = original.with_name(original.stem + "_copy.dcm")
+        shutil.copyfile(original, copy)
+        sop_uid = parse_dicom(original.read_bytes()).image.sop_uid
+        ing = tmp_path / "ing"
+        assert main(["ingest", "--dicom", str(ph), "--out", str(ing)]) == 0
+        assert (ing / "metadata.ndjson").read_text().replace(
+            str(ph), str(pipeline_dirs / "ph")) == (
+            pipeline_dirs / "ing" / "metadata.ndjson").read_text()
+        with open(ing / "skip_report.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["path"] == str(copy)]
+        assert rows == [{"path": str(copy), "error":
+                         f"SchemaError: duplicate sop_uid {sop_uid}, "
+                         f"first in {original}"}]
+        scores = tmp_path / "scores.csv"
+        assert main(["classify", "--dicom", str(ph),
+                     "--truth", str(pipeline_dirs / "truth.csv"),
+                     "--out", str(scores)]) == 0
+        assert scores.read_bytes() == (pipeline_dirs
+                                       / "scores.csv").read_bytes()
+
+    def test_sidecar_repeat_is_data_error(self, pipeline_dirs, tmp_path,
+                                          capsys):
+        lines = (pipeline_dirs / "ing" / "metadata.ndjson").read_text(
+        ).splitlines(keepends=True)
+        metadata = tmp_path / "metadata.ndjson"
+        metadata.write_text("".join(lines + lines[7:8]))
+        sop_uid = json.loads(lines[7])["sop_uid"]
+        capsys.readouterr()
+        assert main(["filter", "--in", str(metadata),
+                     "--out", str(tmp_path / "filt")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: SchemaError: line 97: duplicate sop_uid {sop_uid}, "
+            f"first on line 8\n")
 
 
 class TestTagWrite:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bodyregion.errors import (DegenerateOrientation, EmptySeries,
-                               MissingGeometry)
+                               MissingGeometry, SchemaError)
 from bodyregion.geometry import (AXIAL_IDENTITY, BoundingBox3D, axial_angle,
                                  boxes_by_frame, first_window_size,
                                  greedy_sample_indices, load_boxes,
-                                 project_box_labels, save_boxes,
+                                 project_box_labels, read_truth, save_boxes,
                                  series_geometry, slice_normal,
-                                 sort_series_images)
+                                 sort_series_images, write_truth)
 from bodyregion.records import SeriesRecord
 from bodyregion.taxonomy import BodyRegion
 
@@ -319,3 +319,28 @@ class TestBoxProjection:
     def test_invalid_box_corners(self):
         with pytest.raises(ValueError):
             BoundingBox3D("F1", BodyRegion.CHEST, (0, 0, 10), (10, 10, 0))
+
+
+class TestTruthFile:
+    ROWS = [("1.1", "S1", "ST1", BodyRegion.CHEST),
+            ("1.2", "S1", "ST1", None),
+            ("2.1", "S2", "ST1", BodyRegion.ABDOMEN_CHEST),
+            ("3.1", "S3", "ST2", BodyRegion.HEAD)]
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        write_truth(self.ROWS, path)
+        assert path.read_bytes() == (
+            b"sop_uid,series_uid,study_uid,region\r\n"
+            b"1.1,S1,ST1,Chest\r\n1.2,S1,ST1,\r\n"
+            b"2.1,S2,ST1,AbdomenChest\r\n3.1,S3,ST2,Head\r\n")
+        assert read_truth(path) == {sop: region
+                                    for sop, _, _, region in self.ROWS
+                                    if region is not None}
+
+    def test_final_only_refuses_the_internal_class(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        write_truth(self.ROWS, path)
+        with pytest.raises(SchemaError, match="^line 4: 'AbdomenChest' is "
+                                              "not a final region$"):
+            read_truth(path, final_only=True)

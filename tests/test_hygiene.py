@@ -1,6 +1,6 @@
 """Source hygiene: no module-level import goes unused, no public top-level
-name or method in the package is defined for nothing to load, and only
-errors.py spells an error's reason."""
+name or method in the package is defined for nothing to load, only
+errors.py spells an error's reason, and only cli.main prints."""
 
 import ast
 import pathlib
@@ -217,3 +217,33 @@ def test_every_traced_binding_resolves():
     the tracer once patches, and then restores, every binding."""
     with tracing.Tracer("hygiene").installed():
         pass
+
+
+def print_calls(path, exempt=None):
+    """Lines of `path` that call `print`, outside its top-level function
+    named `exempt`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = {id(n) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == exempt
+               for n in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "print" and id(node) not in allowed)
+
+
+def test_only_cli_main_prints():
+    """Stages yield the lines they report, and `cli.main` prints them."""
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := print_calls(
+                 path, "main" if path.name == "cli.py" else None))}
+    assert found == {}
+
+
+def test_scan_flags_a_print(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def stage():\n    print('done')\n\n\n"
+                      "def main():\n    print('ok')\n\n\n"
+                      "class Cli:\n    def main(self):\n        print(1)\n")
+    assert print_calls(module) == [2, 6, 11]
+    assert print_calls(module, "main") == [2, 11]

@@ -13,9 +13,11 @@ import bodyregion.report as report_mod
 from bodyregion.cli import main
 from bodyregion.dicomio import (TAG_BODY_PART, UNDEFINED_LENGTH,
                                 encode_element, parse_dicom)
-from bodyregion.report import (TagChange, emit_factor_report,
-                               emit_region_report, write_body_part_tags,
-                               write_change_log)
+from bodyregion.errors import SchemaError
+from bodyregion.report import (Summary, TagChange, emit_factor_report,
+                               emit_region_report, read_summary,
+                               write_body_part_tags, write_change_log,
+                               write_summary)
 from bodyregion.stats import EvalSeries, EvalStudy
 from bodyregion.taxonomy import BodyRegion
 
@@ -97,6 +99,43 @@ class TestGoldenLayout:
         lines = path.read_text().strip().splitlines()
         canon = next(l for l in lines if l.startswith("manufacturer,Canon"))
         assert ",NA,NA," in canon  # n=1 < 5 -> NA metrics
+
+
+class TestSummaryFile:
+    @pytest.mark.parametrize("specificity", [0.875, None])
+    def test_round_trip(self, tmp_path, specificity):
+        summary = Summary(n_studies=8, n_images=96, overall_sensitivity=0.9375,
+                          overall_specificity=specificity,
+                          tag_agreement={"body_part": 0.5, "procedure": 1.0},
+                          seed=7)
+        path = tmp_path / "summary.json"
+        write_summary(summary, path)
+        assert read_summary(path) == summary
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_summary(Summary(2, 10, 1.0, None, {"procedure": 0.0,
+                                                 "body_part": 1.0}, 0), path)
+        assert path.read_text() == (
+            '{\n  "n_images": 10,\n  "n_studies": 2,\n'
+            '  "overall_sensitivity": 1.0,\n  "overall_specificity": null,\n'
+            '  "seed": 0,\n  "tag_agreement": {\n    "body_part": 1.0,\n'
+            '    "procedure": 0.0\n  }\n}\n')
+
+    def test_optional_keys(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({
+            "n_studies": 1, "n_images": 3, "overall_sensitivity": 1,
+            "overall_specificity": 0.5, "extra": "ignored"}))
+        assert read_summary(path) == Summary(1, 3, 1, 0.5, {}, None)
+
+    @pytest.mark.parametrize("value", [[], "text", 3])
+    def test_not_an_object(self, tmp_path, value):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(value))
+        with pytest.raises(SchemaError, match="^summary n_studies must be a "
+                                              "number, got None$"):
+            read_summary(path)
 
 
 class TestTagWriteBack:
