@@ -219,8 +219,7 @@ def _collect_evals(studies, truth, label_by_sop):
 
 def cmd_evaluate(args):
     cfg = load_config(args.config, bootstrap_resamples=args.bootstrap,
-                      ci_level=args.level, seed=args.seed,
-                      step_mm=args.step_mm)
+                      seed=args.seed, step_mm=args.step_mm)
     synonyms = load_synonym_map(cfg.synonym_map_path)
     studies = read_metadata_ndjson(args.input)
     truth = read_truth(args.truth, final_only=True)
@@ -244,39 +243,14 @@ def cmd_evaluate(args):
         raise BodyRegionError("no evaluable images (need truth and results)")
 
     os.makedirs(args.out, exist_ok=True)
-    # Every CI of the run is read from one resample pass over its unit
-    # sets: all evaluable studies, and each factor category with enough
-    # units to be reported.
-    by_factor = [stats_mod.factor_units(studies, evals, factor)
-                 for factor in args.factors]
-    sampled = [{cat: u for cat, u in units_by_cat.items()
-                if len(u) >= stats_mod.MIN_CATEGORY_COUNT}
-               for units_by_cat in by_factor]
-    counts = iter(stats_mod.bootstrap_counts(
-        [units] + [u for cats in sampled for u in cats.values()],
-        len(class_names), cfg.bootstrap_resamples, cfg.seed, cfg.step_mm))
-    undefined_tnr = {}
-
-    def class_sums(table):
-        """The class sums of the next unit set, taken as its table is
-        built so that the run never holds them all; notes its undefined
-        TNRs for the run's one warning line."""
-        sums = next(counts).class_sums()
-        undefined_tnr[table] = stats_mod.undefined_tnr(sums, class_names)
-        return sums
-
-    rows = report_mod.region_rows(units, class_sums("regions"), class_names,
-                                  level=cfg.ci_level)
+    rows, reports = report_mod.evaluation_tables(
+        units, {factor: stats_mod.factor_units(studies, evals, factor)
+                for factor in args.factors},
+        class_names, cfg.bootstrap_resamples, cfg.seed, cfg.step_mm)
     report_mod.emit_region_report(rows, os.path.join(args.out, "by_region.csv"))
-
-    for factor, units_by_cat, cats in zip(args.factors, by_factor, sampled):
-        fr = stats_mod.factor_report(
-            factor, units_by_cat,
-            {cat: class_sums(f"{factor}={cat}") for cat in cats},
-            class_names, level=cfg.ci_level)
+    for fr in reports:
         report_mod.emit_factor_report(
-            fr, os.path.join(args.out, f"by_{factor}.csv"))
-    stats_mod.log_undefined_tnr(undefined_tnr)
+            fr, os.path.join(args.out, f"by_{fr.factor}.csv"))
 
     agreement = {
         tag: stats_mod.tag_agreement(studies, regions_by_study, tag, synonyms)
@@ -408,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bootstrap", type=int, default=None)
-    p.add_argument("--level", type=float, default=None)
     p.add_argument("--step-mm", type=float, default=None)
     # A tuple: the shared parser hands this one object to every call.
     p.add_argument("--factors", nargs="*",

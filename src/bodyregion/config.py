@@ -30,7 +30,6 @@ class PipelineConfig:
     min_run: int = 3
     step_mm: float = 10.0
     bootstrap_resamples: int = 1000
-    ci_level: float = 0.95
     seed: int = 0
     strict_geometry: bool = False
     synonym_map_path: Optional[str] = None
@@ -54,8 +53,6 @@ class PipelineConfig:
             raise ConfigError("step_mm must be positive")
         if self.bootstrap_resamples < 1:
             raise ConfigError("bootstrap_resamples must be >= 1")
-        if not (0.0 < self.ci_level < 1.0):
-            raise ConfigError("ci_level must be in (0, 1)")
 
 
 def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:

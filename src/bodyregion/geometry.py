@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -106,11 +107,13 @@ def series_geometry(series: SeriesRecord) -> SliceGeometry:
 def sort_series_images(series: SeriesRecord) -> None:
     """Order images by position along the normal; fall back to
     InstanceNumber, then existing (file) order, when a position is missing
-    or the orientation is degenerate (the filter stage excludes such a
-    series as NotAxial). Deterministic, in place."""
+    or not finite or the orientation is degenerate (the filter stage
+    excludes such a series as NotAxial). Deterministic, in place."""
     if not series.images:
         return
-    if all(im.image_position_patient is not None for im in series.images):
+    if all(im.image_position_patient is not None
+           and all(map(math.isfinite, im.image_position_patient))
+           for im in series.images):
         try:
             positions = series_geometry(series).positions
         except DegenerateOrientation:

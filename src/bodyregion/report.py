@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import stats
 from .dicomio import TAG_BODY_PART, ParsedFile, encode_element, parse_dicom
 from .errors import ITEM_ERRORS, SchemaError, SkipReport, read_json, write_csv
 from .postprocess import SeriesStatus
@@ -45,8 +46,7 @@ class RegionRow:
 
 
 def region_rows(evals: Sequence[EvalStudy], sums: ClassSums,
-                class_names: Sequence[str],
-                level: float = 0.95) -> List[RegionRow]:
+                class_names: Sequence[str]) -> List[RegionRow]:
     """Overall row plus one row per region with bootstrap CIs.
 
     Every CI is read from `sums`, the class sums of the `bootstrap_counts`
@@ -57,7 +57,7 @@ def region_rows(evals: Sequence[EvalStudy], sums: ClassSums,
     cm = full_confusion(evals, len(class_names), class_names)
 
     def ci(metric) -> CIResult:
-        return ci_from_counts(sums, metric, level)
+        return ci_from_counts(sums, metric)
 
     rows = [RegionRow("Overall", cm.total,
                       weighted_sensitivity(cm), ci(weighted_sensitivity),
@@ -73,6 +73,39 @@ def region_rows(evals: Sequence[EvalStudy], sums: ClassSums,
         rows.append(RegionRow(name, support, recall(cm), ci(recall),
                               tnr(cm), ci(tnr)))
     return rows
+
+
+def evaluation_tables(units: Sequence[EvalStudy], by_factor: dict,
+                      class_names: Sequence[str], resamples: int, seed: int,
+                      step_mm: float
+                      ) -> Tuple[List[RegionRow], List[FactorReport]]:
+    """The `region_rows` of the cohort `units` and the `factor_report` of
+    each factor of `by_factor` (factor -> its `factor_units`). Every CI is
+    read from one `bootstrap_counts` pass over the cohort and each category
+    of at least MIN_CATEGORY_COUNT units (the others print NA), each set's
+    class sums taken only as its table is built; one warning line names
+    every table with a TNR undefined in some resamples."""
+    sampled = {factor: [cat for cat, u in cats.items()
+                        if len(u) >= stats.MIN_CATEGORY_COUNT]
+               for factor, cats in by_factor.items()}
+    counts = iter(stats.bootstrap_counts(
+        [units] + [by_factor[factor][cat] for factor, cats in sampled.items()
+                   for cat in cats],
+        len(class_names), resamples, seed, step_mm))
+    undefined_tnr = {}
+
+    def class_sums(table):
+        sums = next(counts).class_sums()
+        undefined_tnr[table] = stats.undefined_tnr(sums, class_names)
+        return sums
+
+    rows = region_rows(units, class_sums("regions"), class_names)
+    reports = [stats.factor_report(
+        factor, by_factor[factor],
+        {cat: class_sums(f"{factor}={cat}") for cat in cats}, class_names)
+        for factor, cats in sampled.items()]
+    stats.log_undefined_tnr(undefined_tnr)
+    return rows, reports
 
 
 def _fmt_metric(value: Optional[float], ci: Optional[CIResult]) -> str:

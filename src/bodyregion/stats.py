@@ -506,9 +506,8 @@ def bootstrap_counts(unit_sets: Sequence[Sequence[EvalStudy]], k: int,
     return [ResampleCounts(k, t.cells, v) for t, v in zip(tables, values)]
 
 
-def ci_from_counts(sums: ClassSums, metric: CountMetric,
-                   level: float = 0.95) -> CIResult:
-    """Percentile CI of `metric` over the class sums of a set's
+def ci_from_counts(sums: ClassSums, metric: CountMetric) -> CIResult:
+    """95% percentile CI of `metric` over the class sums of a set's
     `bootstrap_counts` (`ResampleCounts.class_sums()`).
 
     The metric is evaluated on every resample at once. The point estimate
@@ -516,7 +515,7 @@ def ci_from_counts(sums: ClassSums, metric: CountMetric,
     """
     values = metric.over(sums)
     resamples = len(sums.support)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - 0.95) / 2.0  # not 0.025: the tail every pinned CI reads
     # A resample can miss a class entirely, making a per-class metric
     # undefined there; compute the percentiles over the defined resamples.
     defined = values[np.isfinite(values)]
@@ -531,10 +530,9 @@ def bootstrap_ci(studies: Sequence[EvalStudy],
                  k: int,
                  class_names: Optional[Sequence[str]] = None,
                  resamples: int = 1000,
-                 level: float = 0.95,
                  seed: int = 0,
                  step_mm: float = 10.0) -> CIResult:
-    """Percentile bootstrap CI with per-iteration physical subsampling.
+    """95% percentile bootstrap CI with per-iteration physical subsampling.
 
     Each resample draws studies with replacement, keeps one random series
     per drawn study, subsamples it at step_mm, and evaluates the metric on
@@ -550,7 +548,7 @@ def bootstrap_ci(studies: Sequence[EvalStudy],
     sums = counts.class_sums()
     if metric is weighted_specificity:
         log_undefined_tnr({"studies": undefined_tnr(sums, class_names)})
-    return ci_from_counts(sums, metric, level)
+    return ci_from_counts(sums, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +695,7 @@ def factor_units(studies: Sequence[StudyRecord], evals: Dict[str, EvalStudy],
 
 def factor_report(factor: str, units: Dict[str, List[EvalStudy]],
                   sums: Dict[str, ClassSums],
-                  class_names: Sequence[str],
-                  level: float = 0.95) -> FactorReport:
+                  class_names: Sequence[str]) -> FactorReport:
     """Stratified performance table for one confounding factor.
 
     `units` is the factor's `factor_units`, and `sums` the class sums of
@@ -722,9 +719,9 @@ def factor_report(factor: str, units: Dict[str, List[EvalStudy]],
         rows.append(FactorRow(
             cat, len(units[cat]), cm.total,
             weighted_sensitivity(cm),
-            ci_from_counts(sums[cat], weighted_sensitivity, level),
+            ci_from_counts(sums[cat], weighted_sensitivity),
             weighted_specificity(cm),
-            ci_from_counts(sums[cat], weighted_specificity, level)))
+            ci_from_counts(sums[cat], weighted_specificity)))
 
     p = None
     if len(categories) >= 2:

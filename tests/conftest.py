@@ -8,9 +8,8 @@ import pytest
 
 from bodyregion.dicomio import EXPLICIT_VR_LE, build_dicom
 from bodyregion.records import ImageRecord, SeriesRecord, StudyRecord
-from bodyregion.report import region_rows
-from bodyregion.stats import (MIN_CATEGORY_COUNT, bootstrap_counts,
-                              factor_report, factor_units)
+from bodyregion.report import evaluation_tables
+from bodyregion.stats import factor_units
 from bodyregion.taxonomy import BodyRegion
 
 AXIAL = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
@@ -88,27 +87,20 @@ def make_study(study_uid="ST1", patient_id="P001", series=None,
     return study
 
 
-def region_table(evals, class_names, resamples=1000, level=0.95, seed=0,
+def region_table(evals, class_names, resamples=1000, seed=0, step_mm=10.0):
+    """`region_rows` of the cohort `evals`, as `evaluate` builds them."""
+    return evaluation_tables(evals, {}, class_names, resamples, seed,
+                             step_mm)[0]
+
+
+def factor_table(studies, evals, factor, class_names, resamples=1000, seed=0,
                  step_mm=10.0):
-    """`region_rows` of `evals`, read from their `bootstrap_counts`."""
-    [counts] = bootstrap_counts([evals], len(class_names), resamples, seed,
-                                step_mm)
-    return region_rows(evals, counts.class_sums(), class_names, level)
-
-
-def factor_table(studies, evals, factor, class_names, resamples=1000,
-                 level=0.95, seed=0, step_mm=10.0):
-    """`factor_report` of one factor as `evaluate` builds it: the
-    categories with at least MIN_CATEGORY_COUNT units are resampled, and
-    the others print NA."""
-    units = factor_units(studies, evals, factor)
-    sampled = [cat for cat, u in units.items()
-               if len(u) >= MIN_CATEGORY_COUNT]
-    counts = bootstrap_counts([units[cat] for cat in sampled],
-                              len(class_names), resamples, seed, step_mm)
-    return factor_report(factor, units,
-                         {cat: c.class_sums() for cat, c in zip(sampled, counts)},
-                         class_names, level)
+    """`factor_report` of one factor, as `evaluate` builds it."""
+    by_factor = {factor: factor_units(studies, evals, factor)}
+    [report] = evaluation_tables([evals[uid] for uid in sorted(evals)],
+                                 by_factor, class_names, resamples, seed,
+                                 step_mm)[1]
+    return report
 
 
 @pytest.fixture

@@ -731,6 +731,9 @@ def _filter_rows(out):
         return list(csv.DictReader(fh))
 
 
+# Ingest orders such a series by InstanceNumber and never projects the
+# non-finite position, which warned "invalid value encountered in dot".
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFinitePosition:
     """A series with an image position that is NaN or infinite is excluded
     at filter, as NotAxial; it was admitted, and labels-project then left
@@ -1123,6 +1126,25 @@ class TestExitCodes:
         assert err.value.code == 1
         assert capsys.readouterr().err.endswith(
             "error: unrecognized arguments: --seed 1\n")
+
+    def test_level_is_not_a_flag(self, capsys):
+        # Every CI is the 95% interval its table header prints.
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", "--in", "m.ndjson", "--results", "r.ndjson",
+                  "--truth", "t.csv", "--out", "eval", "--level", "0.9"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --level 0.9\n")
+
+    def test_ci_level_is_not_a_config_key(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("ci_level: 0.9\n")
+        nope = str(tmp_path / "nope")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--in", nope,
+                     "--results", nope, "--truth", nope, "--out", nope]) == 2
+        assert capsys.readouterr().err == (
+            "data error: ConfigError: unknown config keys: ['ci_level']\n")
 
     def test_data_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.ndjson"

@@ -18,7 +18,6 @@ class TestLoadConfig:
         assert cfg.uncertainty_threshold == 0.2
         assert cfg.smoothing_window == 3
         assert cfg.step_mm == 10.0
-        assert cfg.ci_level == 0.95
 
     def test_file_values(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -1,6 +1,7 @@
 """Slice geometry, physical subsampling, and box-label projection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ class TestSorting:
             im.instance_number = n
         series.images[0].image_position_patient = None
         sort_series_images(series)
+        assert [im.instance_number for im in series.images] == [1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_position_falls_back_to_instance_number(self, bad):
+        # Projecting (inf, 0, 0) on the axial normal warned "invalid value
+        # encountered in dot" and sorted by a NaN key.
+        series = make_series(zs=(4.0, 0.0, 2.0))
+        for im, n in zip(series.images, (1, 3, 2)):
+            im.instance_number = n
+        series.images[1].image_position_patient = (bad, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sort_series_images(series)
         assert [im.instance_number for im in series.images] == [1, 2, 3]
 
     def test_degenerate_orientation_falls_back_to_instance_number(self):
